@@ -304,28 +304,6 @@ class RateLimiter:
         return sem
 
 
-class ResponseCache:
-    """Optional (model, request) -> reply cache. Off by default: sampling at
-    temperature 0.2 is stochastic, and reusing replies would silently change
-    the experiment."""
-
-    def __init__(self):
-        self._store: dict[str, dict] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key(payload: dict) -> str:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def get(self, payload: dict) -> dict | None:
-        with self._lock:
-            return self._store.get(self.key(payload))
-
-    def put(self, payload: dict, response: dict) -> None:
-        with self._lock:
-            self._store[self.key(payload)] = response
-
-
 def _http_transport(endpoint: str, payload: dict, api_key: str, timeout: float) -> dict:
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -347,7 +325,6 @@ class ChatModelClient:
         api_key: str = "",
         transport: Callable[[str, dict, str, float], dict] | None = None,
         rate_limiter: RateLimiter | None = None,
-        cache: ResponseCache | None = None,
         audit_log: Path | str | None = None,
         max_retries: int = 3,
         backoff_base: float = 0.5,
@@ -356,7 +333,6 @@ class ChatModelClient:
         self.api_key = os.environ.get(API_KEY_ENV_VAR) or api_key
         self.transport = transport or _http_transport
         self.rate_limiter = rate_limiter or RateLimiter()
-        self.cache = cache
         self.audit_log = Path(audit_log) if audit_log else None
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -382,11 +358,6 @@ class ChatModelClient:
         if seed is not None:
             payload["seed"] = seed
 
-        if self.cache is not None:
-            cached = self.cache.get(payload)
-            if cached is not None:
-                return self._parse_response(cached)
-
         jitter = random.Random(seed if seed is not None else time.time_ns())
         sem = self.rate_limiter.acquire(binding.endpoint)
         last_error: Exception | None = None
@@ -401,8 +372,6 @@ class ChatModelClient:
                     )
                 self._audit(payload, response)
                 self._record_usage(response)
-                if self.cache is not None:
-                    self.cache.put(payload, response)
                 return self._parse_response(response)
             except Exception as exc:  # transport failures trigger the retry budget
                 last_error = exc

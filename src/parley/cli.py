@@ -21,7 +21,6 @@ from .errors import (
     SchemaError,
 )
 from .pipeline import Pipeline, load_config
-from .tournament import TournamentState, TranscriptStore, build_schedule, read_checkpoint
 
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
@@ -108,7 +107,7 @@ def run(config_path, stages):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def resume(config_path):
-    """Resume an interrupted tournament from its checkpoint."""
+    """Resume an interrupted tournament; the transcript store says what is done."""
     try:
         pipeline = _pipeline(config_path)
         report = pipeline.stage_run()
@@ -125,66 +124,15 @@ def resume(config_path):
 def status(config_path):
     """Report schedule progress without executing anything."""
     try:
-        config = load_config(config_path)
-        pipeline = Pipeline(config)
-        schedule = build_schedule(
-            pipeline.roster, list(pipeline.scenarios.keys()), config.base_seed
-        )
-        state = TournamentState(roster=pipeline.roster, schedule=schedule)
-        read_checkpoint(config.checkpoint_path, state)
-        if pipeline.transcripts_path.exists():
-            state.completed |= TranscriptStore(pipeline.transcripts_path).ids
-        pending = state.pending(pipeline.scenarios)
+        pipeline = Pipeline(load_config(config_path))
+        state, store = pipeline.tournament()
+        pending = state.pending(pipeline.scenarios, store.ids)
     except ParleyError as exc:
         _fail(exc)
     click.echo(
-        f"scheduled={len(schedule)} completed={len(state.completed)} "
+        f"scheduled={len(state.schedule)} completed={len(store)} "
         f"failed={len(state.failed)} pending={len(pending)}"
     )
-
-
-def _single_stage(config_path: str, stage: str) -> None:
-    try:
-        pipeline = _pipeline(config_path)
-        pipeline.run_stages([stage])
-    except ParleyError as exc:
-        _fail(exc)
-    click.echo(f"{stage}: done")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def score(config_path):
-    """Extract agreements and write the outcome table."""
-    _single_stage(config_path, "score")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def features(config_path):
-    """Extract linguistic features and write the feature table."""
-    _single_stage(config_path, "features")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def style(config_path):
-    """Produce the per-agent warmth/dominance table."""
-    _single_stage(config_path, "style")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def analyze(config_path):
-    """Fit the regression suite over the outcome and style tables."""
-    _single_stage(config_path, "analyze")
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def report(config_path):
-    """Write per-agent summaries and ranking-stability tables."""
-    _single_stage(config_path, "report")
 
 
 if __name__ == "__main__":

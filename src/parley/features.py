@@ -37,7 +37,6 @@ def tokenize(text: str) -> list[str]:
 class Lexicon:
     name: str
     phrases: tuple[str, ...]
-    match_mode: str = "word-boundary"  # or "phrase" (plain substring)
     polarity: dict[str, float] | None = None
 
     def __post_init__(self):
@@ -53,9 +52,7 @@ class Lexicon:
         text = text.lower()
         candidates: list[tuple[int, int, str]] = []
         for phrase in self.phrases:
-            pattern = re.escape(phrase)
-            if self.match_mode == "word-boundary":
-                pattern = r"(?<!\w)" + pattern + r"(?!\w)"
+            pattern = r"(?<!\w)" + re.escape(phrase) + r"(?!\w)"
             for m in re.finditer(pattern, text):
                 candidates.append((m.start(), m.end(), phrase))
         candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
@@ -68,7 +65,7 @@ class Lexicon:
         return taken
 
 
-def load_lexicon(path: str | Path, name: str | None = None, match_mode: str = "word-boundary") -> Lexicon:
+def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     """One phrase per line; '#' comments; optional tab-separated polarity."""
     path = Path(path)
     phrases: list[str] = []
@@ -90,7 +87,6 @@ def load_lexicon(path: str | Path, name: str | None = None, match_mode: str = "w
     return Lexicon(
         name=name or path.stem,
         phrases=tuple(phrases),
-        match_mode=match_mode,
         polarity=polarity or None,
     )
 
@@ -148,8 +144,9 @@ def cosine_similarity(u: dict[str, float], v: dict[str, float]) -> float:
     norm_v = math.sqrt(sum(x * x for x in v.values()))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
-    shared = set(u) & set(v)
-    dot = sum(u[t] * v[t] for t in shared)
+    # summed in u's insertion order: a set's order follows string hashing,
+    # which would change the last bits from one process to the next
+    dot = sum(x * v[t] for t, x in u.items() if t in v)
     return dot / (norm_u * norm_v)
 
 
@@ -290,26 +287,14 @@ FEATURE_TABLE_COLUMNS = (
 def feature_rows(
     transcript: Transcript, lexicons: dict[str, Lexicon] | None = None
 ) -> list[dict]:
-    """Two agent-observation rows per negotiation, keyed like the outcome table."""
-    from .scoring import dyad_id
+    """Two agent-observation rows per negotiation, keyed like the outcome
+    table, in the order of ``transcript.role_map``."""
+    from .scoring import observation_keys
 
     features = extract_features(transcript, lexicons)
-    roles = list(transcript.role_map)
     rows = []
-    for role_name in roles:
-        counterpart_role = roles[1] if role_name == roles[0] else roles[0]
-        agent_id = transcript.role_map[role_name]
-        counterpart_id = transcript.role_map[counterpart_role]
-        row = {
-            "negotiation_id": transcript.negotiation_id,
-            "exercise": transcript.scenario_id,
-            "agent_id": agent_id,
-            "counterpart_id": counterpart_id,
-            "role": role_name,
-            "cluster_agent": agent_id,
-            "cluster_dyad": dyad_id(agent_id, counterpart_id, transcript.scenario_id),
-            "cluster_negotiation": transcript.negotiation_id,
-        }
+    for role_name in transcript.role_map:
+        row = observation_keys(transcript, role_name)
         for key, value in features[role_name].as_dict().items():
             row[key] = "" if value is None else value
         rows.append(row)

@@ -40,7 +40,7 @@ from .scoring import (
 from .session import load_svi_items
 from .stats import FitResult, ModelSpec, ObservationRow, fit_with_clusters, summarize_fit
 from .style import STYLE_TABLE_COLUMNS, StyleScores, score_prompt_style
-from .tables import read_table, write_table
+from .tables import provenance_line, read_table, write_table
 from .tournament import (
     RANKING_METRICS,
     TournamentState,
@@ -127,7 +127,11 @@ def load_config(path: str | Path) -> RunConfig:
         roster_path=resolve(raw["roster"]),
         scenario_set=list(raw["scenarios"]),
         output_dir=output_dir,
-        checkpoint_path=resolve(raw.get("checkpoint", output_dir / "checkpoint.json")),
+        checkpoint_path=(
+            resolve(raw["checkpoint"])
+            if "checkpoint" in raw
+            else output_dir / "checkpoint.json"
+        ),
         base_seed=int(raw.get("base_seed", 7)),
         concurrency_limit=int(raw.get("concurrency_limit", 4)),
         backend_defaults=backend,
@@ -197,6 +201,16 @@ class Pipeline:
     def _lexicons(self):
         return load_default_lexicons(self.config.lexicon_dir)
 
+    def tournament(self) -> tuple[TournamentState, TranscriptStore]:
+        """The schedule with its restored failures, and the transcript store,
+        which alone says which negotiations are done."""
+        schedule = build_schedule(
+            self.roster, list(self.scenarios.keys()), self.config.base_seed
+        )
+        state = TournamentState(roster=self.roster, schedule=schedule)
+        read_checkpoint(self.config.checkpoint_path, state)
+        return state, TranscriptStore(self.transcripts_path, self.config.config_hash)
+
     def _load_transcripts(self):
         if not self.transcripts_path.exists():
             raise PrerequisiteError(
@@ -219,17 +233,10 @@ class Pipeline:
         return results
 
     def stage_run(self):
-        scenarios = self.scenarios
-        schedule = build_schedule(
-            self.roster, list(scenarios.keys()), self.config.base_seed
-        )
-        state = TournamentState(roster=self.roster, schedule=schedule)
-        store = TranscriptStore(self.transcripts_path, self.config.config_hash)
-        read_checkpoint(self.config.checkpoint_path, state)
-        state.completed |= store.ids
+        state, store = self.tournament()
         report = run_tournament(
             state,
-            scenarios,
+            self.scenarios,
             store,
             self.config.checkpoint_path,
             concurrency_limit=self.config.concurrency_limit,
@@ -596,8 +603,7 @@ def emit_table(
     path = Path(path)
     if fmt == "text":
         body = summarize_fit(fit, title=title)
-        header = f"# parley={_version()} config={config_hash}\n"
-        path.write_text(header + body)
+        path.write_text(provenance_line(config_hash) + "\n" + body)
         return path
     if fmt == "delimited":
         rows = [
@@ -621,12 +627,6 @@ def emit_table(
         )
         return path
     raise ConfigurationError(f"unknown table format {fmt!r}")
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 @dataclass

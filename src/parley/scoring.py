@@ -272,21 +272,31 @@ def dyad_id(agent_a: str, agent_b: str, scenario_id: str) -> str:
     return f"{pair}:{scenario_id}"
 
 
+def observation_keys(transcript: Transcript, role_name: str) -> dict:
+    """The key and cluster columns of one seat's row, shared by the outcome
+    and feature tables."""
+    agent_id = transcript.role_map[role_name]
+    counterpart_id = transcript.role_map[transcript.counterpart_role(role_name)]
+    return {
+        "negotiation_id": transcript.negotiation_id,
+        "exercise": transcript.scenario_id,
+        "agent_id": agent_id,
+        "counterpart_id": counterpart_id,
+        "role": role_name,
+        "cluster_agent": agent_id,
+        "cluster_dyad": dyad_id(agent_id, counterpart_id, transcript.scenario_id),
+        "cluster_negotiation": transcript.negotiation_id,
+    }
+
+
 def outcome_rows(outcome: Outcome, transcript: Transcript) -> list[dict]:
-    """Two agent-observation rows per negotiation, with cluster ids attached."""
+    """Two agent-observation rows per negotiation, in the scenario's role
+    order."""
     rows = []
-    roles = list(outcome.per_role)
-    for role_name in roles:
-        seat = outcome.per_role[role_name]
-        counterpart_role = roles[1] if role_name == roles[0] else roles[0]
-        counterpart_id = outcome.per_role[counterpart_role].agent_id
+    for role_name, seat in outcome.per_role.items():
         rows.append(
             {
-                "negotiation_id": outcome.negotiation_id,
-                "exercise": outcome.scenario_id,
-                "agent_id": seat.agent_id,
-                "counterpart_id": counterpart_id,
-                "role": role_name,
+                **observation_keys(transcript, role_name),
                 "deal": int(outcome.deal),
                 "value_claimed": seat.value_claimed,
                 "points": "" if seat.points is None else seat.points,
@@ -298,9 +308,6 @@ def outcome_rows(outcome: Outcome, transcript: Transcript) -> list[dict]:
                     "" if seat.counterpart_sv is None else seat.counterpart_sv
                 ),
                 "efficiency": outcome.efficiency,
-                "cluster_agent": seat.agent_id,
-                "cluster_dyad": dyad_id(seat.agent_id, counterpart_id, outcome.scenario_id),
-                "cluster_negotiation": outcome.negotiation_id,
             }
         )
     return rows

@@ -14,6 +14,33 @@ from . import __version__
 from .errors import ArtifactMismatchError, SchemaError
 
 
+def provenance_line(config_hash: str) -> str:
+    """The stamp every artifact starts with: engine version and config hash."""
+    return f"# parley={__version__} config={config_hash}"
+
+
+def parse_provenance(
+    path: str | Path, line: str, expect_config_hash: str | None = None
+) -> dict:
+    """The key=value fields of a provenance line ({} when ``line`` is not one).
+
+    When a config hash is expected, an artifact stamped with any other hash,
+    or with none, is refused.
+    """
+    meta = {}
+    if line.startswith("#"):
+        for token in line.lstrip("#").split():
+            if "=" in token:
+                key, value = token.split("=", 1)
+                meta[key] = value
+    if expect_config_hash is not None and meta.get("config") != expect_config_hash:
+        raise ArtifactMismatchError(
+            f"{path} was produced under config {meta.get('config')!r}, "
+            f"expected {expect_config_hash!r}; rerun upstream stages"
+        )
+    return meta
+
+
 def write_table(
     path: str | Path,
     columns: tuple[str, ...] | list[str],
@@ -30,7 +57,7 @@ def write_table(
         else:
             kept.append(col)
     with open(path, "w", newline="") as fh:
-        stamp = f"# parley={__version__} config={config_hash}"
+        stamp = provenance_line(config_hash)
         if omitted:
             stamp += f" omitted_empty={','.join(omitted)}"
         fh.write(stamp + "\n")
@@ -48,19 +75,9 @@ def read_table(
         raise SchemaError(f"table not found: {path}")
     with open(path, newline="") as fh:
         first = fh.readline().strip()
-        meta = {}
-        if first.startswith("#"):
-            for token in first.lstrip("#").split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = value
-        else:
+        if not first.startswith("#"):
             raise SchemaError(f"{path}: missing provenance line")
-        if expect_config_hash is not None and meta.get("config") != expect_config_hash:
-            raise ArtifactMismatchError(
-                f"{path} was produced under config {meta.get('config')!r}, "
-                f"expected {expect_config_hash!r}; rerun upstream stages"
-            )
+        meta = parse_provenance(path, first, expect_config_hash)
         reader = csv.DictReader(fh)
         rows = list(reader)
     return meta, rows

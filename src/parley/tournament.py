@@ -3,7 +3,8 @@
 The schedule covers every ordered pair of agents (including self-play) once
 per exercise, so each agent occupies both role seats against every opponent.
 Execution runs under a bounded worker pool, flushes a checkpoint after every
-completed negotiation, and skips already-completed pairings on resume.
+completed negotiation, and skips the pairings the transcript store already
+holds on resume.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import threading
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,9 +22,10 @@ from random import Random
 
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
-from .errors import ConfigurationError, NotFoundError, ParleyError
+from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError
 from .scoring import Outcome
 from .session import Transcript, negotiation_id, run_session
+from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -53,18 +56,18 @@ class Pairing:
 class TournamentState:
     roster: list[AgentSpec]
     schedule: list[Pairing]
-    completed: set[str] = field(default_factory=set)
     failed: list[tuple[Pairing, str]] = field(default_factory=list)
 
-    def pending(self, scenarios: dict[str, ScenarioSpec]) -> list[Pairing]:
-        failed_ids = {
+    def pending(
+        self, scenarios: dict[str, ScenarioSpec], done: Iterable[str]
+    ) -> list[Pairing]:
+        """Scheduled pairings whose id is neither done (in the transcript
+        store) nor failed."""
+        skip = set(done) | {
             p.negotiation_id(scenarios[p.exercise]) for p, _ in self.failed
         }
         return [
-            p
-            for p in self.schedule
-            if p.negotiation_id(scenarios[p.exercise]) not in self.completed
-            and p.negotiation_id(scenarios[p.exercise]) not in failed_ids
+            p for p in self.schedule if p.negotiation_id(scenarios[p.exercise]) not in skip
         ]
 
 
@@ -111,45 +114,42 @@ class TranscriptStore:
     is a no-op, so no pairing can execute twice. When a config hash is given,
     new stores are stamped with it and existing stores must carry the same
     stamp.
+
+    An unterminated final line is an append that a crash cut short: readers
+    treat it as absent, and the first append cuts it off. Only the writer
+    truncates, because a reader may run while a writer is appending.
     """
 
     def __init__(self, path: str | Path, config_hash: str | None = None):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._ids: set[str] = set()
+        self._torn_at: int | None = None  # byte offset of a torn final line
         if self.path.exists():
             if config_hash is not None:
-                stamped = self._stamped_config()
-                if stamped != config_hash:
-                    from .errors import ArtifactMismatchError
-
-                    raise ArtifactMismatchError(
-                        f"{self.path} was produced under config {stamped!r}, "
-                        f"expected {config_hash!r}"
-                    )
+                with open(self.path) as fh:
+                    parse_provenance(self.path, fh.readline(), config_hash)
             for record in self._iter_records():
                 self._ids.add(record["negotiation_id"])
         elif config_hash is not None:
-            from . import __version__
-
-            self.path.write_text(f"# parley={__version__} config={config_hash}\n")
-
-    def _stamped_config(self) -> str | None:
-        with open(self.path) as fh:
-            first = fh.readline().strip()
-        if not first.startswith("#"):
-            return None
-        for token in first.lstrip("#").split():
-            if token.startswith("config="):
-                return token.split("=", 1)[1]
-        return None
+            self.path.write_text(provenance_line(config_hash) + "\n")
 
     def _iter_records(self):
-        with open(self.path) as fh:
-            for line in fh:
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    self._torn_at = offset
+                    return
+                offset += len(line)
                 line = line.strip()
-                if line and not line.startswith("#"):
-                    yield json.loads(line)
+                if line and not line.startswith(b"#"):
+                    try:
+                        yield json.loads(line)
+                    except ValueError as exc:
+                        raise SchemaError(
+                            f"{self.path}:{lineno}: not a transcript record: {exc}"
+                        ) from exc
 
     def __contains__(self, neg_id: str) -> bool:
         return neg_id in self._ids
@@ -165,6 +165,9 @@ class TranscriptStore:
         with self._lock:
             if transcript.negotiation_id in self._ids:
                 return False
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
             with open(self.path, "a") as fh:
                 fh.write(json.dumps(transcript.to_record(), sort_keys=True) + "\n")
             self._ids.add(transcript.negotiation_id)
@@ -180,12 +183,18 @@ class TranscriptStore:
 # Checkpointing
 
 
-def write_checkpoint(path: str | Path, state: TournamentState) -> None:
-    """Atomic write-then-rename so a crash never leaves a torn checkpoint."""
+def write_checkpoint(
+    path: str | Path, state: TournamentState, done: Iterable[str]
+) -> None:
+    """Atomic write-then-rename so a crash never leaves a torn checkpoint.
+
+    ``completed`` lists the done ids for readers of the file; nothing reads
+    it back, because the transcript store is the record of what is done.
+    """
     path = Path(path)
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "completed": sorted(state.completed),
+        "completed": sorted(done),
         "failed": [
             {
                 "exercise": p.exercise,
@@ -204,11 +213,11 @@ def write_checkpoint(path: str | Path, state: TournamentState) -> None:
 
 
 def read_checkpoint(path: str | Path, state: TournamentState) -> TournamentState:
+    """Restore the failed pairings; what is done comes from the store."""
     path = Path(path)
     if not path.exists():
         return state
     payload = json.loads(path.read_text())
-    state.completed = set(payload.get("completed", []))
     state.failed = [
         (
             Pairing(
@@ -250,8 +259,8 @@ def run_tournament(
 ) -> RunReport:
     """Execute every pending pairing at most ``concurrency_limit`` at a time.
 
-    The checkpoint is flushed after each completion; a rerun with the same
-    state skips completed pairings, making the tournament idempotent under
+    The checkpoint is flushed after each completion; a rerun skips the
+    pairings the store holds, making the tournament idempotent under
     kill-and-resume with scripted agents.
     """
     for pairing in state.schedule:
@@ -260,13 +269,12 @@ def run_tournament(
 
     # prove the checkpoint is writable before any session starts
     try:
-        read_checkpoint(checkpoint_path, state)
-        write_checkpoint(checkpoint_path, state)
+        write_checkpoint(checkpoint_path, state, store.ids)
     except OSError as exc:
         raise ConfigurationError(f"checkpoint {checkpoint_path} unwritable: {exc}") from exc
 
     agents = {a.agent_id: a for a in state.roster}
-    pending = state.pending(scenarios)
+    pending = state.pending(scenarios, store.ids)
     skipped = len(state.schedule) - len(pending)
     start = time.monotonic()
     lock = threading.Lock()
@@ -302,9 +310,8 @@ def run_tournament(
                     state.failed.append((pairing, cause))
                 else:
                     store.append(transcript)
-                    state.completed.add(transcript.negotiation_id)
                     executed += 1
-                write_checkpoint(checkpoint_path, state)
+                write_checkpoint(checkpoint_path, state, store.ids)
 
     return RunReport(
         scheduled=len(state.schedule),

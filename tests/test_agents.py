@@ -8,7 +8,6 @@ from parley.agents import (
     CLEAN_SLATE_PREFACE,
     ChatModelClient,
     RateLimiter,
-    ResponseCache,
     SessionView,
     assemble_system_prompt,
     load_roster,
@@ -281,6 +280,8 @@ def test_truncation_flag_from_finish_reason(chair):
 
 
 def test_cache_off_by_default(chair):
+    # repeated identical requests each reach the transport: sampling is
+    # stochastic, so no reply is ever reused
     calls = {"n": 0}
 
     def transport(endpoint, payload, api_key, timeout):
@@ -292,12 +293,6 @@ def test_cache_off_by_default(chair):
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     assert calls["n"] == 2
-
-    cached_client = ChatModelClient(transport=transport, cache=ResponseCache())
-    first = cached_client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
-    second = cached_client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
-    assert calls["n"] == 3  # one fresh call, one cache hit
-    assert first.text == second.text
 
 
 def test_rate_limiter_bounds_in_flight():

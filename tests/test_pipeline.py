@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -77,6 +80,15 @@ def test_default_temperature_is_020(tmp_path):
     bad = write_workspace(tmp_path, extra={"backend": {"temperature": 3.0}})
     with pytest.raises(SchemaError, match="temperature"):
         load_config(bad)
+
+
+def test_relative_config_path_resolves_checkpoint_once(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    write_workspace(sub)
+    monkeypatch.chdir(tmp_path)
+    config = load_config("sub/config.yaml")
+    assert config.checkpoint_path == Path("sub/out/checkpoint.json")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +340,66 @@ def test_transcript_store_refuses_foreign_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Resume: the transcript store is the record of what is done
+
+
+def test_resume_trusts_the_store_over_a_lagging_checkpoint(tmp_path):
+    pipeline = Pipeline(load_config(write_workspace(tmp_path)))
+    assert pipeline.stage_run().executed == 25
+    store_bytes = pipeline.transcripts_path.read_bytes()
+    checkpoint = json.loads(pipeline.config.checkpoint_path.read_text())
+    checkpoint["completed"] = checkpoint["completed"][:5]
+    pipeline.config.checkpoint_path.write_text(json.dumps(checkpoint))
+
+    report = pipeline.stage_run()
+    assert (report.executed, report.skipped) == (0, 25)
+    assert pipeline.transcripts_path.read_bytes() == store_bytes
+
+
+def test_torn_store_tail_is_cut_and_rerun(tmp_path):
+    from parley.tournament import TranscriptStore
+
+    runner = CliRunner()
+    stores = {}
+    for tag in ("reference", "torn"):
+        (tmp_path / tag).mkdir()
+        path = write_workspace(tmp_path / tag)
+        result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
+        assert result.exit_code == 0, result.output
+        stores[tag] = tmp_path / tag / "out" / "transcripts.jsonl"
+    torn = stores["torn"]
+    torn_bytes = torn.read_bytes()[:-50]
+    torn.write_bytes(torn_bytes)
+
+    # a reader treats the torn line as absent and leaves the file alone
+    assert len(TranscriptStore(torn)) == 24
+    assert torn.read_bytes() == torn_bytes
+
+    path = tmp_path / "torn" / "config.yaml"
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
+    assert result.exit_code == 0, result.output
+    assert sorted(torn.read_text().splitlines()) == sorted(
+        stores["reference"].read_text().splitlines()
+    )
+
+
+def test_corrupt_store_line_exits_with_schema_error(tmp_path):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    store = tmp_path / "out" / "transcripts.jsonl"
+    lines = store.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    store.write_text("".join(lines))
+
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "transcripts.jsonl:3" in result.output
+    assert "Traceback" not in result.output
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -358,7 +430,7 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_prerequisite_exit_code(tmp_path):
     path = write_workspace(tmp_path)
     runner = CliRunner()
-    result = runner.invoke(cli_main, ["analyze", "--config", str(path)])
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "analyze"])
     assert result.exit_code == 2
 
 

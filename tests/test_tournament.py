@@ -196,12 +196,10 @@ def test_store_refuses_duplicate_ids(tmp_path, roster, chair):
 def test_checkpoint_round_trip(tmp_path, roster):
     schedule = build_schedule(roster[:2], ["chair"], base_seed=7)
     state = TournamentState(roster=roster[:2], schedule=schedule)
-    state.completed = {"abc123"}
     state.failed = [(schedule[0], "backend aborted past retry budget")]
-    write_checkpoint(tmp_path / "ckpt.json", state)
+    write_checkpoint(tmp_path / "ckpt.json", state, {"abc123"})
     restored = TournamentState(roster=roster[:2], schedule=schedule)
     read_checkpoint(tmp_path / "ckpt.json", restored)
-    assert restored.completed == {"abc123"}
     assert restored.failed == state.failed
 
 
