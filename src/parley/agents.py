@@ -460,7 +460,11 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
             raise SchemaError(f"{path}: duplicate agent_id {agent_id!r}")
         seen_ids.add(agent_id)
 
-        backend_raw = {**defaults, **record.get("backend", {})}
+        backend_raw = dict(record.get("backend", {}))
+        # config-level defaults configure chat models only, so scripted
+        # baselines can share a roster with them
+        if backend_raw.get("kind", "chat_model") == "chat_model":
+            backend_raw = {**defaults, **backend_raw}
         binding = BackendBinding(
             kind=backend_raw.get("kind", "chat_model"),
             model_name=backend_raw.get("model_name", ""),

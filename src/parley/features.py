@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -38,31 +38,30 @@ class Lexicon:
     name: str
     phrases: tuple[str, ...]
     polarity: dict[str, float] | None = None
+    _pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
             raise SchemaError(f"lexicon {self.name!r} is empty")
         if len(set(self.phrases)) != len(self.phrases):
             raise SchemaError(f"lexicon {self.name!r} has duplicate phrases")
+        # an alternation takes the first alternative that fits, so with the
+        # longest phrases first it takes the longest phrase at each position
+        longest_first = sorted(self.phrases, key=len, reverse=True)
+        alternation = "|".join(re.escape(phrase) for phrase in longest_first)
+        object.__setattr__(
+            self, "_pattern", re.compile(r"(?<!\w)(?:" + alternation + r")(?!\w)")
+        )
 
     def matches(self, text: str) -> list[tuple[int, int, str]]:
-        """Case-insensitive matches resolved leftmost-longest, so a phrase
-        covering a position suppresses shorter phrases starting inside it
-        (one count per occurrence position)."""
-        text = text.lower()
-        candidates: list[tuple[int, int, str]] = []
-        for phrase in self.phrases:
-            pattern = r"(?<!\w)" + re.escape(phrase) + r"(?!\w)"
-            for m in re.finditer(pattern, text):
-                candidates.append((m.start(), m.end(), phrase))
-        candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
-        taken: list[tuple[int, int, str]] = []
-        cursor = -1
-        for start, end, phrase in candidates:
-            if start > cursor:
-                taken.append((start, end, phrase))
-                cursor = end - 1
-        return taken
+        """Case-insensitive whole-word matches, leftmost-longest in one scan:
+        at each position the longest phrase that fits is taken and the scan
+        goes on after it, so a phrase covering a position suppresses shorter
+        phrases starting inside it (one count per occurrence position)."""
+        return [
+            (m.start(), m.end(), m.group())
+            for m in self._pattern.finditer(text.lower())
+        ]
 
 
 def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
@@ -150,14 +149,17 @@ def cosine_similarity(u: dict[str, float], v: dict[str, float]) -> float:
     return dot / (norm_u * norm_v)
 
 
-def score_mimicry(transcript: Transcript, role_name: str) -> float | None:
+def score_mimicry(
+    transcript: Transcript, role_name: str, tfidf: TfidfResult | None = None
+) -> float | None:
     """Mean cosine similarity between each of the seat's utterances and the
     counterpart utterance immediately before it; None when the seat never
-    replies (it only opened)."""
-    texts = [u.text for u in transcript.utterances]
-    if not texts:
+    replies (it only opened). ``tfidf`` is the conversation's
+    ``build_tfidf``, built here when not given."""
+    if not transcript.utterances:
         return None
-    tfidf = build_tfidf(texts)
+    if tfidf is None:
+        tfidf = build_tfidf([u.text for u in transcript.utterances])
     similarities = []
     for i, utterance in enumerate(transcript.utterances):
         if utterance.role_name != role_name or i == 0:
@@ -240,6 +242,9 @@ def extract_features(
 ) -> dict[str, FeatureVector]:
     """All eight features for both role seats; None where undefined."""
     lexicons = lexicons or load_default_lexicons()
+    texts = [u.text for u in transcript.utterances]
+    # one TF-IDF build serves both seats' mimicry
+    tfidf = build_tfidf(texts) if texts else None
     features = {}
     for role_name in transcript.role_map:
         own = [u.text for u in transcript.utterances if u.role_name == role_name]
@@ -250,7 +255,7 @@ def extract_features(
             message_length = None
             questions = None
         features[role_name] = FeatureVector(
-            mimicry=score_mimicry(transcript, role_name),
+            mimicry=score_mimicry(transcript, role_name, tfidf),
             hedges=count_lexicon(transcript, role_name, lexicons["hedges"]),
             apologies=count_lexicon(transcript, role_name, lexicons["apologies"]),
             gratitude=count_lexicon(transcript, role_name, lexicons["gratitude"]),

@@ -261,7 +261,9 @@ def run_tournament(
 
     The checkpoint is flushed after each completion; a rerun skips the
     pairings the store holds, making the tournament idempotent under
-    kill-and-resume with scripted agents.
+    kill-and-resume with scripted agents. A session that raises fails only
+    its pairing; a ``ParleyError`` cancels the queued sessions and ends the
+    run.
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -284,34 +286,45 @@ def run_tournament(
         scenario = scenarios[pairing.exercise]
         role_map = pairing.role_map(scenario)
         first_mover = scenario.role_names[pairing.first_mover_seat]
-        attempts = 0
-        transcript = None
-        while attempts <= retry_budget:
-            transcript = run_session(
-                scenario,
-                role_map,
-                agents,
-                pairing.seed,
-                client=client,
-                first_mover=first_mover,
-                svi_items=svi_items,
-            )
-            if transcript.termination != "aborted":
-                return pairing, transcript, ""
-            attempts += 1
+        try:
+            for _ in range(retry_budget + 1):
+                transcript = run_session(
+                    scenario,
+                    role_map,
+                    agents,
+                    pairing.seed,
+                    client=client,
+                    first_mover=first_mover,
+                    svi_items=svi_items,
+                )
+                if transcript.termination != "aborted":
+                    return pairing, transcript, ""
+        except ParleyError:
+            raise
+        except Exception as exc:
+            # one broken session is this pairing's failure, not the run's
+            return pairing, None, f"{type(exc).__name__}: {exc}"
         return pairing, None, "backend aborted past retry budget"
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency_limit)) as pool:
-        futures = [pool.submit(execute, pairing) for pairing in pending]
-        for future in as_completed(futures):
-            pairing, transcript, cause = future.result()
-            with lock:
-                if transcript is None:
-                    state.failed.append((pairing, cause))
-                else:
-                    store.append(transcript)
-                    executed += 1
-                write_checkpoint(checkpoint_path, state, store.ids)
+        # as_completed drops each future once it is yielded, and no list of
+        # them is kept here, so a stored transcript is freed at once
+        done = as_completed([pool.submit(execute, pairing) for pairing in pending])
+        try:
+            for future in done:
+                pairing, transcript, cause = future.result()
+                with lock:
+                    if transcript is None:
+                        state.failed.append((pairing, cause))
+                    else:
+                        store.append(transcript)
+                        executed += 1
+                    write_checkpoint(checkpoint_path, state, store.ids)
+        except BaseException:
+            # a ParleyError or an interrupt ends the run: queued sessions
+            # must not start
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     return RunReport(
         scheduled=len(state.schedule),

@@ -380,6 +380,31 @@ def test_load_roster_round_trip(tmp_path):
     assert agents[1].backend.policy_name == "mirror"
 
 
+def test_backend_defaults_apply_to_chat_models_only(tmp_path):
+    import yaml
+
+    path = tmp_path / "roster.yaml"
+    path.write_text(
+        yaml.safe_dump(
+            {
+                "agents": [
+                    {"agent_id": "model", "prompt": "Be fair."},
+                    {"agent_id": "wall", "backend": {"kind": "scripted", "policy_name": "stonewaller"}},
+                ]
+            }
+        )
+    )
+    defaults = {"model_name": "m", "endpoint": "https://example.invalid", "temperature": 0.5}
+    model, wall = load_roster(path, defaults)
+    assert (model.backend.kind, model.backend.model_name) == ("chat_model", "m")
+    assert model.backend.temperature == 0.5
+    assert (wall.backend.kind, wall.backend.model_name, wall.backend.endpoint) == (
+        "scripted",
+        "",
+        "",
+    )
+
+
 def test_roster_duplicate_id_rejected(tmp_path):
     import yaml
 

@@ -1,6 +1,9 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parley.features import (
     Lexicon,
@@ -170,6 +173,62 @@ def test_overlapping_matches_count_once_per_position():
     lexicon = Lexicon("apologies", ("i'm sorry", "sorry"))
     transcript = two_sided(["I'm sorry about that."])
     assert count_lexicon(transcript, "seller", lexicon) == 1.0
+
+
+def test_self_overlapping_phrase_counts_every_position():
+    # "ha ha" at 3 overlaps "ha ha" at 6; once "oh ha" takes 0-5, the scan
+    # resumes at 6 and finds the second "ha ha" there
+    lexicon = Lexicon("t", ("oh ha", "ha ha"))
+    assert lexicon.matches("oh ha ha ha") == [(0, 5, "oh ha"), (6, 11, "ha ha")]
+    # the per-phrase sweep found "ha ha" only at 3, which "oh ha" covers
+    assert per_phrase_sweep(lexicon.phrases, "oh ha ha ha") == [(0, 5, "oh ha")]
+
+
+def per_phrase_sweep(phrases, text):
+    """The matcher the compiled pattern replaced, kept as an oracle: one
+    finditer per phrase, then a sweep keeping the longest candidate at each
+    leftmost free position."""
+    text = text.lower()
+    candidates = []
+    for phrase in phrases:
+        pattern = r"(?<!\w)" + re.escape(phrase) + r"(?!\w)"
+        for m in re.finditer(pattern, text):
+            candidates.append((m.start(), m.end(), phrase))
+    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0])))
+    taken = []
+    cursor = -1
+    for start, end, phrase in candidates:
+        if start > cursor:
+            taken.append((start, end, phrase))
+            cursor = end - 1
+    return taken
+
+
+BUILTIN_LEXICONS = load_default_lexicons()
+# whole phrases and their words, so texts hold both complete and partial
+# phrases next to each other
+VOCABULARY = sorted(
+    {
+        piece
+        for lexicon in BUILTIN_LEXICONS.values()
+        for phrase in lexicon.phrases
+        for piece in (phrase, *phrase.split())
+    }
+)
+recased_word = st.tuples(
+    st.sampled_from(VOCABULARY), st.sampled_from((str.lower, str.upper, str.title))
+).map(lambda pair: pair[1](pair[0]))
+vocabulary_text = st.lists(
+    st.tuples(recased_word, st.sampled_from((" ", ", ", "'", "-", ". "))),
+    max_size=30,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(vocabulary_text)
+def test_matches_agree_with_per_phrase_sweep_on_builtin_lexicons(text):
+    for lexicon in BUILTIN_LEXICONS.values():
+        assert lexicon.matches(text) == per_phrase_sweep(lexicon.phrases, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import time
+import weakref
+
 import pytest
 
+import parley.tournament
 from parley.agents import AgentSpec, BackendBinding, ChatModelClient, make_scripted_agent
 from parley.catalog import Assignment, load_builtin
-from parley.errors import ConfigurationError, NotFoundError
+from parley.errors import ConfigurationError, NotFoundError, SchemaError
 from parley.scoring import Outcome, SeatScore
 from parley.tournament import (
     TournamentState,
@@ -167,6 +171,57 @@ def test_failing_backend_is_isolated(tmp_path):
     assert report.failed == 5  # every pairing seating the flaky agent
     assert "flaky" in failed_agents
     assert len(store) == 4  # the 2x2 scripted block completed
+
+
+def test_crashing_session_fails_only_its_pairing(tmp_path, roster, monkeypatch):
+    run_session = parley.tournament.run_session
+
+    def crash_one(scenario, role_map, agents, seed, **kwargs):
+        if role_map == {"seller": "wall", "buyer": "echo"}:
+            raise RuntimeError("boom")
+        return run_session(scenario, role_map, agents, seed, **kwargs)
+
+    monkeypatch.setattr(parley.tournament, "run_session", crash_one)
+    state, store, report = run_full(tmp_path, roster, ["chair"], concurrency=2)
+    assert [
+        (p.first_role_agent, p.second_role_agent, cause) for p, cause in state.failed
+    ] == [("wall", "echo", "RuntimeError: boom")]
+    assert report.executed == len(store) == 24
+
+
+def test_engine_error_cancels_queued_sessions(tmp_path, roster, monkeypatch):
+    started = []
+
+    def broken(scenario, role_map, agents, seed, **kwargs):
+        started.append(seed)
+        time.sleep(0.02)
+        raise SchemaError("broken scenario")
+
+    monkeypatch.setattr(parley.tournament, "run_session", broken)
+    with pytest.raises(SchemaError, match="broken scenario"):
+        run_full(tmp_path, roster, ["chair"], concurrency=1)
+    # the sessions still queued when the error arrived never start
+    assert len(started) < 25
+
+
+def test_stored_transcripts_are_released_during_the_run(tmp_path, roster):
+    refs = []
+    alive_at_append = []
+
+    class WatchedStore(TranscriptStore):
+        def append(self, transcript):
+            # all but the transcript stored just before this one
+            alive_at_append.append(sum(ref() is not None for ref in refs[:-1]))
+            refs.append(weakref.ref(transcript))
+            return super().append(transcript)
+
+    scenarios = {"chair": load_builtin("chair")}
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = WatchedStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    run_tournament(state, scenarios, store, tmp_path / "ckpt.json", concurrency_limit=1)
+    assert len(alive_at_append) == 25
+    assert max(alive_at_append) == 0
 
 
 def test_checkpoint_unwritable_aborts_before_running(tmp_path, roster):
