@@ -97,6 +97,14 @@ class SessionView:
                 return text
         return None
 
+    def chat_messages(self) -> list[dict[str, str]]:
+        """The history as chat messages: this seat's turns are the
+        assistant's, the counterpart's the user's."""
+        return [
+            {"role": "assistant" if role == self.role_name else "user", "content": text}
+            for role, text in self.history
+        ]
+
 
 @dataclass(frozen=True)
 class Reply:
@@ -428,11 +436,9 @@ def next_message(
 
     if client is None:
         raise ConfigurationError("chat_model backend requires a ChatModelClient")
-    messages = [
-        {"role": "assistant" if role == view.role_name else "user", "content": text}
-        for role, text in view.history
-    ]
-    return client.complete(binding, view.assembly.system_text, messages, seed=seed)
+    return client.complete(
+        binding, view.assembly.system_text, view.chat_messages(), seed=seed
+    )
 
 
 # ---------------------------------------------------------------------------

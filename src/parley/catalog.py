@@ -53,14 +53,6 @@ class IssueSchedule:
             f"issue {self.issue_name!r} has no option {label!r}"
         )
 
-    def term_for(self, label: str) -> str:
-        for opt_label, term, _ in self.options:
-            if opt_label == label:
-                return term
-        raise EvaluationError(
-            f"issue {self.issue_name!r} has no option {label!r}"
-        )
-
 
 @dataclass(frozen=True)
 class RoleSpec:

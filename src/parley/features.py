@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -224,17 +224,8 @@ class FeatureVector:
     questions: float | None
     positivity: float | None
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "mimicry": self.mimicry,
-            "hedges": self.hedges,
-            "apologies": self.apologies,
-            "gratitude": self.gratitude,
-            "first_person_plural": self.first_person_plural,
-            "message_length": self.message_length,
-            "questions": self.questions,
-            "positivity": self.positivity,
-        }
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def extract_features(
@@ -275,14 +266,7 @@ FEATURE_TABLE_COLUMNS = (
     "agent_id",
     "counterpart_id",
     "role",
-    "mimicry",
-    "hedges",
-    "apologies",
-    "gratitude",
-    "first_person_plural",
-    "message_length",
-    "questions",
-    "positivity",
+    *FEATURE_NAMES,
     "cluster_agent",
     "cluster_dyad",
     "cluster_negotiation",
@@ -297,10 +281,7 @@ def feature_rows(
     from .scoring import observation_keys
 
     features = extract_features(transcript, lexicons)
-    rows = []
-    for role_name in transcript.role_map:
-        row = observation_keys(transcript, role_name)
-        for key, value in features[role_name].as_dict().items():
-            row[key] = "" if value is None else value
-        rows.append(row)
-    return rows
+    return [
+        {**observation_keys(transcript, role_name), **asdict(features[role_name])}
+        for role_name in transcript.role_map
+    ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
 
@@ -29,9 +29,15 @@ from .errors import (
     PrerequisiteError,
     SchemaError,
 )
-from .features import FEATURE_TABLE_COLUMNS, feature_rows, load_default_lexicons
+from .features import (
+    FEATURE_NAMES,
+    FEATURE_TABLE_COLUMNS,
+    feature_rows,
+    load_default_lexicons,
+)
 from .scoring import (
     OUTCOME_TABLE_COLUMNS,
+    AgentSummary,
     aggregate_outcomes,
     extract_agreement,
     outcome_rows,
@@ -212,11 +218,21 @@ class Pipeline:
         return state, TranscriptStore(self.transcripts_path, self.config.config_hash)
 
     def _load_transcripts(self):
+        """The stored transcripts in negotiation-id order."""
         if not self.transcripts_path.exists():
             raise PrerequisiteError(
                 "no transcript store found; run the 'run' stage first"
             )
-        return TranscriptStore(self.transcripts_path, self.config.config_hash).load()
+        store = TranscriptStore(self.transcripts_path, self.config.config_hash)
+        return sorted(store.load(), key=lambda t: t.negotiation_id)
+
+    def _scored(self):
+        """Yield each stored transcript with its outcome, scored from the
+        marker-extracted terms, in negotiation-id order."""
+        for transcript in self._load_transcripts():
+            scenario = self.scenarios[transcript.scenario_id]
+            terms = extract_agreement(transcript, scenario, extractor="marker")
+            yield transcript, score_outcome(transcript, scenario, terms)
 
     # stages ----------------------------------------------------------------
 
@@ -262,13 +278,11 @@ class Pipeline:
         return report
 
     def stage_score(self):
-        transcripts = self._load_transcripts()
-        rows = []
-        for transcript in sorted(transcripts, key=lambda t: t.negotiation_id):
-            scenario = self.scenarios[transcript.scenario_id]
-            terms = extract_agreement(transcript, scenario, extractor="marker")
-            outcome = score_outcome(transcript, scenario, terms)
-            rows.extend(outcome_rows(outcome, transcript))
+        rows = [
+            row
+            for transcript, outcome in self._scored()
+            for row in outcome_rows(outcome, transcript)
+        ]
         write_table(
             self.outcomes_path, OUTCOME_TABLE_COLUMNS, rows, self.config.config_hash
         )
@@ -278,7 +292,7 @@ class Pipeline:
         transcripts = self._load_transcripts()
         lexicons = self._lexicons()
         rows = []
-        for transcript in sorted(transcripts, key=lambda t: t.negotiation_id):
+        for transcript in transcripts:
             rows.extend(feature_rows(transcript, lexicons))
         write_table(
             self.features_path, FEATURE_TABLE_COLUMNS, rows, self.config.config_hash
@@ -286,17 +300,17 @@ class Pipeline:
         return rows
 
     def stage_style(self):
-        rows = []
+        scores: list[StyleScores] = []
         if self.config.style_mode == "synthetic":
             for agent in self.roster:
                 rng = Random(f"{self.config.style_seed}:{agent.agent_id}")
-                rows.append(
-                    {
-                        "agent_id": agent.agent_id,
-                        "warmth": rng.randint(0, 100),
-                        "dominance": rng.randint(0, 100),
-                        "rater": f"synthetic@{self.config.style_seed}",
-                    }
+                scores.append(
+                    StyleScores(
+                        agent_id=agent.agent_id,
+                        warmth=rng.randint(0, 100),
+                        dominance=rng.randint(0, 100),
+                        rater=f"synthetic@{self.config.style_seed}",
+                    )
                 )
         else:
             if self.client is None:
@@ -310,18 +324,12 @@ class Pipeline:
             )
             binding.validate()
             for agent in self.roster:
-                scores: StyleScores = score_prompt_style(
-                    agent.prompt_text, self.client, binding, agent_id=agent.agent_id
+                scores.append(
+                    score_prompt_style(
+                        agent.prompt_text, self.client, binding, agent_id=agent.agent_id
+                    )
                 )
-                rows.append(
-                    {
-                        "agent_id": scores.agent_id,
-                        "warmth": scores.warmth,
-                        "dominance": scores.dominance,
-                        "rater": scores.rater,
-                    }
-                )
-        rows.sort(key=lambda r: r["agent_id"])
+        rows = sorted((asdict(s) for s in scores), key=lambda r: r["agent_id"])
         write_table(self.style_path, STYLE_TABLE_COLUMNS, rows, self.config.config_hash)
         return rows
 
@@ -347,87 +355,44 @@ class Pipeline:
         styles = self._styles_by_agent()
         self.analysis_dir.mkdir(parents=True, exist_ok=True)
 
-        results: dict[str, dict] = {}
+        # (key, table, exercise or None for pooled, column, family, terms, title)
+        jobs = []
         for scenario_id, spec in sorted(self.scenarios.items()):
             for column, family in ANALYSIS_MODELS[spec.kind]:
                 for terms in self.config.analysis_terms:
-                    key = f"{scenario_id}_{column}"
-                    if terms != "main":
-                        key += f"_{terms}"
-                    rows = build_observation_rows(
-                        out_rows, styles, exercise=scenario_id, y_column=column
-                    )
-                    # logistic fits standardize predictors only; the response
-                    # stays binary
-                    model = ModelSpec(
-                        family=family, terms=terms, standardize=self.config.standardize
-                    )
-                    try:
-                        fit = fit_with_clusters(
-                            rows, model, small_sample=self.config.small_sample
-                        )
-                    except ParleyError as exc:
-                        results[key] = {"skipped": str(exc)}
-                        (self.analysis_dir / f"{key}.txt").write_text(
-                            f"{key}: skipped ({exc})\n"
-                        )
-                        continue
-                    emit_table(
-                        fit,
-                        self.analysis_dir / f"{key}.txt",
-                        fmt="text",
-                        config_hash=self.config.config_hash,
-                        title=f"{scenario_id}: {column} ({family}, {terms})",
-                    )
-                    emit_table(
-                        fit,
-                        self.analysis_dir / f"{key}.csv",
-                        fmt="delimited",
-                        config_hash=self.config.config_hash,
-                    )
-                    results[key] = fit_result_payload(fit)
-
+                    suffix = "" if terms == "main" else f"_{terms}"
+                    jobs.append((
+                        f"{scenario_id}_{column}{suffix}", out_rows, scenario_id,
+                        column, family, terms,
+                        f"{scenario_id}: {column} ({family}, {terms})",
+                    ))
         # communication features as responses, pooled across exercises
         if self.features_path.exists():
             _, feat_rows = read_table(self.features_path, self.config.config_hash)
-            feature_columns = (
-                "mimicry",
-                "hedges",
-                "apologies",
-                "gratitude",
-                "first_person_plural",
-                "message_length",
-                "questions",
-                "positivity",
+            for column in FEATURE_NAMES:
+                jobs.append((
+                    f"features_{column}", feat_rows, None, column, "linear", "main",
+                    f"pooled: {column} (linear, main)",
+                ))
+
+        results: dict[str, dict] = {}
+        for key, table, exercise, column, family, terms, title in jobs:
+            rows = build_observation_rows(
+                table, styles, exercise=exercise, y_column=column
             )
-            for column in feature_columns:
-                key = f"features_{column}"
-                try:
-                    rows = build_observation_rows(
-                        feat_rows, styles, exercise=None, y_column=column
-                    )
-                    fit = fit_with_clusters(
-                        rows,
-                        ModelSpec(family="linear", standardize=self.config.standardize),
-                        small_sample=self.config.small_sample,
-                    )
-                except ParleyError as exc:
-                    results[key] = {"skipped": str(exc)}
-                    continue
-                emit_table(
-                    fit,
-                    self.analysis_dir / f"{key}.txt",
-                    fmt="text",
-                    config_hash=self.config.config_hash,
-                    title=f"pooled: {column} (linear, main)",
-                )
-                emit_table(
-                    fit,
-                    self.analysis_dir / f"{key}.csv",
-                    fmt="delimited",
-                    config_hash=self.config.config_hash,
-                )
-                results[key] = fit_result_payload(fit)
+            # logistic fits standardize predictors only; the response stays
+            # binary
+            model = ModelSpec(
+                family=family, terms=terms, standardize=self.config.standardize
+            )
+            try:
+                fit = fit_with_clusters(rows, model, small_sample=self.config.small_sample)
+            except ParleyError as exc:
+                results[key] = {"skipped": str(exc)}
+                (self.analysis_dir / f"{key}.txt").write_text(f"{key}: skipped ({exc})\n")
+                continue
+            emit_fit(fit, self.analysis_dir / key, self.config.config_hash, title)
+            results[key] = fit_result_payload(fit)
 
         grid_metrics = ("value_claimed", "deal")
         for metric in grid_metrics:
@@ -447,41 +412,19 @@ class Pipeline:
         return results
 
     def stage_report(self):
-        transcripts = self._load_transcripts()
-        outcomes = []
-        for transcript in sorted(transcripts, key=lambda t: t.negotiation_id):
-            scenario = self.scenarios[transcript.scenario_id]
-            terms = extract_agreement(transcript, scenario, extractor="marker")
-            outcomes.append(score_outcome(transcript, scenario, terms))
+        outcomes = [outcome for _, outcome in self._scored()]
         summaries = aggregate_outcomes(outcomes)
-        summary_rows = [
-            {
-                "agent_id": s.agent_id,
-                "exercise": s.scenario_id,
-                "n": s.n,
-                "deal_rate": s.deal_rate,
-                "mean_value_claimed": _blank_if_none(s.mean_value_claimed),
-                "mean_points": _blank_if_none(s.mean_points),
-                "mean_value_created": _blank_if_none(s.mean_value_created),
-                "mean_proportion_of_pie": _blank_if_none(s.mean_proportion_of_pie),
-                "mean_counterpart_sv": _blank_if_none(s.mean_counterpart_sv),
-                "mean_efficiency": _blank_if_none(s.mean_efficiency),
-            }
-            for s in summaries
-        ]
+        # summary.csv names the scenario "exercise", like every other table
+        summary_rows = []
+        for summary in summaries:
+            row = asdict(summary)
+            row["exercise"] = row.pop("scenario_id")
+            summary_rows.append(row)
         write_table(
             self.config.output_dir / "summary.csv",
-            (
-                "agent_id",
-                "exercise",
-                "n",
-                "deal_rate",
-                "mean_value_claimed",
-                "mean_points",
-                "mean_value_created",
-                "mean_proportion_of_pie",
-                "mean_counterpart_sv",
-                "mean_efficiency",
+            tuple(
+                "exercise" if f.name == "scenario_id" else f.name
+                for f in fields(AgentSummary)
             ),
             summary_rows,
             self.config.config_hash,
@@ -509,10 +452,6 @@ class Pipeline:
             self.config.config_hash,
         )
         return summaries
-
-
-def _blank_if_none(value):
-    return "" if value is None else value
 
 
 def build_observation_rows(
@@ -552,11 +491,6 @@ def build_observation_rows(
                 exercise=record["exercise"],
             )
         )
-    if not rows:
-        raise PrerequisiteError(
-            f"no usable observations for {exercise or 'pooled'}:{y_column}; "
-            "run the upstream stage first"
-        )
     return rows
 
 
@@ -592,41 +526,32 @@ def fit_result_payload(fit: FitResult) -> dict:
     return payload
 
 
-def emit_table(
-    fit: FitResult,
-    path: str | Path,
-    fmt: str = "text",
-    config_hash: str = "",
-    title: str = "",
-) -> Path:
-    """Write a regression table; delimited output round-trips losslessly."""
-    path = Path(path)
-    if fmt == "text":
-        body = summarize_fit(fit, title=title)
-        path.write_text(provenance_line(config_hash) + "\n" + body)
-        return path
-    if fmt == "delimited":
-        rows = [
-            {
-                "term": name,
-                "estimate": repr(float(coef)),
-                "std_error": repr(float(se)),
-                "ci_low": repr(float(lo)),
-                "ci_high": repr(float(hi)),
-                "p_value": repr(float(p)),
-            }
-            for name, coef, se, (lo, hi), p in zip(
-                fit.columns, fit.coefficients, fit.std_errors, fit.conf_int, fit.p_values
-            )
-        ]
-        write_table(
-            path,
-            ("term", "estimate", "std_error", "ci_low", "ci_high", "p_value"),
-            rows,
-            config_hash,
+def emit_fit(fit: FitResult, stem: str | Path, config_hash: str, title: str = "") -> None:
+    """Write a regression table twice: ``stem.txt``, stamped and laid out for
+    reading, and ``stem.csv``, whose floats round-trip losslessly."""
+    stem = Path(stem)
+    (stem.parent / f"{stem.name}.txt").write_text(
+        provenance_line(config_hash) + "\n" + summarize_fit(fit, title=title)
+    )
+    rows = [
+        {
+            "term": name,
+            "estimate": repr(float(coef)),
+            "std_error": repr(float(se)),
+            "ci_low": repr(float(lo)),
+            "ci_high": repr(float(hi)),
+            "p_value": repr(float(p)),
+        }
+        for name, coef, se, (lo, hi), p in zip(
+            fit.columns, fit.coefficients, fit.std_errors, fit.conf_int, fit.p_values
         )
-        return path
-    raise ConfigurationError(f"unknown table format {fmt!r}")
+    ]
+    write_table(
+        stem.parent / f"{stem.name}.csv",
+        ("term", "estimate", "std_error", "ci_low", "ci_high", "p_value"),
+        rows,
+        config_hash,
+    )
 
 
 @dataclass

@@ -39,9 +39,6 @@ class Outcome:
     value_created: float
     efficiency: int  # messages exchanged
 
-    def seat(self, role_name: str) -> SeatScore:
-        return self.per_role[role_name]
-
 
 def _latest_counterpart_terms(transcript: Transcript) -> dict[str, str] | None:
     """Raw pairs from the counterpart's most recent proposal before the close."""
@@ -299,14 +296,10 @@ def outcome_rows(outcome: Outcome, transcript: Transcript) -> list[dict]:
                 **observation_keys(transcript, role_name),
                 "deal": int(outcome.deal),
                 "value_claimed": seat.value_claimed,
-                "points": "" if seat.points is None else seat.points,
-                "proportion_of_pie": (
-                    "" if seat.proportion_of_pie is None else seat.proportion_of_pie
-                ),
+                "points": seat.points,
+                "proportion_of_pie": seat.proportion_of_pie,
                 "value_created": outcome.value_created,
-                "counterpart_sv": (
-                    "" if seat.counterpart_sv is None else seat.counterpart_sv
-                ),
+                "counterpart_sv": seat.counterpart_sv,
                 "efficiency": outcome.efficiency,
             }
         )

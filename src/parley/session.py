@@ -231,10 +231,7 @@ def administer_svi(
     else:
         if client is None:
             raise ConfigurationError("chat_model backend requires a ChatModelClient")
-        messages = [
-            {"role": "assistant" if role == view.role_name else "user", "content": text}
-            for role, text in view.history
-        ]
+        messages = view.chat_messages()
         messages.append({"role": "user", "content": questionnaire_text(items)})
         try:
             reply_text = client.complete(

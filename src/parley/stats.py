@@ -370,18 +370,16 @@ def _stars(p: float) -> str:
     return ""
 
 
-def summarize_fit(result: FitResult, labels: dict[str, str] | None = None, title: str = "") -> str:
+def summarize_fit(result: FitResult, title: str = "") -> str:
     """Regression table: coefficients with clustered SEs in parentheses,
     significance stars, and fit statistics."""
-    labels = labels or {}
     lines = []
     if title:
         lines += [title, "=" * max(24, len(title))]
     for name, coef, se, p in zip(
         result.columns, result.coefficients, result.std_errors, result.p_values
     ):
-        label = labels.get(name, name)
-        lines.append(f"{label:<22s} {coef: .4f}{_stars(p)}")
+        lines.append(f"{name:<22s} {coef: .4f}{_stars(p)}")
         lines.append(f"{'':<22s} ({se:.4f})")
     lines.append("-" * 34)
     lines.append(f"{'Observations':<22s} {result.n}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +157,7 @@ def pearson_r(x, y) -> float:
 # Files
 
 
-STYLE_TABLE_COLUMNS = ("agent_id", "warmth", "dominance", "rater")
+STYLE_TABLE_COLUMNS = tuple(f.name for f in fields(StyleScores))
 
 
 def read_ratings_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:

@@ -47,12 +47,12 @@ def write_table(
     rows: list[dict],
     config_hash: str,
 ) -> None:
-    """Write a stamped CSV; columns empty in every row are omitted and noted
-    in the provenance line."""
+    """Write a stamped CSV; a missing or None value is a blank cell, and
+    columns blank in every row are omitted and noted in the provenance line."""
     path = Path(path)
     kept, omitted = [], []
     for col in columns:
-        if rows and all(row.get(col, "") == "" for row in rows):
+        if rows and all(row.get(col) in (None, "") for row in rows):
             omitted.append(col)
         else:
             kept.append(col)
@@ -64,7 +64,8 @@ def write_table(
         writer = csv.DictWriter(fh, fieldnames=kept)
         writer.writeheader()
         for row in rows:
-            writer.writerow({col: row.get(col, "") for col in kept})
+            # the csv module writes None as an empty string
+            writer.writerow({col: row.get(col) for col in kept})
 
 
 def read_table(

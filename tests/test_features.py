@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -321,14 +322,14 @@ def test_features_invariant_under_recasing(feature_transcript):
     original = extract_features(feature_transcript)
     recased = extract_features(upper)
     for role in ("seller", "buyer"):
-        assert original[role].as_dict() == pytest.approx(recased[role].as_dict())
+        assert asdict(original[role]) == pytest.approx(asdict(recased[role]))
 
 
 def test_extraction_deterministic(feature_transcript):
     first = extract_features(feature_transcript)
     second = extract_features(feature_transcript)
     for role in first:
-        assert first[role].as_dict() == second[role].as_dict()
+        assert asdict(first[role]) == asdict(second[role])
 
 
 def test_feature_rows_keyed_like_outcome_table(feature_transcript):

@@ -10,8 +10,8 @@ from parley.errors import ArtifactMismatchError, PrerequisiteError, SchemaError
 from parley.pipeline import (
     Pipeline,
     build_observation_rows,
+    emit_fit,
     emit_heatmap_grid,
-    emit_table,
     heatmap_grid,
     load_config,
 )
@@ -166,8 +166,54 @@ def test_rerun_rewrites_identical_data_artifacts(tmp_path):
     assert snapshot(pipeline2) == first
 
 
+def test_all_blank_response_skips_its_model_and_the_run_goes_on(tmp_path):
+    # silent agents never close, so no seat fills in the questionnaire and
+    # chair's counterpart_sv is blank in every row
+    silent = [
+        {"agent_id": f"s{i}", "backend": {"kind": "scripted", "policy_name": "silent"}}
+        for i in range(3)
+    ]
+    path = write_workspace(tmp_path, agents=silent)
+    result = CliRunner().invoke(
+        cli_main,
+        ["run", "--config", str(path), "--stages", "run,score,features,style,analyze,report"],
+    )
+    assert result.exit_code == 0, result.output
+    analysis = tmp_path / "out" / "analysis"
+    models = json.loads((analysis / "analysis_results.json").read_text())["models"]
+    assert "skipped" in models["chair_counterpart_sv"]
+    note = (analysis / "chair_counterpart_sv.txt").read_text()
+    assert note.startswith("chair_counterpart_sv: skipped (")
+    _, summary = read_table(tmp_path / "out" / "summary.csv")
+    assert len(summary) == 3
+
+
+def test_analysis_terms_fit_quadratic_and_interaction_variants(tmp_path):
+    path = write_workspace(
+        tmp_path, extra={"analysis_terms": ["main", "quadratic", "interaction"]}
+    )
+    pipeline = Pipeline(load_config(path))
+    pipeline.run_stages(["run", "score", "features", "style", "analyze"])
+    models = json.loads(
+        (pipeline.analysis_dir / "analysis_results.json").read_text()
+    )["models"]
+    quadratic = models["chair_value_claimed_quadratic"]
+    interaction = models["chair_value_claimed_interaction"]
+    assert quadratic["terms"] == "quadratic"
+    assert {"warmth_sq", "dominance_sq"} <= set(quadratic["coefficients"])
+    assert interaction["terms"] == "interaction"
+    assert "warmth_x_dominance" in interaction["coefficients"]
+    assert "warmth_x_dominance" not in models["chair_value_claimed"]["coefficients"]
+    for key, terms in (
+        ("chair_value_claimed_quadratic", "quadratic"),
+        ("chair_value_claimed_interaction", "interaction"),
+    ):
+        text = (pipeline.analysis_dir / f"{key}.txt").read_text()
+        assert text.splitlines()[1] == f"chair: value_claimed (linear, {terms})"
+
+
 # ---------------------------------------------------------------------------
-# emit_table
+# emit_fit
 
 
 def fit_fixture():
@@ -184,21 +230,21 @@ def fit_fixture():
     return fit_with_clusters(rows, ModelSpec(family="linear", cluster_dims=("agent",)))
 
 
-def test_emit_table_text_golden(tmp_path):
+def test_emit_fit_text_golden(tmp_path):
     fit = fit_fixture()
-    path = emit_table(fit, tmp_path / "t.txt", fmt="text", config_hash="h1")
-    body = path.read_text()
+    emit_fit(fit, tmp_path / "t", config_hash="h1")
+    body = (tmp_path / "t.txt").read_text()
     assert body.startswith("# parley=")
     assert "SEs clustered by agent." in body
     # byte stability across rewrites
-    again = emit_table(fit, tmp_path / "t2.txt", fmt="text", config_hash="h1")
-    assert path.read_text() == again.read_text()
+    emit_fit(fit, tmp_path / "t2", config_hash="h1")
+    assert (tmp_path / "t2.txt").read_text() == body
 
 
-def test_emit_table_delimited_round_trips(tmp_path):
+def test_emit_fit_delimited_round_trips(tmp_path):
     fit = fit_fixture()
-    path = emit_table(fit, tmp_path / "t.csv", fmt="delimited", config_hash="h1")
-    _, rows = read_table(path)
+    emit_fit(fit, tmp_path / "t", config_hash="h1")
+    _, rows = read_table(tmp_path / "t.csv")
     by_term = {r["term"]: r for r in rows}
     for i, name in enumerate(fit.columns):
         assert float(by_term[name]["estimate"]) == fit.coefficients[i]
@@ -327,6 +373,9 @@ def test_entirely_empty_column_omitted_with_note(tmp_path):
     meta, back = read_table(path)
     assert meta["omitted_empty"] == "points"
     assert back == [{"a": "1"}, {"a": "2"}]
+    # None is a blank cell: the same table, byte for byte
+    write_table(tmp_path / "n.csv", ("a", "points"), [{"a": "1", "points": None}, {"a": "2"}], "h")
+    assert (tmp_path / "n.csv").read_bytes() == path.read_bytes()
 
 
 def test_transcript_store_refuses_foreign_config(tmp_path):
