@@ -59,6 +59,11 @@ class BackendBinding:
         else:
             if not self.policy_name:
                 raise ConfigurationError("scripted backend requires policy_name")
+            if self.policy_name not in SCRIPTED_POLICIES:
+                raise NotFoundError(
+                    f"unknown scripted policy {self.policy_name!r}; "
+                    f"registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
+                )
             if self.model_name or self.endpoint:
                 raise ConfigurationError("scripted backend must not set model_name/endpoint")
 
@@ -256,13 +261,8 @@ SCRIPTED_POLICIES: dict[str, type[ScriptedPolicy]] = {
 
 
 def get_policy(binding: BackendBinding) -> ScriptedPolicy:
-    cls = SCRIPTED_POLICIES.get(binding.policy_name)
-    if cls is None:
-        raise NotFoundError(
-            f"unknown scripted policy {binding.policy_name!r}; "
-            f"registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
-        )
-    return cls(binding.policy_params)
+    """The policy of a validated scripted binding."""
+    return SCRIPTED_POLICIES[binding.policy_name](binding.policy_params)
 
 
 def make_scripted_agent(
@@ -272,11 +272,6 @@ def make_scripted_agent(
     nickname: str | None = None,
 ) -> AgentSpec:
     """Build a deterministic scripted agent; identical params give identical behavior."""
-    if policy_name not in SCRIPTED_POLICIES:
-        raise NotFoundError(
-            f"unknown scripted policy {policy_name!r}; "
-            f"registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
-        )
     params = dict(params or {})
     binding = BackendBinding(
         kind="scripted", policy_name=policy_name, policy_params=params
@@ -295,23 +290,6 @@ def make_scripted_agent(
 # Chat-model backend
 
 
-class RateLimiter:
-    """Bounds in-flight requests per endpoint across threads."""
-
-    def __init__(self, max_in_flight: int = 8):
-        self.max_in_flight = max_in_flight
-        self._semaphores: dict[str, threading.BoundedSemaphore] = {}
-        self._lock = threading.Lock()
-
-    def acquire(self, endpoint: str) -> threading.BoundedSemaphore:
-        with self._lock:
-            sem = self._semaphores.get(endpoint)
-            if sem is None:
-                sem = threading.BoundedSemaphore(self.max_in_flight)
-                self._semaphores[endpoint] = sem
-        return sem
-
-
 def _http_transport(endpoint: str, payload: dict, api_key: str, timeout: float) -> dict:
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -322,7 +300,8 @@ def _http_transport(endpoint: str, payload: dict, api_key: str, timeout: float) 
 
 
 class ChatModelClient:
-    """Chat-completion client with bounded retries, backoff, and rate limiting.
+    """Chat-completion client with bounded retries and backoff. The
+    tournament's worker pool bounds the requests in flight.
 
     ``transport(endpoint, payload, api_key, timeout)`` is injectable so tests
     can capture requests and replay recorded responses without a network.
@@ -332,7 +311,6 @@ class ChatModelClient:
         self,
         api_key: str = "",
         transport: Callable[[str, dict, str, float], dict] | None = None,
-        rate_limiter: RateLimiter | None = None,
         audit_log: Path | str | None = None,
         max_retries: int = 3,
         backoff_base: float = 0.5,
@@ -340,7 +318,6 @@ class ChatModelClient:
     ):
         self.api_key = os.environ.get(API_KEY_ENV_VAR) or api_key
         self.transport = transport or _http_transport
-        self.rate_limiter = rate_limiter or RateLimiter()
         self.audit_log = Path(audit_log) if audit_log else None
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -367,17 +344,15 @@ class ChatModelClient:
             payload["seed"] = seed
 
         jitter = random.Random(seed if seed is not None else time.time_ns())
-        sem = self.rate_limiter.acquire(binding.endpoint)
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 time.sleep(delay * (1.0 + jitter.random()))
             try:
-                with sem:
-                    response = self.transport(
-                        binding.endpoint, payload, self.api_key, self.timeout
-                    )
+                response = self.transport(
+                    binding.endpoint, payload, self.api_key, self.timeout
+                )
                 self._audit(payload, response)
                 self._record_usage(response)
                 return self._parse_response(response)

@@ -218,13 +218,12 @@ class Pipeline:
         return state, TranscriptStore(self.transcripts_path, self.config.config_hash)
 
     def _load_transcripts(self):
-        """The stored transcripts in negotiation-id order."""
+        """The stored transcripts, one at a time in negotiation-id order."""
         if not self.transcripts_path.exists():
             raise PrerequisiteError(
                 "no transcript store found; run the 'run' stage first"
             )
-        store = TranscriptStore(self.transcripts_path, self.config.config_hash)
-        return sorted(store.load(), key=lambda t: t.negotiation_id)
+        return TranscriptStore(self.transcripts_path, self.config.config_hash).load()
 
     def _scored(self):
         """Yield each stored transcript with its outcome, scored from the
@@ -390,6 +389,8 @@ class Pipeline:
             except ParleyError as exc:
                 results[key] = {"skipped": str(exc)}
                 (self.analysis_dir / f"{key}.txt").write_text(f"{key}: skipped ({exc})\n")
+                # a fit an earlier config wrote must not sit beside the note
+                (self.analysis_dir / f"{key}.csv").unlink(missing_ok=True)
                 continue
             emit_fit(fit, self.analysis_dir / key, self.config.config_hash, title)
             results[key] = fit_result_payload(fit)

@@ -72,38 +72,6 @@ class Transcript:
         first, second = self.roles()
         return second if role_name == first else first
 
-    def to_record(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "negotiation_id": self.negotiation_id,
-            "scenario_id": self.scenario_id,
-            "role_map": self.role_map,
-            "termination": self.termination,
-            "seed": self.seed,
-            "utterances": [
-                {
-                    "index": u.index,
-                    "speaker_agent_id": u.speaker_agent_id,
-                    "role_name": u.role_name,
-                    "text": u.text,
-                    "truncated": u.truncated,
-                }
-                for u in self.utterances
-            ],
-            "svi": {
-                role_name: (
-                    None
-                    if resp is None
-                    else {
-                        "items": [list(pair) for pair in resp.items],
-                        "facets": resp.facets,
-                        "composite": resp.composite,
-                    }
-                )
-                for role_name, resp in self.svi.items()
-            },
-        }
-
     @classmethod
     def from_record(cls, record: dict) -> "Transcript":
         svi: dict[str, SviResponse | None] = {}

@@ -14,9 +14,9 @@ import json
 import os
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from random import Random
 
@@ -28,6 +28,13 @@ from .session import Transcript, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
+
+# the Transcript fields without a default: a store line lacking one is no record
+RECORD_KEYS = frozenset(
+    f.name
+    for f in fields(Transcript)
+    if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 def stable_seed(*parts) -> int:
@@ -110,10 +117,13 @@ def build_schedule(
 class TranscriptStore:
     """Append-only, line-delimited transcript records, one negotiation per line.
 
-    Enforces negotiation_id uniqueness: appending an id that is already stored
-    is a no-op, so no pairing can execute twice. When a config hash is given,
-    new stores are stamped with it and existing stores must carry the same
-    stamp.
+    The store alone decides the line format (a transcript's fields as one
+    JSON object with sorted keys) and the read order (negotiation-id order).
+    One scan at open checks the provenance stamp and indexes every record by
+    its negotiation_id; a line that is not a record, or repeats an id, is
+    refused there. Appending an id that is already stored is a no-op, so no
+    pairing can execute twice. When a config hash is given, new stores are
+    stamped with it and existing stores must carry the same stamp.
 
     An unterminated final line is an append that a crash cut short: readers
     treat it as absent, and the first append cuts it off. Only the writer
@@ -123,60 +133,83 @@ class TranscriptStore:
     def __init__(self, path: str | Path, config_hash: str | None = None):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._ids: set[str] = set()
+        self._spans: dict[str, tuple[int, int]] = {}  # id -> (offset, length)
         self._torn_at: int | None = None  # byte offset of a torn final line
         if self.path.exists():
-            if config_hash is not None:
-                with open(self.path) as fh:
-                    parse_provenance(self.path, fh.readline(), config_hash)
-            for record in self._iter_records():
-                self._ids.add(record["negotiation_id"])
+            self._scan(config_hash)
         elif config_hash is not None:
             self.path.write_text(provenance_line(config_hash) + "\n")
 
-    def _iter_records(self):
+    def _scan(self, config_hash: str | None) -> None:
         offset = 0
         with open(self.path, "rb") as fh:
+            if config_hash is not None:
+                parse_provenance(self.path, fh.readline().decode(), config_hash)
+                fh.seek(0)
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
                     self._torn_at = offset
                     return
+                span = (offset, len(line))
                 offset += len(line)
-                line = line.strip()
-                if line and not line.startswith(b"#"):
-                    try:
-                        yield json.loads(line)
-                    except ValueError as exc:
-                        raise SchemaError(
-                            f"{self.path}:{lineno}: not a transcript record: {exc}"
-                        ) from exc
+                if line.isspace() or line.startswith(b"#"):
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{self.path}:{lineno}: not a transcript record: {exc}"
+                    ) from exc
+                if not (
+                    isinstance(record, dict)
+                    and RECORD_KEYS <= record.keys()
+                    and isinstance(record["negotiation_id"], str)
+                ):
+                    raise SchemaError(
+                        f"{self.path}:{lineno}: not a transcript record: needs the "
+                        f"keys {', '.join(sorted(RECORD_KEYS))} and a string id"
+                    )
+                neg_id = record["negotiation_id"]
+                if neg_id in self._spans:
+                    raise SchemaError(
+                        f"{self.path}:{lineno}: negotiation_id {neg_id!r} is stored twice"
+                    )
+                self._spans[neg_id] = span
 
     def __contains__(self, neg_id: str) -> bool:
-        return neg_id in self._ids
+        return neg_id in self._spans
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._spans)
 
     @property
     def ids(self) -> frozenset[str]:
-        return frozenset(self._ids)
+        return frozenset(self._spans)
 
     def append(self, transcript: Transcript) -> bool:
+        line = json.dumps(transcript, default=vars, sort_keys=True).encode() + b"\n"
         with self._lock:
-            if transcript.negotiation_id in self._ids:
+            if transcript.negotiation_id in self._spans:
                 return False
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(transcript.to_record(), sort_keys=True) + "\n")
-            self._ids.add(transcript.negotiation_id)
+            with open(self.path, "ab") as fh:
+                offset = fh.tell()
+                fh.write(line)
+            self._spans[transcript.negotiation_id] = (offset, len(line))
             return True
 
-    def load(self) -> list[Transcript]:
-        if not self.path.exists():
-            return []
-        return [Transcript.from_record(r) for r in self._iter_records()]
+    def load(self) -> Iterator[Transcript]:
+        """The stored transcripts in negotiation-id order, decoded one at a
+        time from their byte spans, so a reader holds one transcript."""
+        if not self._spans:
+            return
+        with open(self.path, "rb", buffering=0) as fh:
+            for neg_id in sorted(self._spans):
+                offset, length = self._spans[neg_id]
+                fh.seek(offset)
+                yield Transcript.from_record(json.loads(fh.read(length)))
 
 
 # ---------------------------------------------------------------------------

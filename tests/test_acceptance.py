@@ -583,8 +583,7 @@ def test_criterion_12_end_to_end_desk_tournament(tmp_path):
         ):
             meta, rows = read_table(path, expect_config_hash=config.config_hash)
             assert rows, path
-        transcripts = TranscriptStore(pipeline.transcripts_path).load()
-        assert len(transcripts) == 75
+        assert len(list(TranscriptStore(pipeline.transcripts_path).load())) == 75
         checkpoint = json.loads((config.checkpoint_path).read_text())
         assert len(checkpoint["completed"]) == 75
         analysis = json.loads(

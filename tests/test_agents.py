@@ -7,7 +7,6 @@ from parley.agents import (
     BackendBinding,
     CLEAN_SLATE_PREFACE,
     ChatModelClient,
-    RateLimiter,
     SessionView,
     assemble_system_prompt,
     load_roster,
@@ -293,40 +292,6 @@ def test_cache_off_by_default(chair):
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     assert calls["n"] == 2
-
-
-def test_rate_limiter_bounds_in_flight():
-    import threading
-    import time
-
-    limiter = RateLimiter(max_in_flight=2)
-    active = []
-    peak = []
-    lock = threading.Lock()
-
-    def transport(endpoint, payload, api_key, timeout):
-        with lock:
-            active.append(1)
-            peak.append(len(active))
-        time.sleep(0.02)
-        with lock:
-            active.pop()
-        return canned_response("ok")
-
-    client = ChatModelClient(transport=transport, rate_limiter=limiter)
-    binding = chat_agent().backend
-    threads = [
-        threading.Thread(
-            target=client.complete,
-            args=(binding, "sys", [{"role": "user", "content": str(i)}]),
-        )
-        for i in range(6)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert max(peak) <= 2
 
 
 def test_audit_log_mirrors_requests(tmp_path, chair):

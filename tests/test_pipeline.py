@@ -1,10 +1,12 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from parley.agents import ChatModelClient
 from parley.cli import main as cli_main
 from parley.errors import ArtifactMismatchError, PrerequisiteError, SchemaError
 from parley.pipeline import (
@@ -186,6 +188,22 @@ def test_all_blank_response_skips_its_model_and_the_run_goes_on(tmp_path):
     assert note.startswith("chair_counterpart_sv: skipped (")
     _, summary = read_table(tmp_path / "out" / "summary.csv")
     assert len(summary) == 3
+
+
+def test_skipped_model_removes_a_stale_fit_table(tmp_path):
+    # the same all-silent roster: chair_counterpart_sv is skipped, and a
+    # table an earlier config fitted under that key must not outlive it
+    silent = [
+        {"agent_id": f"s{i}", "backend": {"kind": "scripted", "policy_name": "silent"}}
+        for i in range(3)
+    ]
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=silent)))
+    pipeline.analysis_dir.mkdir()
+    stale = pipeline.analysis_dir / "chair_counterpart_sv.csv"
+    stale.write_text("# parley=0 config=earlier\nterm,estimate\nwarmth,1.0\n")
+    pipeline.run_stages(["run", "score", "style", "analyze"])
+    assert (pipeline.analysis_dir / "chair_counterpart_sv.txt").exists()
+    assert not stale.exists()
 
 
 def test_analysis_terms_fit_quadratic_and_interaction_variants(tmp_path):
@@ -448,6 +466,65 @@ def test_corrupt_store_line_exits_with_schema_error(tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda lines: '{"termination": "accepted"}\n', id="not_a_record"),
+        pytest.param(lambda lines: lines[2], id="repeated_id"),
+    ],
+)
+def test_store_line_that_is_not_a_new_record_exits_with_schema_error(tmp_path, damage):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    store = tmp_path / "out" / "transcripts.jsonl"
+    lines = store.read_text().splitlines(keepends=True)
+    store.write_text("".join(lines) + damage(lines))
+
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "transcripts.jsonl:6" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+
+
+def test_run_stage_keeps_concurrency_limit_requests_in_flight(tmp_path):
+    # four chat agents on chair: 16 sessions for 12 workers. The transport
+    # holds each request until 12 are in flight at once (or a timeout), and
+    # every reply walks away, so each session ends on its first utterance.
+    agents = [
+        {
+            "agent_id": f"m{i}",
+            "prompt": "Negotiate.",
+            "backend": {"kind": "chat_model", "model_name": "m", "endpoint": "fake://chat"},
+        }
+        for i in range(4)
+    ]
+    path = write_workspace(tmp_path, agents=agents, extra={"concurrency_limit": 12})
+    lock = threading.Lock()
+    all_in = threading.Event()
+    in_flight, peak = 0, 0
+
+    def transport(endpoint, payload, api_key, timeout):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+            if in_flight == 12:
+                all_in.set()
+        all_in.wait(timeout=5)
+        all_in.set()  # one timeout releases every later request too
+        with lock:
+            in_flight -= 1
+        return {"choices": [{"message": {"content": "[WALKAWAY]"}, "finish_reason": "stop"}]}
+
+    pipeline = Pipeline(load_config(path), client=ChatModelClient(transport=transport))
+    report = pipeline.stage_run()
+    assert (report.executed, report.failed) == (16, 0)
+    assert peak == 12
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -466,6 +543,16 @@ def test_cli_roster_validate(tmp_path):
     result = runner.invoke(cli_main, ["roster", "validate", str(tmp_path / "roster.yaml")])
     assert result.exit_code == 0
     assert "5 agents ok" in result.output
+
+
+def test_cli_roster_validate_refuses_unknown_policy(tmp_path):
+    agents = [dict(a) for a in ROSTER["agents"][:2]]
+    agents[0]["backend"] = {"kind": "scripted", "policy_name": "immediate_acceptr"}
+    (tmp_path / "roster.yaml").write_text(yaml.safe_dump({"agents": agents}))
+    result = CliRunner().invoke(cli_main, ["roster", "validate", str(tmp_path / "roster.yaml")])
+    assert result.exit_code == 2
+    assert "unknown scripted policy 'immediate_acceptr'" in result.output
+    assert "agents ok" not in result.output
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -6,13 +6,13 @@ from parley.errors import ConfigurationError
 from parley.protocol import format_close, format_offer, moderator_suffix
 from parley.scoring import extract_agreement
 from parley.session import (
-    Transcript,
     Utterance,
     detect_termination,
     load_svi_items,
     parse_svi_response,
     run_session,
 )
+from parley.tournament import TranscriptStore
 
 def agents_for(*specs):
     return {a.agent_id: a for a in specs}
@@ -125,7 +125,7 @@ def test_accepted_session_ends_on_accepting_agents_utterance(employment):
     assert len(transcript.utterances) % 2 == 0  # opener spoke first, acceptor closed
 
 
-def test_replay_is_byte_identical(rental):
+def test_replay_is_byte_identical(tmp_path, rental):
     ladder = make_scripted_agent(
         "fixed_concession", {"label_ladder": ["A", "C"]}, agent_id="lad"
     )
@@ -136,13 +136,10 @@ def test_replay_is_byte_identical(rental):
         agents=agents_for(ladder, acceptor),
         seed=99,
     )
-    import json
-
-    first = run_session(**kwargs)
-    second = run_session(**kwargs)
-    assert json.dumps(first.to_record(), sort_keys=True) == json.dumps(
-        second.to_record(), sort_keys=True
-    )
+    paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+    for path in paths:
+        TranscriptStore(path).append(run_session(**kwargs))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_first_mover_configurable(chair):
@@ -285,14 +282,19 @@ def test_self_play_records_both_seats(chair):
 # Record round trip
 
 
-def test_transcript_record_round_trip(chair):
+def test_transcript_record_round_trip(tmp_path, chair):
     a = make_scripted_agent("stonewaller", agent_id="a")
     b = make_scripted_agent("immediate_acceptor", agent_id="b")
     transcript = run_session(
         chair, {"seller": "a", "buyer": "b"}, agents_for(a, b), seed=8
     )
-    clone = Transcript.from_record(transcript.to_record())
-    assert clone.to_record() == transcript.to_record()
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    store.append(transcript)
+    [clone] = store.load()
+    assert clone == transcript
+    copy = TranscriptStore(tmp_path / "copy.jsonl")
+    copy.append(clone)
+    assert copy.path.read_bytes() == store.path.read_bytes()
 
 
 def test_moderator_suffix_lists_issue_keys(rental):

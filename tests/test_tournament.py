@@ -248,6 +248,28 @@ def test_store_refuses_duplicate_ids(tmp_path, roster, chair):
     assert len(store) == 1
 
 
+def test_store_streams_transcripts_in_id_order(tmp_path, roster, chair):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcripts = [
+        run_session(chair, {"seller": seller, "buyer": "acceptor"}, agents, seed=1)
+        for seller in ("wall", "ladder", "echo", "mute")
+    ]
+    ids = sorted(t.negotiation_id for t in transcripts)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    for transcript in sorted(transcripts, key=lambda t: t.negotiation_id, reverse=True):
+        store.append(transcript)
+
+    loaded = store.load()
+    assert iter(loaded) is loaded  # decoded one at a time, not as a list
+    assert [t.negotiation_id for t in loaded] == ids
+    reopened = list(TranscriptStore(store.path).load())
+    assert [t.negotiation_id for t in reopened] == ids
+    assert reopened == sorted(transcripts, key=lambda t: t.negotiation_id)
+    assert list(TranscriptStore(tmp_path / "missing.jsonl").load()) == []
+
+
 def test_checkpoint_round_trip(tmp_path, roster):
     schedule = build_schedule(roster[:2], ["chair"], base_seed=7)
     state = TournamentState(roster=roster[:2], schedule=schedule)
