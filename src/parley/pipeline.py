@@ -180,6 +180,7 @@ class Pipeline:
         self.report_path = config.output_dir / "run_report.txt"
         self._roster: list[AgentSpec] | None = None
         self._scenarios: dict[str, ScenarioSpec] | None = None
+        self._store: TranscriptStore | None = None
 
     # shared inputs ---------------------------------------------------------
 
@@ -215,15 +216,24 @@ class Pipeline:
         )
         state = TournamentState(roster=self.roster, schedule=schedule)
         read_checkpoint(self.config.checkpoint_path, state)
-        return state, TranscriptStore(self.transcripts_path, self.config.config_hash)
+        return state, self._open_store()
+
+    def _open_store(self) -> TranscriptStore:
+        """The transcript store, opened (and its file scanned) on first use and
+        kept until run_stages returns. The run stage's appends keep its index
+        current, so later stages read through it without scanning the file
+        again."""
+        if self._store is None:
+            self._store = TranscriptStore(self.transcripts_path, self.config.config_hash)
+        return self._store
 
     def _load_transcripts(self):
         """The stored transcripts, one at a time in negotiation-id order."""
-        if not self.transcripts_path.exists():
+        if self._store is None and not self.transcripts_path.exists():
             raise PrerequisiteError(
                 "no transcript store found; run the 'run' stage first"
             )
-        return TranscriptStore(self.transcripts_path, self.config.config_hash).load()
+        return self._open_store().load()
 
     def _scored(self):
         """Yield each stored transcript with its outcome, scored from the
@@ -242,9 +252,14 @@ class Pipeline:
                 f"unknown stage(s): {', '.join(unknown)}; valid: {', '.join(STAGES)}"
             )
         results = {}
-        for stage in STAGES:
-            if stage in stages:
-                results[stage] = getattr(self, f"stage_{stage}")()
+        # each call reads the store file as it is when the call starts
+        self._store = None
+        try:
+            for stage in STAGES:
+                if stage in stages:
+                    results[stage] = getattr(self, f"stage_{stage}")()
+        finally:
+            self._store = None
         return results
 
     def stage_run(self):

@@ -117,7 +117,8 @@ def build_design(rows: list[ObservationRow], spec: ModelSpec) -> Design:
         data += [warmth * dominance]
 
     if spec.family == "logistic":
-        bad = set(np.unique(y)) - {0.0, 1.0}
+        # a plain set: np.unique would import numpy.ma on first use
+        bad = set(y.tolist()) - {0.0, 1.0}
         if bad:
             raise ConfigurationError(f"logistic response must be binary, found {sorted(bad)}")
 

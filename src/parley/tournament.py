@@ -202,14 +202,24 @@ class TranscriptStore:
 
     def load(self) -> Iterator[Transcript]:
         """The stored transcripts in negotiation-id order, decoded one at a
-        time from their byte spans, so a reader holds one transcript."""
+        time from their byte spans, so a reader holds one transcript.
+
+        The scan checks only a record's top-level keys; a record whose nested
+        parts do not decode raises SchemaError here, naming its id."""
         if not self._spans:
             return
         with open(self.path, "rb", buffering=0) as fh:
             for neg_id in sorted(self._spans):
                 offset, length = self._spans[neg_id]
                 fh.seek(offset)
-                yield Transcript.from_record(json.loads(fh.read(length)))
+                try:
+                    transcript = Transcript.from_record(json.loads(fh.read(length)))
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise SchemaError(
+                        f"{self.path}: negotiation_id {neg_id!r} is not a transcript "
+                        f"record: {type(exc).__name__}: {exc}"
+                    ) from exc
+                yield transcript
 
 
 # ---------------------------------------------------------------------------

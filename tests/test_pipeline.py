@@ -489,6 +489,130 @@ def test_store_line_that_is_not_a_new_record_exits_with_schema_error(tmp_path, d
     assert not (tmp_path / "out" / "outcomes.csv").exists()
 
 
+def test_damaged_nested_record_exits_with_schema_error(tmp_path):
+    # every top-level key is there, so the scan at open accepts the line;
+    # decoding its first utterance fails while the stage reads it
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    store = tmp_path / "out" / "transcripts.jsonl"
+    lines = store.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    del record["utterances"][0]["text"]
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+    store.write_text("".join(lines))
+
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "transcripts.jsonl" in result.output
+    assert record["negotiation_id"] in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# One scan of the store per run_stages call
+
+
+@pytest.fixture
+def store_scans(monkeypatch):
+    from parley.tournament import TranscriptStore
+
+    scans = []
+    scan = TranscriptStore._scan
+
+    def counting_scan(self, config_hash):
+        scans.append(self.path)
+        return scan(self, config_hash)
+
+    monkeypatch.setattr(TranscriptStore, "_scan", counting_scan)
+    return scans
+
+
+def test_fresh_run_through_report_never_scans_the_store(tmp_path, store_scans):
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
+    pipeline.run_stages(["run", "score", "features", "report"])
+    assert store_scans == []
+    _, rows = read_table(pipeline.outcomes_path)
+    assert len(rows) == 18
+
+
+def test_reading_stages_share_one_scan_of_an_existing_store(tmp_path, store_scans):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    Pipeline(load_config(path)).run_stages(["run"])
+    pipeline = Pipeline(load_config(path))
+    pipeline.run_stages(["score", "features", "report"])
+    assert store_scans == [pipeline.transcripts_path]
+
+
+def test_each_run_stages_call_reads_the_store_as_it_is_then(tmp_path):
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
+    pipeline.run_stages(["run"])
+    stamp, *records = pipeline.transcripts_path.read_text().splitlines(keepends=True)
+    kept = records[:2]
+    pipeline.transcripts_path.write_text(stamp + "".join(kept))
+
+    pipeline.run_stages(["score"])
+    _, rows = read_table(pipeline.outcomes_path)
+    kept_ids = sorted(json.loads(line)["negotiation_id"] for line in kept)
+    assert [row["negotiation_id"] for row in rows] == [i for i in kept_ids for _ in (0, 1)]
+
+
+def test_one_six_stage_call_writes_what_six_single_stage_calls_write(tmp_path):
+    def artifacts(out):
+        files = {}
+        for f in sorted(out.rglob("*")):
+            if f.is_file() and f.name != "run_report.txt":
+                data = f.read_bytes()
+                if f.name == "transcripts.jsonl":  # line order follows completion
+                    data = b"".join(sorted(data.splitlines(keepends=True)))
+                files[str(f.relative_to(out))] = data
+        return files
+
+    stages = ["run", "score", "features", "style", "analyze", "report"]
+    (tmp_path / "one").mkdir()
+    (tmp_path / "six").mkdir()
+    one = Pipeline(load_config(write_workspace(tmp_path / "one")))
+    one.run_stages(stages)
+    six = Pipeline(load_config(write_workspace(tmp_path / "six")))
+    for stage in stages:
+        six.run_stages([stage])
+    assert artifacts(six.config.output_dir) == artifacts(one.config.output_dir)
+    assert "summary.csv" in artifacts(one.config.output_dir)
+
+
+_ANALYZE_PROBE = """
+import sys
+from parley.pipeline import Pipeline, load_config
+Pipeline(load_config(sys.argv[1])).run_stages(
+    ["run", "score", "features", "style", "analyze"]
+)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs an import on every fresh process that reaches analyze
+    import os
+    import subprocess
+    import sys
+
+    import parley
+
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    src = os.path.dirname(os.path.dirname(parley.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _ANALYZE_PROBE, str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert (tmp_path / "out" / "analysis" / "analysis_results.json").exists()
+    assert result.stdout.strip() == "False"
+
+
 def test_run_stage_keeps_concurrency_limit_requests_in_flight(tmp_path):
     # four chat agents on chair: 16 sessions for 12 workers. The transport
     # holds each request until 12 are in flight at once (or a timeout), and
