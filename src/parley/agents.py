@@ -16,11 +16,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import requests
 import yaml
 
 from .catalog import Assignment, ScenarioSpec
-from .errors import ConfigurationError, NotFoundError, SchemaError, SessionAbortError
+from .errors import (
+    BackendStatusError,
+    ConfigurationError,
+    NotFoundError,
+    SchemaError,
+    SessionAbortError,
+)
 from .protocol import format_close, format_offer, parse_block, terms_to_assignment
 
 # Prefaced verbatim to every participant prompt; suppresses pretrained
@@ -290,13 +295,38 @@ def make_scripted_agent(
 # Chat-model backend
 
 
+# One requests.Session per thread, so each worker keeps one keep-alive
+# connection per endpoint. A worker's session, and with it its connections,
+# is released when the thread ends.
+_sessions = threading.local()
+
+
 def _http_transport(endpoint: str, payload: dict, api_key: str, timeout: float) -> dict:
+    # the HTTP stack loads on the first request that goes to the network
+    import requests
+
+    session = getattr(_sessions, "session", None)
+    if session is None:
+        session = _sessions.session = requests.Session()
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    resp.raise_for_status()
+    resp = session.post(endpoint, json=payload, headers=headers, timeout=timeout)
+    if not 200 <= resp.status_code < 300:
+        raise BackendStatusError(resp.status_code, _retry_after(resp.headers))
     return resp.json()
+
+
+def _retry_after(headers) -> float | None:
+    """A numeric ``Retry-After`` in seconds; an HTTP date is ignored."""
+    try:
+        return float(headers["Retry-After"])
+    except (KeyError, ValueError):
+        return None
+
+
+def _retryable(status: int) -> bool:
+    return status in (408, 429) or status >= 500
 
 
 class ChatModelClient:
@@ -304,7 +334,11 @@ class ChatModelClient:
     tournament's worker pool bounds the requests in flight.
 
     ``transport(endpoint, payload, api_key, timeout)`` is injectable so tests
-    can capture requests and replay recorded responses without a network.
+    can capture requests and replay recorded responses without a network. It
+    raises ``OSError`` for a transport failure and ``BackendStatusError`` for
+    a non-2xx reply. Transport failures, 408, 429 and 5xx are retried; a
+    ``Retry-After`` lengthens the backoff, up to ``timeout``. Any other status
+    ends the request at once.
     """
 
     def __init__(
@@ -322,7 +356,7 @@ class ChatModelClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self.usage = {"prompt_tokens": 0, "completion_tokens": 0, "requests": 0}
+        self.usage = {"prompt_tokens": 0, "completion_tokens": 0, "requests": 0, "retries": 0}
         self._audit_lock = threading.Lock()
         self._usage_lock = threading.Lock()
 
@@ -345,19 +379,32 @@ class ChatModelClient:
 
         jitter = random.Random(seed if seed is not None else time.time_ns())
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                delay = self.backoff_base * (2 ** (attempt - 1))
-                time.sleep(delay * (1.0 + jitter.random()))
+                delay = self.backoff_base * (2 ** (attempt - 1)) * (1.0 + jitter.random())
+                if retry_after is not None:
+                    delay = max(delay, min(retry_after, self.timeout))
+                with self._usage_lock:
+                    self.usage["retries"] += 1
+                time.sleep(delay)
             try:
                 response = self.transport(
                     binding.endpoint, payload, self.api_key, self.timeout
                 )
-                self._audit(payload, response)
-                self._record_usage(response)
-                return self._parse_response(response)
-            except Exception as exc:  # transport failures trigger the retry budget
-                last_error = exc
+            except BackendStatusError as exc:
+                if not _retryable(exc.status):
+                    raise SessionAbortError(
+                        f"backend {binding.endpoint!r} answered {exc}"
+                    ) from exc
+                last_error, retry_after = exc, exc.retry_after
+                continue
+            except OSError as exc:
+                last_error, retry_after = exc, None
+                continue
+            self._audit(payload, response)
+            self._record_usage(response)
+            return self._parse_response(response)
         raise SessionAbortError(
             f"backend {binding.endpoint!r} failed after {self.max_retries} retries: {last_error}"
         ) from last_error

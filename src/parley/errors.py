@@ -29,6 +29,18 @@ class SessionAbortError(ParleyError):
     """A backend failed past its retry budget; carries the underlying cause."""
 
 
+class BackendStatusError(ParleyError):
+    """The chat endpoint answered with a non-2xx status.
+
+    ``retry_after`` is the reply's numeric ``Retry-After`` in seconds, if any.
+    """
+
+    def __init__(self, status: int, retry_after: float | None = None):
+        super().__init__(f"HTTP {status}")
+        self.status = status
+        self.retry_after = retry_after
+
+
 class ExtractionConflictError(ParleyError):
     """Restated closing terms contradict each other; pairing needs review."""
 

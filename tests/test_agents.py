@@ -13,7 +13,13 @@ from parley.agents import (
     make_scripted_agent,
     next_message,
 )
-from parley.errors import ConfigurationError, NotFoundError, SchemaError, SessionAbortError
+from parley.errors import (
+    BackendStatusError,
+    ConfigurationError,
+    NotFoundError,
+    SchemaError,
+    SessionAbortError,
+)
 from parley.protocol import moderator_suffix, parse_block
 
 
@@ -253,6 +259,7 @@ def test_retry_then_success(chair):
     reply = next_message(agent, view, seed=1, client=client)
     assert reply.text == "finally"
     assert calls["n"] == 3
+    assert client.usage["retries"] == 2
 
 
 def test_abort_after_retry_budget(chair):
@@ -265,6 +272,99 @@ def test_abort_after_retry_budget(chair):
     view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
     with pytest.raises(SessionAbortError, match="no route to host"):
         next_message(agent, view, seed=1, client=client)
+
+
+def scripted_replies(*outcomes):
+    """A transport that raises or returns each outcome in turn, counting calls."""
+    calls = []
+
+    def transport(endpoint, payload, api_key, timeout):
+        outcome = outcomes[len(calls)]
+        calls.append(timeout)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return transport, calls
+
+
+def ask(client, chair):
+    agent = chat_agent()
+    assembly = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
+    return next_message(agent, view, seed=1, client=client)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    recorded = []
+    monkeypatch.setattr("parley.agents.time.sleep", recorded.append)
+    return recorded
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_client_error_status_is_not_retried(chair, sleeps, status):
+    transport, calls = scripted_replies(BackendStatusError(status), canned_response("late"))
+    client = ChatModelClient(transport=transport, max_retries=3)
+    with pytest.raises(SessionAbortError, match=f"HTTP {status}"):
+        ask(client, chair)
+    assert len(calls) == 1
+    assert sleeps == []
+    assert client.usage["retries"] == 0
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 502, 503])
+def test_retryable_status_then_success(chair, sleeps, status):
+    transport, calls = scripted_replies(
+        BackendStatusError(status), BackendStatusError(status), canned_response("ok")
+    )
+    client = ChatModelClient(transport=transport, max_retries=3, backoff_base=0.5)
+    assert ask(client, chair).text == "ok"
+    assert len(calls) == 3
+    assert len(sleeps) == 2
+    # jittered exponential backoff: base * 2**k * [1, 2)
+    assert 0.5 <= sleeps[0] < 1.0 and 1.0 <= sleeps[1] < 2.0
+    assert client.usage["retries"] == 2
+    assert client.usage["requests"] == 1
+
+
+def test_retry_after_sets_the_delay(chair, sleeps):
+    transport, calls = scripted_replies(
+        BackendStatusError(429, retry_after=2.0), canned_response("ok")
+    )
+    client = ChatModelClient(transport=transport, backoff_base=0.001)
+    assert ask(client, chair).text == "ok"
+    assert len(calls) == 2
+    assert sleeps == [2.0]
+
+
+def test_retry_after_bounded_by_backoff_and_timeout(chair, sleeps):
+    transport, _ = scripted_replies(
+        BackendStatusError(503, retry_after=0.0),
+        BackendStatusError(503, retry_after=3600.0),
+        canned_response("ok"),
+    )
+    client = ChatModelClient(transport=transport, backoff_base=0.5, timeout=5.0)
+    assert ask(client, chair).text == "ok"
+    assert 0.5 <= sleeps[0] < 1.0  # never below the computed backoff
+    assert sleeps[1] == 5.0  # never above the client's timeout
+
+
+def test_retryable_status_past_budget_aborts(chair, sleeps):
+    transport, calls = scripted_replies(*[BackendStatusError(503)] * 3)
+    client = ChatModelClient(transport=transport, max_retries=2)
+    with pytest.raises(SessionAbortError, match="HTTP 503"):
+        ask(client, chair)
+    assert len(calls) == 3
+    assert client.usage["retries"] == 2
+
+
+def test_other_transport_exceptions_are_not_retried(chair, sleeps):
+    transport, calls = scripted_replies(ValueError("bug in transport"))
+    client = ChatModelClient(transport=transport)
+    with pytest.raises(ValueError, match="bug in transport"):
+        ask(client, chair)
+    assert len(calls) == 1
 
 
 def test_truncation_flag_from_finish_reason(chair):

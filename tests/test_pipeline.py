@@ -582,35 +582,70 @@ def test_one_six_stage_call_writes_what_six_single_stage_calls_write(tmp_path):
     assert "summary.csv" in artifacts(one.config.output_dir)
 
 
-_ANALYZE_PROBE = """
-import sys
-from parley.pipeline import Pipeline, load_config
-Pipeline(load_config(sys.argv[1])).run_stages(
-    ["run", "score", "features", "style", "analyze"]
-)
-print("numpy.ma" in sys.modules)
-"""
-
-
-def test_analyze_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs an import on every fresh process that reaches analyze
+def run_probe(source, *args):
+    """Run ``source`` in a fresh interpreter and return its stripped stdout."""
     import os
     import subprocess
     import sys
 
     import parley
 
-    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
     src = os.path.dirname(os.path.dirname(parley.__file__))
     result = subprocess.run(
-        [sys.executable, "-c", _ANALYZE_PROBE, str(path)],
+        [sys.executable, "-c", source, *map(str, args)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
+    return result.stdout.strip()
+
+
+# argv: config path, comma-separated stages, module name
+_PIPELINE_PROBE = """
+import sys
+from parley.pipeline import Pipeline, load_config
+Pipeline(load_config(sys.argv[1])).run_stages(sys.argv[2].split(","))
+print(sys.argv[3] in sys.modules)
+"""
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs an import on every fresh process that reaches analyze
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    stages = "run,score,features,style,analyze"
+    assert run_probe(_PIPELINE_PROBE, path, stages, "numpy.ma") == "False"
     assert (tmp_path / "out" / "analysis" / "analysis_results.json").exists()
-    assert result.stdout.strip() == "False"
+
+
+_INJECTED_TRANSPORT_PROBE = """
+import sys
+from parley.agents import AgentSpec, BackendBinding, ChatModelClient
+from parley.catalog import load_builtin
+from parley.session import run_session
+
+def fake(endpoint, payload, api_key, timeout):
+    return {"choices": [{"message": {"content": "Hello."}, "finish_reason": "stop"}]}
+
+binding = BackendBinding(kind="chat_model", model_name="m", endpoint="https://example.invalid/v1")
+agents = {a: AgentSpec(a, a, "Negotiate.", binding) for a in ("s", "b")}
+client = ChatModelClient(transport=fake)
+run_session(load_builtin("chair"), {"seller": "s", "buyer": "b"}, agents, 1, client=client)
+print(client.usage["requests"] > 0, "requests" in sys.modules)
+"""
+
+
+def test_scripted_pipeline_does_not_import_requests(tmp_path):
+    # the HTTP stack loads on the first network request, which a scripted
+    # run never makes
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    stages = "run,score,features,style,analyze,report"
+    assert run_probe(_PIPELINE_PROBE, path, stages, "requests") == "False"
+    assert (tmp_path / "out" / "run_report.txt").exists()
+
+
+def test_injected_transport_does_not_import_requests():
+    assert run_probe(_INJECTED_TRANSPORT_PROBE) == "True False"
 
 
 def test_run_stage_keeps_concurrency_limit_requests_in_flight(tmp_path):
