@@ -311,7 +311,15 @@ def _http_transport(endpoint: str, payload: dict, api_key: str, timeout: float) 
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    resp = session.post(endpoint, json=payload, headers=headers, timeout=timeout)
+    try:
+        resp = session.post(endpoint, json=payload, headers=headers, timeout=timeout)
+    except (
+        requests.exceptions.MissingSchema,
+        requests.exceptions.InvalidSchema,
+        requests.exceptions.InvalidURL,
+    ) as exc:
+        # these subclass OSError, but no retry can mend a malformed endpoint
+        raise ConfigurationError(f"malformed endpoint {endpoint!r}: {exc}") from exc
     if not 200 <= resp.status_code < 300:
         raise BackendStatusError(resp.status_code, _retry_after(resp.headers))
     return resp.json()

@@ -26,7 +26,7 @@ class UnsupportedKindError(ParleyError):
 
 
 class SessionAbortError(ParleyError):
-    """A backend failed past its retry budget; carries the underlying cause."""
+    """A chat backend request failed and the client gave up; carries the cause."""
 
 
 class BackendStatusError(ParleyError):

@@ -504,10 +504,22 @@ def build_observation_rows(
                 cluster_agent=record["cluster_agent"],
                 cluster_dyad=record["cluster_dyad"],
                 cluster_negotiation=record["cluster_negotiation"],
-                exercise=record["exercise"],
             )
         )
     return rows
+
+
+TERM_STATS = ("estimate", "std_error", "ci_low", "ci_high", "p_value")
+
+
+def term_rows(fit: FitResult) -> list[tuple[str, dict[str, float]]]:
+    """One (term, {statistic: value}) per coefficient, in design order."""
+    return [
+        (name, dict(zip(TERM_STATS, map(float, (coef, se, lo, hi, p)))))
+        for name, coef, se, (lo, hi), p in zip(
+            fit.columns, fit.coefficients, fit.std_errors, fit.conf_int, fit.p_values
+        )
+    ]
 
 
 def fit_result_payload(fit: FitResult) -> dict:
@@ -518,22 +530,7 @@ def fit_result_payload(fit: FitResult) -> dict:
         "n": fit.n,
         "cluster_dims": list(fit.cluster_dims),
         "vcov_repaired": fit.vcov_repaired,
-        "coefficients": {
-            name: {
-                "estimate": float(coef),
-                "std_error": float(se),
-                "ci_low": float(lo),
-                "ci_high": float(hi),
-                "p_value": float(p),
-            }
-            for name, coef, se, (lo, hi), p in zip(
-                fit.columns,
-                fit.coefficients,
-                fit.std_errors,
-                fit.conf_int,
-                fit.p_values,
-            )
-        },
+        "coefficients": dict(term_rows(fit)),
     }
     if fit.r_squared is not None:
         payload["r_squared"] = float(fit.r_squared)
@@ -550,24 +547,10 @@ def emit_fit(fit: FitResult, stem: str | Path, config_hash: str, title: str = ""
         provenance_line(config_hash) + "\n" + summarize_fit(fit, title=title)
     )
     rows = [
-        {
-            "term": name,
-            "estimate": repr(float(coef)),
-            "std_error": repr(float(se)),
-            "ci_low": repr(float(lo)),
-            "ci_high": repr(float(hi)),
-            "p_value": repr(float(p)),
-        }
-        for name, coef, se, (lo, hi), p in zip(
-            fit.columns, fit.coefficients, fit.std_errors, fit.conf_int, fit.p_values
-        )
+        {"term": name, **{key: repr(value) for key, value in values.items()}}
+        for name, values in term_rows(fit)
     ]
-    write_table(
-        stem.parent / f"{stem.name}.csv",
-        ("term", "estimate", "std_error", "ci_low", "ci_high", "p_value"),
-        rows,
-        config_hash,
-    )
+    write_table(stem.parent / f"{stem.name}.csv", ("term", *TERM_STATS), rows, config_hash)
 
 
 @dataclass

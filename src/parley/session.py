@@ -58,7 +58,7 @@ class Transcript:
     scenario_id: str
     role_map: dict[str, str]  # role_name -> agent_id
     utterances: list[Utterance]
-    termination: str  # accepted | walkaway | cap_reached | aborted
+    termination: str  # accepted | walkaway | cap_reached
     seed: int
     # keyed by role seat so self-play records both questionnaires
     svi: dict[str, SviResponse | None] = field(default_factory=dict)
@@ -225,8 +225,8 @@ def run_session(
 ) -> Transcript:
     """Run one negotiation to termination and administer the questionnaire.
 
-    On a backend abort the partial transcript is preserved with
-    termination="aborted" and no questionnaire is administered.
+    A backend abort during the negotiation raises ``SessionAbortError``; one
+    while a questionnaire is answered leaves that questionnaire missing.
     """
     role_names = scenario.role_names
     for role in role_names:
@@ -262,17 +262,7 @@ def run_session(
             assembly=assemblies[current],
             history=tuple(history),
         )
-        try:
-            reply = next_message(agent, view, seed, client=client)
-        except SessionAbortError:
-            return Transcript(
-                negotiation_id=neg_id,
-                scenario_id=scenario.scenario_id,
-                role_map=dict(role_map),
-                utterances=utterances,
-                termination="aborted",
-                seed=seed,
-            )
+        reply = next_message(agent, view, seed, client=client)
         utterances.append(
             Utterance(
                 index=len(utterances),

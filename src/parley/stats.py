@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,6 @@ class ObservationRow:
     cluster_agent: str
     cluster_dyad: str
     cluster_negotiation: str
-    exercise: str = ""
-
-    def cluster_id(self, dim: str) -> str:
-        try:
-            return getattr(self, f"cluster_{dim}")
-        except AttributeError:
-            raise ConfigurationError(f"unknown cluster dimension {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,6 @@ class Design:
     y: np.ndarray
     columns: list[str]
     cluster_ids: dict[str, list[str]]
-    scaling: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -87,9 +79,9 @@ class FitResult:
     cluster_dims: tuple[str, ...] = ()
     # internals needed by the covariance estimators
     _X: np.ndarray | None = None
-    _y: np.ndarray | None = None
     _residuals: np.ndarray | None = None
     _weights: np.ndarray | None = None  # logistic IRLS weights at the optimum
+    _bread_inv: np.ndarray | None = None  # inv(X'X), or inv(X'WX) for logistic
 
 
 def build_design(rows: list[ObservationRow], spec: ModelSpec) -> Design:
@@ -98,10 +90,12 @@ def build_design(rows: list[ObservationRow], spec: ModelSpec) -> Design:
     non-intercept column, and the response too for the linear family."""
     if not rows:
         raise ConfigurationError("no observation rows")
-    for row in rows:
-        for dim in spec.cluster_dims:
-            if not row.cluster_id(dim):
-                raise ConfigurationError(f"row missing cluster id for {dim!r}")
+    cluster_ids = {}
+    for dim in spec.cluster_dims:
+        ids = [getattr(row, f"cluster_{dim}") for row in rows]
+        if not all(ids):
+            raise ConfigurationError(f"row missing cluster id for {dim!r}")
+        cluster_ids[dim] = ids
 
     warmth = np.array([r.warmth for r in rows], dtype=float)
     dominance = np.array([r.dominance for r in rows], dtype=float)
@@ -122,31 +116,21 @@ def build_design(rows: list[ObservationRow], spec: ModelSpec) -> Design:
         if bad:
             raise ConfigurationError(f"logistic response must be binary, found {sorted(bad)}")
 
-    scaling: dict[str, tuple[float, float]] = {}
     if spec.standardize:
         for i, name in enumerate(columns):
             if name == "intercept":
                 continue
-            mean = data[i].mean()
             sd = data[i].std(ddof=1)
             if sd == 0.0:
                 raise ConfigurationError(f"zero-variance predictor {name!r} under standardize")
-            scaling[name] = (mean, sd)
-            data[i] = (data[i] - mean) / sd
+            data[i] = (data[i] - data[i].mean()) / sd
         if spec.family == "linear":
-            mean, sd = y.mean(), y.std(ddof=1)
+            sd = y.std(ddof=1)
             if sd == 0.0:
                 raise ConfigurationError("zero-variance response under standardize")
-            scaling["__response__"] = (mean, sd)
-            y = (y - mean) / sd
+            y = (y - y.mean()) / sd
 
-    cluster_ids = {
-        dim: [row.cluster_id(dim) for row in rows] for dim in spec.cluster_dims
-    }
-    return Design(
-        X=np.column_stack(data), y=y, columns=columns, cluster_ids=cluster_ids,
-        scaling=scaling,
-    )
+    return Design(X=np.column_stack(data), y=y, columns=columns, cluster_ids=cluster_ids)
 
 
 def _check_rank(X: np.ndarray, columns: list[str]) -> None:
@@ -168,69 +152,52 @@ def fit_model(design: Design, spec: ModelSpec) -> FitResult:
     """Point estimates: least squares via an orthogonal decomposition for the
     linear family, iteratively reweighted least squares for the logistic one
     (convergence when the largest coefficient change is < 1e-10, cap 100
-    iterations)."""
+    iterations). The inverse of the bread, X'X or X'WX, is computed here
+    once and kept for the clustered covariance."""
     X, y = design.X, design.y
     n, p = X.shape
     _check_rank(X, design.columns)
+    r_squared = log_lik = weights = None
 
     if spec.family == "linear":
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        fitted = X @ beta
-        residuals = y - fitted
+        residuals = y - X @ beta
         ss_res = float(residuals @ residuals)
         ss_tot = float(((y - y.mean()) ** 2).sum())
         r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
         dof = n - p
         sigma2 = ss_res / dof if dof > 0 else 0.0
-        xtx_inv = np.linalg.inv(X.T @ X)
-        vcov = sigma2 * xtx_inv
-        result = FitResult(
-            spec=spec,
-            columns=list(design.columns),
-            coefficients=beta,
-            vcov=vcov,
-            std_errors=np.zeros(p),
-            conf_int=np.zeros((p, 2)),
-            p_values=np.zeros(p),
-            n=n,
-            r_squared=r_squared,
-            _X=X,
-            _y=y,
-            _residuals=residuals,
-        )
-        _attach_inference(result, vcov)
-        return result
-
-    # logistic via IRLS
-    beta = np.zeros(p)
-    for _ in range(100):
-        eta = X @ beta
-        prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
-        w = prob * (1.0 - prob)
-        if np.max(np.abs(beta)) > 1e3:
-            raise SeparationError("coefficients diverged; response is separable")
-        score = X.T @ (y - prob)
-        info = X.T @ (X * w[:, None])
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(
-                "singular information matrix; response looks separable"
-            ) from exc
-        beta = beta + step
-        if np.max(np.abs(step)) < 1e-10:
-            break
+        bread_inv = np.linalg.inv(X.T @ X)
+        vcov = sigma2 * bread_inv
     else:
-        if np.max(np.abs(beta)) > 50:
-            raise SeparationError("IRLS failed to converge; response looks separable")
+        beta = np.zeros(p)
+        for _ in range(100):
+            prob = 1.0 / (1.0 + np.exp(-np.clip(X @ beta, -700, 700)))
+            w = prob * (1.0 - prob)
+            if np.max(np.abs(beta)) > 1e3:
+                raise SeparationError("coefficients diverged; response is separable")
+            score = X.T @ (y - prob)
+            info = X.T @ (X * w[:, None])
+            try:
+                step = np.linalg.solve(info, score)
+            except np.linalg.LinAlgError as exc:
+                raise SeparationError(
+                    "singular information matrix; response looks separable"
+                ) from exc
+            beta = beta + step
+            if np.max(np.abs(step)) < 1e-10:
+                break
+        else:
+            if np.max(np.abs(beta)) > 50:
+                raise SeparationError("IRLS failed to converge; response looks separable")
 
-    eta = X @ beta
-    prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
-    w = prob * (1.0 - prob)
-    prob_c = np.clip(prob, 1e-12, 1 - 1e-12)
-    log_lik = float(y @ np.log(prob_c) + (1 - y) @ np.log(1 - prob_c))
-    info = X.T @ (X * w[:, None])
-    vcov = np.linalg.inv(info)
+        prob = 1.0 / (1.0 + np.exp(-np.clip(X @ beta, -700, 700)))
+        weights = prob * (1.0 - prob)
+        prob_c = np.clip(prob, 1e-12, 1 - 1e-12)
+        log_lik = float(y @ np.log(prob_c) + (1 - y) @ np.log(1 - prob_c))
+        residuals = y - prob
+        bread_inv = vcov = np.linalg.inv(X.T @ (X * weights[:, None]))
+
     result = FitResult(
         spec=spec,
         columns=list(design.columns),
@@ -240,11 +207,12 @@ def fit_model(design: Design, spec: ModelSpec) -> FitResult:
         conf_int=np.zeros((p, 2)),
         p_values=np.zeros(p),
         n=n,
+        r_squared=r_squared,
         log_likelihood=log_lik,
         _X=X,
-        _y=y,
-        _residuals=y - prob,
-        _weights=w,
+        _residuals=residuals,
+        _weights=weights,
+        _bread_inv=bread_inv,
     )
     _attach_inference(result, vcov)
     return result
@@ -270,67 +238,68 @@ def _attach_inference(result: FitResult, vcov: np.ndarray, repaired: bool = Fals
     )
 
 
-def _bread_inverse(result: FitResult) -> np.ndarray:
-    X = result._X
-    if result.spec.family == "linear":
-        return np.linalg.inv(X.T @ X)
-    return np.linalg.inv(X.T @ (X * result._weights[:, None]))
-
-
-def _meat(scores: np.ndarray, keys: list) -> np.ndarray:
-    sums: dict = {}
-    for key, score in zip(keys, scores):
-        if key in sums:
-            sums[key] += score
-        else:
-            sums[key] = score.copy()
-    meat = np.zeros((scores.shape[1], scores.shape[1]))
-    for group_score in sums.values():
-        meat += np.outer(group_score, group_score)
-    return meat
+def _intersect(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Codes of the clusters two codings intersect into, numbered in order of
+    first appearance. A stable sort groups the rows by (outer, inner); no
+    codes are multiplied together, so nothing can overflow."""
+    order = np.lexsort((inner, outer))
+    outer, inner = outer[order], inner[order]
+    new = np.concatenate(([True], (outer[1:] != outer[:-1]) | (inner[1:] != inner[:-1])))
+    codes = np.empty_like(order)
+    codes[order] = np.argsort(np.argsort(order[new]))[np.cumsum(new) - 1]
+    return codes
 
 
 def multiway_vcov(
     result: FitResult,
     cluster_ids: dict[str, list[str]],
-    cluster_dims: tuple[str, ...] | None = None,
+    cluster_dims: tuple[str, ...],
     small_sample: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Inclusion-exclusion combination of one-way clustered sandwiches over
     every non-empty subset of the cluster dimensions; the intersection
-    clustering serves subsets of size > 1. Negative eigenvalues (possible for
-    multiway combinations) are truncated to zero and flagged.
+    clustering serves subsets of size > 1. Each meat is the Gram matrix of
+    the per-cluster score sums. Negative eigenvalues (possible for multiway
+    combinations) are truncated to zero and flagged.
 
     ``small_sample`` applies the usual G/(G-1) * (N-1)/(N-p) factor per
     subset; it is off by default (plain estimator).
     """
-    dims = tuple(cluster_dims if cluster_dims is not None else result.spec.cluster_dims)
-    if not dims:
+    if not cluster_dims:
         raise ConfigurationError("cluster_dims must be non-empty for robust covariance")
     n, p = result._X.shape
-    for dim in dims:
+    codes = {}  # subset of dimensions -> cluster codes in first-appearance order
+    for dim in cluster_dims:
         ids = cluster_ids.get(dim)
         if ids is None or len(ids) != n:
             raise ConfigurationError(f"cluster ids for {dim!r} missing or misaligned")
-        if len(set(ids)) < 2:
+        # a dict, not np.unique, which would import numpy.ma
+        index: dict[str, int] = {}
+        codes[(dim,)] = np.array([index.setdefault(i, len(index)) for i in ids], dtype=np.int64)
+        if len(index) < 2:
             raise DegenerateClusteringError(
                 f"cluster dimension {dim!r} has a single cluster; "
                 "robust covariance is degenerate"
             )
 
     scores = result._X * result._residuals[:, None]
-    bread_inv = _bread_inverse(result)
+    bread_inv = result._bread_inv
 
     vcov = np.zeros((p, p))
-    for size in range(1, len(dims) + 1):
-        for subset in itertools.combinations(dims, size):
-            keys = list(zip(*(cluster_ids[dim] for dim in subset)))
-            meat = _meat(scores, keys)
+    for size in range(1, len(cluster_dims) + 1):
+        for subset in itertools.combinations(cluster_dims, size):
+            if size > 1:
+                codes[subset] = _intersect(codes[subset[:-1]], codes[subset[-1:]])
+            # scores summed row by row within each cluster, and outer products
+            # cluster by cluster in first-appearance order, as a plain loop
+            # would: subsets that induce the same partition give bit-identical
+            # meats, so their sandwiches cancel exactly
+            sums = np.column_stack([np.bincount(codes[subset], weights=c) for c in scores.T])
+            meat = np.einsum("gi,gj->ij", sums, sums)
             piece = bread_inv @ meat @ bread_inv
-            if small_sample:
-                g = len(set(keys))
-                if g > 1 and n > p:
-                    piece = piece * (g / (g - 1)) * ((n - 1) / (n - p))
+            if small_sample and n > p:
+                g = len(sums)  # >= 2: every dimension has two clusters or more
+                piece = piece * (g / (g - 1)) * ((n - 1) / (n - p))
             vcov += ((-1.0) ** (size + 1)) * piece
 
     vcov = (vcov + vcov.T) / 2.0

@@ -22,7 +22,7 @@ from random import Random
 
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
-from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError
+from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError, SessionAbortError
 from .scoring import Outcome
 from .session import Transcript, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
@@ -297,7 +297,6 @@ def run_tournament(
     checkpoint_path: str | Path,
     concurrency_limit: int = 4,
     client: ChatModelClient | None = None,
-    retry_budget: int = 1,
     svi_items: list[dict] | None = None,
 ) -> RunReport:
     """Execute every pending pairing at most ``concurrency_limit`` at a time.
@@ -305,8 +304,9 @@ def run_tournament(
     The checkpoint is flushed after each completion; a rerun skips the
     pairings the store holds, making the tournament idempotent under
     kill-and-resume with scripted agents. A session that raises fails only
-    its pairing; a ``ParleyError`` cancels the queued sessions and ends the
-    run.
+    its pairing, and so does a backend abort (``SessionAbortError``) once the
+    client has given up; any other ``ParleyError`` cancels the queued
+    sessions and ends the run.
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -322,7 +322,6 @@ def run_tournament(
     pending = state.pending(scenarios, store.ids)
     skipped = len(state.schedule) - len(pending)
     start = time.monotonic()
-    lock = threading.Lock()
     executed = 0
 
     def execute(pairing: Pairing) -> tuple[Pairing, Transcript | None, str]:
@@ -330,24 +329,24 @@ def run_tournament(
         role_map = pairing.role_map(scenario)
         first_mover = scenario.role_names[pairing.first_mover_seat]
         try:
-            for _ in range(retry_budget + 1):
-                transcript = run_session(
-                    scenario,
-                    role_map,
-                    agents,
-                    pairing.seed,
-                    client=client,
-                    first_mover=first_mover,
-                    svi_items=svi_items,
-                )
-                if transcript.termination != "aborted":
-                    return pairing, transcript, ""
+            transcript = run_session(
+                scenario,
+                role_map,
+                agents,
+                pairing.seed,
+                client=client,
+                first_mover=first_mover,
+                svi_items=svi_items,
+            )
+        except SessionAbortError as exc:
+            # the client has already retried what a retry could mend
+            return pairing, None, f"{type(exc).__name__}: {exc}"
         except ParleyError:
             raise
         except Exception as exc:
             # one broken session is this pairing's failure, not the run's
             return pairing, None, f"{type(exc).__name__}: {exc}"
-        return pairing, None, "backend aborted past retry budget"
+        return pairing, transcript, ""
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency_limit)) as pool:
         # as_completed drops each future once it is yielded, and no list of
@@ -356,13 +355,12 @@ def run_tournament(
         try:
             for future in done:
                 pairing, transcript, cause = future.result()
-                with lock:
-                    if transcript is None:
-                        state.failed.append((pairing, cause))
-                    else:
-                        store.append(transcript)
-                        executed += 1
-                    write_checkpoint(checkpoint_path, state, store.ids)
+                if transcript is None:
+                    state.failed.append((pairing, cause))
+                else:
+                    store.append(transcript)
+                    executed += 1
+                write_checkpoint(checkpoint_path, state, store.ids)
         except BaseException:
             # a ParleyError or an interrupt ends the run: queued sessions
             # must not start

@@ -2,7 +2,7 @@ import pytest
 
 from parley.agents import make_scripted_agent
 from parley.catalog import Assignment
-from parley.errors import ConfigurationError
+from parley.errors import ConfigurationError, SessionAbortError
 from parley.protocol import format_close, format_offer, moderator_suffix
 from parley.scoring import extract_agreement
 from parley.session import (
@@ -161,7 +161,7 @@ def test_unresolvable_agent_rejected(chair):
         run_session(chair, {"seller": "wall", "buyer": "ghost"}, agents_for(wall), seed=1)
 
 
-def test_aborted_backend_preserves_partial_transcript(chair):
+def test_backend_abort_propagates_out_of_run_session(chair):
     from parley.agents import AgentSpec, BackendBinding, ChatModelClient
 
     def dead(endpoint, payload, api_key, timeout):
@@ -177,16 +177,14 @@ def test_aborted_backend_preserves_partial_transcript(chair):
             kind="chat_model", model_name="m", endpoint="https://example.invalid"
         ),
     )
-    transcript = run_session(
-        chair,
-        {"seller": "wall", "buyer": "flaky"},
-        agents_for(wall, flaky),
-        seed=1,
-        client=client,
-    )
-    assert transcript.termination == "aborted"
-    assert len(transcript.utterances) == 1  # the stonewaller's opener survived
-    assert transcript.svi == {}
+    with pytest.raises(SessionAbortError, match="gone"):
+        run_session(
+            chair,
+            {"seller": "wall", "buyer": "flaky"},
+            agents_for(wall, flaky),
+            seed=1,
+            client=client,
+        )
 
 
 def test_termination_consistent_with_extraction(rental):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parley.errors import (
     ConfigurationError,
@@ -10,6 +12,7 @@ from parley.errors import (
     SeparationError,
 )
 from parley.stats import (
+    CLUSTER_DIMS,
     Design,
     ModelSpec,
     ObservationRow,
@@ -322,6 +325,75 @@ def test_negative_eigenvalue_repair_flagged_and_psd():
     eigenvalues, eigenvectors = np.linalg.eigh((oracle + oracle.T) / 2)
     truncated = eigenvectors @ np.diag(np.clip(eigenvalues, 0, None)) @ eigenvectors.T
     assert np.abs(vcov - truncated).max() < 1e-9
+
+
+@st.composite
+def cluster_layouts(draw):
+    """1-3 cluster dimensions over 20-50 rows, each one singleton clusters,
+    nested in the dimension before it (every negotiation inside one dyad),
+    the same partition as the dimension before it, or a random draw."""
+    n = draw(st.integers(20, 50))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["singleton", "nested", "identical", "random"]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    layout = {}
+    for dim, kind in zip(CLUSTER_DIMS, kinds):
+        previous = list(layout.values())[-1] if layout else None
+        if kind == "singleton":
+            ids = [f"s{i}" for i in range(n)]
+        elif kind == "nested" and previous:
+            split = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            ids = [f"{outer}/{part}" for outer, part in zip(previous, split)]
+        elif kind == "identical" and previous:
+            ids = [f"same-{outer}" for outer in previous]
+        else:
+            k = draw(st.integers(2, n))
+            labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+            labels[:2] = [0, 1]  # at least two clusters
+            ids = [f"r{label}" for label in labels]
+        layout[dim] = ids
+    return n, layout
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    cluster_layouts(),
+    st.sampled_from(["linear", "logistic"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_multiway_vcov_agrees_with_brute_force_oracle(layout, family, seed):
+    n, ids = layout
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0, 1, n)
+    d = rng.normal(0, 1, n)
+    if family == "linear":
+        y = 1.0 + 0.5 * w - 0.2 * d + rng.normal(0, 1, n)
+    else:
+        y = (rng.random(n) < 1 / (1 + np.exp(-(0.3 + 0.5 * w)))).astype(float)
+        y[:2] = [0.0, 1.0]
+    dims = tuple(ids)
+    rows = rows_from_arrays(
+        y, w, d, ids.get("agent"), ids.get("dyad"), ids.get("negotiation")
+    )
+    spec = ModelSpec(family=family, cluster_dims=dims)
+    design = build_design(rows, spec)
+    try:
+        fit = fit_model(design, spec)
+    except SeparationError:
+        assume(False)
+    vcov, repaired = multiway_vcov(fit, design.cluster_ids, dims)
+    oracle = brute_force_cgm(
+        design.X, fit._residuals, ids, weights=fit._weights
+    )
+    expected = oracle
+    if repaired:
+        eigenvalues, eigenvectors = np.linalg.eigh((oracle + oracle.T) / 2)
+        expected = eigenvectors @ np.diag(np.clip(eigenvalues, 0, None)) @ eigenvectors.T
+    assert np.abs(vcov - expected).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_coefficients_identical_with_and_without_clustering():

@@ -6,7 +6,7 @@ import pytest
 import parley.tournament
 from parley.agents import AgentSpec, BackendBinding, ChatModelClient, make_scripted_agent
 from parley.catalog import Assignment, load_builtin
-from parley.errors import ConfigurationError, NotFoundError, SchemaError
+from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
 from parley.scoring import Outcome, SeatScore
 from parley.tournament import (
     TournamentState,
@@ -160,9 +160,7 @@ def test_failing_backend_is_isolated(tmp_path):
     schedule = build_schedule(roster, ["chair"], base_seed=7)
     store = TranscriptStore(tmp_path / "store.jsonl")
     state = TournamentState(roster=roster, schedule=schedule)
-    report = run_tournament(
-        state, scenarios, store, tmp_path / "ckpt.json", client=client, retry_budget=0
-    )
+    report = run_tournament(state, scenarios, store, tmp_path / "ckpt.json", client=client)
     failed_agents = {
         agent
         for pairing, _ in state.failed
@@ -171,6 +169,32 @@ def test_failing_backend_is_isolated(tmp_path):
     assert report.failed == 5  # every pairing seating the flaky agent
     assert "flaky" in failed_agents
     assert len(store) == 4  # the 2x2 scripted block completed
+
+
+def test_backend_abort_fails_its_pairing_once_with_its_cause(tmp_path):
+    # a status no retry mends: the client gives up after one request, and
+    # the session is not run again
+    calls = []
+
+    def unauthorized(endpoint, payload, api_key, timeout):
+        calls.append(endpoint)
+        raise BackendStatusError(401)
+
+    client = ChatModelClient(transport=unauthorized, backoff_base=0.001)
+    binding = BackendBinding(kind="chat_model", model_name="m", endpoint="fake://chat")
+    roster = [AgentSpec(a, a, "be brief", binding) for a in ("m1", "m2")]
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    report = run_tournament(
+        state, {"chair": load_builtin("chair")}, store, tmp_path / "ckpt.json", client=client
+    )
+    assert len(calls) == 4
+    assert report.failed == len(state.failed) == 4
+    assert len(store) == 0
+    for _, cause in state.failed:
+        assert cause.startswith("SessionAbortError: ")
+        assert "HTTP 401" in cause
 
 
 def test_crashing_session_fails_only_its_pairing(tmp_path, roster, monkeypatch):

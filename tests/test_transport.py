@@ -2,13 +2,17 @@
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import yaml
+from click.testing import CliRunner
 
 import parley.agents
 from parley.agents import BackendBinding, ChatModelClient, _http_transport
-from parley.errors import BackendStatusError
+from parley.cli import main as cli_main
+from parley.errors import BackendStatusError, ConfigurationError
 
 COMPLETION = {
     "choices": [{"message": {"content": "hello"}, "finish_reason": "stop"}],
@@ -71,17 +75,22 @@ class ChatHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def server(monkeypatch):
+def no_pooled_session(monkeypatch):
     # each test starts without pooled connections, and closes the ones it made
     sessions = threading.local()
     monkeypatch.setattr(parley.agents, "_sessions", sessions)
+    yield
+    session = getattr(sessions, "session", None)
+    if session is not None:
+        session.close()
+
+
+@pytest.fixture
+def server(no_pooled_session):
     srv = ChatServer()
     thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield srv
-    session = getattr(sessions, "session", None)
-    if session is not None:
-        session.close()
     srv.shutdown()
     srv.server_close()
     thread.join(timeout=5)
@@ -166,3 +175,51 @@ def test_dropped_connection_is_a_retried_transport_error(server):
     assert server.connections == 2
     assert client.usage["retries"] == 1
     assert client.usage["requests"] == 2
+
+
+# no scheme (MissingSchema), a scheme requests has no adapter for
+# (InvalidSchema), no host (InvalidURL): each is raised before a connection
+MALFORMED_ENDPOINTS = [
+    "api.example.invalid/v1/chat",
+    "ftp://api.example.invalid/v1/chat",
+    "http:///v1/chat",
+]
+
+
+@pytest.mark.parametrize("endpoint", MALFORMED_ENDPOINTS)
+def test_malformed_endpoint_is_a_configuration_error(endpoint, no_pooled_session):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _http_transport(*args)
+
+    client = ChatModelClient(transport=counting, timeout=5.0)
+    binding = BackendBinding(kind="chat_model", model_name="m", endpoint=endpoint)
+    started = time.monotonic()
+    with pytest.raises(ConfigurationError, match="malformed endpoint"):
+        client.complete(binding, "system", [])
+    assert len(calls) == 1
+    assert client.usage["retries"] == 0
+    assert time.monotonic() - started < 0.5  # no backoff sleep
+
+
+def test_run_with_a_malformed_endpoint_exits_2(tmp_path, no_pooled_session):
+    agents = [
+        {"agent_id": f"m{i}", "prompt": "be brief", "backend": {"kind": "chat_model"}}
+        for i in range(2)
+    ]
+    (tmp_path / "roster.yaml").write_text(yaml.safe_dump({"agents": agents}))
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "roster": "roster.yaml",
+        "scenarios": ["chair"],
+        "output_dir": "out",
+        "concurrency_limit": 1,
+        "backend": {"model_name": "m", "endpoint": MALFORMED_ENDPOINTS[0]},
+        "style": {"mode": "synthetic", "seed": 11},
+    }))
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(config), "--stages", "run"])
+    assert result.exit_code == 2
+    assert MALFORMED_ENDPOINTS[0] in result.output
+    assert "Traceback" not in result.output
