@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import yaml
-
-from .catalog import Assignment, ScenarioSpec
+from .catalog import Assignment, ScenarioSpec, read_yaml
 from .errors import (
     BackendStatusError,
     ConfigurationError,
@@ -478,10 +476,7 @@ def next_message(
 def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[AgentSpec]:
     """Read an agent roster: one record per agent with optional backend overrides."""
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
+    raw = read_yaml(path)
     if not isinstance(raw, dict) or "agents" not in raw:
         raise SchemaError(f"{path}: roster file must contain an 'agents' list")
 

@@ -194,12 +194,23 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
     return spec
 
 
-def load_scenario_file(path: str | Path) -> ScenarioSpec:
-    path = Path(path)
+# libyaml's parser when PyYAML was built with it; a PyYAML without libyaml
+# is a supported install, and its pure-Python parser builds the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path) -> object:
+    """``yaml.safe_load`` of a file or package resource (anything with
+    ``read_text``); text that is not YAML raises SchemaError naming it."""
     try:
-        raw = yaml.safe_load(path.read_text())
+        return yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
+
+
+def load_scenario_file(path: str | Path) -> ScenarioSpec:
+    path = Path(path)
+    raw = read_yaml(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a mapping")
     return _parse_scenario(raw, str(path))
@@ -211,8 +222,7 @@ def load_builtin(scenario_id: str) -> ScenarioSpec:
             f"unknown built-in scenario {scenario_id!r}; "
             f"available: {', '.join(BUILTIN_SCENARIOS)}"
         )
-    ref = resources.files("parley.data.scenarios") / f"{scenario_id}.yaml"
-    raw = yaml.safe_load(ref.read_text())
+    raw = read_yaml(resources.files("parley.data.scenarios") / f"{scenario_id}.yaml")
     return _parse_scenario(raw, f"builtin:{scenario_id}")
 
 

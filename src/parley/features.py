@@ -17,13 +17,9 @@ from pathlib import Path
 from .errors import SchemaError
 from .session import Transcript
 
-DEFAULT_LEXICONS = (
-    "hedges",
-    "apologies",
-    "gratitude",
-    "first_person_plural",
-    "sentiment",
-)
+# the lexicons whose feature is a count of matches per utterance
+RATE_LEXICONS = ("hedges", "apologies", "gratitude", "first_person_plural")
+DEFAULT_LEXICONS = (*RATE_LEXICONS, "sentiment")
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -43,6 +39,11 @@ class Lexicon:
     def __post_init__(self):
         if not self.phrases:
             raise SchemaError(f"lexicon {self.name!r} is empty")
+        for phrase in self.phrases:
+            # texts are lowercased before the scan, so only a lowercase
+            # phrase can ever match
+            if phrase != phrase.lower():
+                raise SchemaError(f"lexicon {self.name!r}: phrase {phrase!r} is not lowercase")
         if len(set(self.phrases)) != len(self.phrases):
             raise SchemaError(f"lexicon {self.name!r} has duplicate phrases")
         # an alternation takes the first alternative that fits, so with the
@@ -62,6 +63,11 @@ class Lexicon:
             (m.start(), m.end(), m.group())
             for m in self._pattern.finditer(text.lower())
         ]
+
+    def count(self, lowered: str) -> int:
+        """``len(self.matches(lowered))`` without building the matches;
+        ``lowered`` is a text the caller has already lowercased."""
+        return len(self._pattern.findall(lowered))
 
 
 def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
@@ -112,6 +118,7 @@ def load_default_lexicons(directory: str | Path | None = None) -> dict[str, Lexi
 @dataclass
 class TfidfResult:
     vectors: list[dict[str, float]]  # one per utterance, in order
+    norms: list[float]  # each vector's Euclidean norm
     all_empty: bool
 
 
@@ -135,12 +142,22 @@ def build_tfidf(utterance_texts: list[str]) -> TfidfResult:
         for term in doc:
             tf[term] = tf.get(term, 0) + 1
         vectors.append({term: count * idf[term] for term, count in tf.items()})
-    return TfidfResult(vectors=vectors, all_empty=all(not d for d in docs))
+    return TfidfResult(
+        vectors=vectors,
+        norms=[_norm(vector) for vector in vectors],
+        all_empty=all(not d for d in docs),
+    )
+
+
+def _norm(u: dict[str, float]) -> float:
+    return math.sqrt(sum(x * x for x in u.values()))
 
 
 def cosine_similarity(u: dict[str, float], v: dict[str, float]) -> float:
-    norm_u = math.sqrt(sum(x * x for x in u.values()))
-    norm_v = math.sqrt(sum(x * x for x in v.values()))
+    return _cosine(u, _norm(u), v, _norm(v))
+
+
+def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: float) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     # summed in u's insertion order: a set's order follows string hashing,
@@ -167,7 +184,9 @@ def score_mimicry(
         prev = transcript.utterances[i - 1]
         if prev.role_name == role_name:
             continue
-        similarities.append(cosine_similarity(tfidf.vectors[i], tfidf.vectors[i - 1]))
+        similarities.append(
+            _cosine(tfidf.vectors[i], tfidf.norms[i], tfidf.vectors[i - 1], tfidf.norms[i - 1])
+        )
     if not similarities:
         return None
     return sum(similarities) / len(similarities)
@@ -177,11 +196,24 @@ def score_mimicry(
 # Lexicon rates and positivity
 
 
-def count_lexicon(transcript: Transcript, role_name: str, lexicon: Lexicon) -> float | None:
-    """Matches per utterance, averaged over the seat's utterances."""
+def _lowered(transcript: Transcript) -> list[str]:
+    return [u.text.lower() for u in transcript.utterances]
+
+
+def count_lexicon(
+    transcript: Transcript,
+    role_name: str,
+    lexicon: Lexicon,
+    lowered: list[str] | None = None,
+) -> float | None:
+    """Matches per utterance, averaged over the seat's utterances.
+    ``lowered`` is the utterances' texts lowercased, in order, made here
+    when not given."""
+    if lowered is None:
+        lowered = _lowered(transcript)
     counts = [
-        len(lexicon.matches(u.text))
-        for u in transcript.utterances
+        lexicon.count(text)
+        for u, text in zip(transcript.utterances, lowered)
         if u.role_name == role_name
     ]
     if not counts:
@@ -189,18 +221,26 @@ def count_lexicon(transcript: Transcript, role_name: str, lexicon: Lexicon) -> f
     return sum(counts) / len(counts)
 
 
-def score_positivity(transcript: Transcript, role_name: str, lexicon: Lexicon) -> float | None:
+def score_positivity(
+    transcript: Transcript,
+    role_name: str,
+    lexicon: Lexicon,
+    lowered: list[str] | None = None,
+) -> float | None:
     """Mean polarity of matched terms per utterance (0 when none match),
-    averaged over the seat's utterances."""
+    averaged over the seat's utterances. ``lowered`` is as in
+    ``count_lexicon``."""
     if lexicon.polarity is None:
         raise SchemaError(f"lexicon {lexicon.name!r} carries no polarity scores")
+    if lowered is None:
+        lowered = _lowered(transcript)
     per_utterance = []
-    for utterance in transcript.utterances:
+    for utterance, text in zip(transcript.utterances, lowered):
         if utterance.role_name != role_name:
             continue
         matched = [
             lexicon.polarity[phrase]
-            for _, _, phrase in lexicon.matches(utterance.text)
+            for _, _, phrase in lexicon.matches(text)
             if phrase in lexicon.polarity
         ]
         per_utterance.append(sum(matched) / len(matched) if matched else 0.0)
@@ -233,9 +273,10 @@ def extract_features(
 ) -> dict[str, FeatureVector]:
     """All eight features for both role seats; None where undefined."""
     lexicons = lexicons or load_default_lexicons()
-    texts = [u.text for u in transcript.utterances]
-    # one TF-IDF build serves both seats' mimicry
-    tfidf = build_tfidf(texts) if texts else None
+    # each text is lowercased once, and that copy feeds the TF-IDF tokens and
+    # all five lexicon scans; one TF-IDF build serves both seats' mimicry
+    lowered = _lowered(transcript)
+    tfidf = build_tfidf(lowered) if lowered else None
     features = {}
     for role_name in transcript.role_map:
         own = [u.text for u in transcript.utterances if u.role_name == role_name]
@@ -245,17 +286,18 @@ def extract_features(
         else:
             message_length = None
             questions = None
+        rates = {
+            name: count_lexicon(transcript, role_name, lexicons[name], lowered)
+            for name in RATE_LEXICONS
+        }
         features[role_name] = FeatureVector(
             mimicry=score_mimicry(transcript, role_name, tfidf),
-            hedges=count_lexicon(transcript, role_name, lexicons["hedges"]),
-            apologies=count_lexicon(transcript, role_name, lexicons["apologies"]),
-            gratitude=count_lexicon(transcript, role_name, lexicons["gratitude"]),
-            first_person_plural=count_lexicon(
-                transcript, role_name, lexicons["first_person_plural"]
-            ),
+            **rates,
             message_length=message_length,
             questions=questions,
-            positivity=score_positivity(transcript, role_name, lexicons["sentiment"]),
+            positivity=score_positivity(
+                transcript, role_name, lexicons["sentiment"], lowered
+            ),
         )
     return features
 

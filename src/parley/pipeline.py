@@ -14,15 +14,13 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
 
-import yaml
-
 from .agents import (
     AgentSpec,
     BackendBinding,
     ChatModelClient,
     load_roster,
 )
-from .catalog import ScenarioSpec, load_catalog
+from .catalog import ScenarioSpec, load_catalog, read_yaml
 from .errors import (
     ConfigurationError,
     ParleyError,
@@ -105,10 +103,7 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
+    raw = read_yaml(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a mapping")
     for key in ("roster", "scenarios", "output_dir"):

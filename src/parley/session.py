@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .agents import (
     AgentSpec,
     ChatModelClient,
@@ -25,7 +23,7 @@ from .agents import (
     get_policy,
     next_message,
 )
-from .catalog import ScenarioSpec
+from .catalog import ScenarioSpec, read_yaml
 from .errors import ConfigurationError, SessionAbortError
 from .protocol import has_accept, has_walkaway, moderator_suffix, parse_block, terms_to_assignment
 
@@ -137,10 +135,9 @@ def detect_termination(utterances: list[Utterance], scenario: ScenarioSpec) -> s
 
 def load_svi_items(path=None) -> list[dict]:
     if path is not None:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = read_yaml(Path(path))
     else:
-        ref = resources.files("parley.data") / "svi_items.yaml"
-        raw = yaml.safe_load(ref.read_text())
+        raw = read_yaml(resources.files("parley.data") / "svi_items.yaml")
     items = raw["items"]
     if len(items) != 16 or {it["facet"] for it in items} != set(SVI_FACETS):
         raise ConfigurationError("questionnaire file must define 16 items across the four facets")

@@ -24,7 +24,7 @@ from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
 from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError, SessionAbortError
 from .scoring import Outcome
-from .session import Transcript, negotiation_id, run_session
+from .session import Transcript, Utterance, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -118,7 +118,10 @@ class TranscriptStore:
     """Append-only, line-delimited transcript records, one negotiation per line.
 
     The store alone decides the line format (a transcript's fields as one
-    JSON object with sorted keys) and the read order (negotiation-id order).
+    compact JSON object with sorted keys, an utterance's ``truncated`` left
+    out when false) and the read order (negotiation-id order). Lines written
+    with other separators, or with ``"truncated": false``, read the same, so
+    a store resumed from an older version may hold both forms.
     One scan at open checks the provenance stamp and indexes every record by
     its negotiation_id; a line that is not a record, or repeats an id, is
     refused there. Appending an id that is already stored is a no-op, so no
@@ -187,7 +190,12 @@ class TranscriptStore:
         return frozenset(self._spans)
 
     def append(self, transcript: Transcript) -> bool:
-        line = json.dumps(transcript, default=vars, sort_keys=True).encode() + b"\n"
+        line = (
+            json.dumps(
+                transcript, default=_record_fields, sort_keys=True, separators=(",", ":")
+            ).encode()
+            + b"\n"
+        )
         with self._lock:
             if transcript.negotiation_id in self._spans:
                 return False
@@ -220,6 +228,18 @@ class TranscriptStore:
                         f"record: {type(exc).__name__}: {exc}"
                     ) from exc
                 yield transcript
+
+
+def _record_fields(part) -> dict:
+    """The fields a transcript part stores. ``truncated`` is left out when
+    false, the value ``Transcript.from_record`` assumes for a missing key;
+    ``schema_version`` is always kept, because a missing one would read as
+    whatever version the reader is at."""
+    record = vars(part)
+    if isinstance(part, Utterance) and not part.truncated:
+        record = dict(record)
+        del record["truncated"]
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,38 @@ def test_load_catalog_empty_directory(tmp_path):
 def test_load_catalog_missing_path():
     with pytest.raises(NotFoundError):
         load_catalog("/no/such/place.yaml")
+
+
+def packaged_yaml(folder):
+    for entry in folder.iterdir():
+        if entry.is_dir():
+            yield from packaged_yaml(entry)
+        elif entry.name.endswith(".yaml"):
+            yield entry
+
+
+def test_every_packaged_yaml_reads_the_same_with_either_loader(monkeypatch):
+    import yaml
+    from importlib import resources
+
+    import parley.catalog
+
+    files = sorted(packaged_yaml(resources.files("parley.data")), key=str)
+    assert len(files) == len(BUILTIN_SCENARIOS) + 1  # the scenarios and svi_items.yaml
+    loaders = [yaml.SafeLoader]
+    if hasattr(yaml, "CSafeLoader"):  # PyYAML built with libyaml
+        loaders.append(yaml.CSafeLoader)
+    for path in files:
+        pure = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        for loader in loaders:
+            monkeypatch.setattr(parley.catalog, "_YAML_LOADER", loader)
+            assert parley.catalog.read_yaml(path) == pure, (path.name, loader.__name__)
+
+
+def test_read_yaml_names_the_file_that_is_not_yaml(tmp_path):
+    from parley.catalog import read_yaml
+
+    path = tmp_path / "bad.yaml"
+    path.write_text("agents: [unclosed\n")
+    with pytest.raises(SchemaError, match="bad.yaml: not valid YAML"):
+        read_yaml(path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parley.errors import SchemaError
 from parley.features import (
     Lexicon,
     build_tfidf,
@@ -229,7 +230,19 @@ vocabulary_text = st.lists(
 @given(vocabulary_text)
 def test_matches_agree_with_per_phrase_sweep_on_builtin_lexicons(text):
     for lexicon in BUILTIN_LEXICONS.values():
-        assert lexicon.matches(text) == per_phrase_sweep(lexicon.phrases, text)
+        matches = lexicon.matches(text)
+        assert matches == per_phrase_sweep(lexicon.phrases, text)
+        assert lexicon.count(text.lower()) == len(matches)
+
+
+@pytest.mark.parametrize(
+    "phrases", [("Thank you", "thanks"), ("Thanks", "thanks")], ids=["unmatchable", "duplicate"]
+)
+def test_lexicon_refuses_a_phrase_that_is_not_lowercase(phrases):
+    # texts are lowercased before the scan, so "Thank you" could never match
+    # and ("Thanks", "thanks") would be one phrase given twice
+    with pytest.raises(SchemaError, match=repr(phrases[0])):
+        Lexicon("t", phrases)
 
 
 # ---------------------------------------------------------------------------

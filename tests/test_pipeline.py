@@ -450,6 +450,39 @@ def test_torn_store_tail_is_cut_and_rerun(tmp_path):
     )
 
 
+def test_resume_on_an_older_format_store_appends_compact_lines(tmp_path):
+    pipelines = {}
+    for tag in ("reference", "older"):
+        (tmp_path / tag).mkdir()
+        pipelines[tag] = Pipeline(load_config(write_workspace(tmp_path / tag)))
+    pipelines["reference"].run_stages(["run", "score"])
+
+    # the store of a run stopped after 10 negotiations, in the line format
+    # of earlier versions: default separators, every "truncated" key written
+    store = pipelines["older"].transcripts_path
+    pipelines["older"].run_stages(["run"])
+    stamp, *lines = store.read_text().splitlines(keepends=True)
+    older_lines = []
+    for line in lines[:10]:
+        record = json.loads(line)
+        for utterance in record["utterances"]:
+            utterance["truncated"] = False
+        older_lines.append(json.dumps(record, sort_keys=True) + "\n")
+    store.write_text(stamp + "".join(older_lines))
+
+    pipelines["older"].run_stages(["run", "score"])
+    stamp_after, *lines_after = store.read_text().splitlines(keepends=True)
+    assert stamp_after == stamp
+    assert lines_after[:10] == older_lines
+    assert len(lines_after) == 25
+    for line in lines_after[10:]:
+        assert '": ' not in line and '"truncated"' not in line
+    assert (
+        pipelines["older"].outcomes_path.read_bytes()
+        == pipelines["reference"].outcomes_path.read_bytes()
+    )
+
+
 def test_corrupt_store_line_exits_with_schema_error(tmp_path):
     path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
     runner = CliRunner()

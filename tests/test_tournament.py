@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import time
 import weakref
 
@@ -292,6 +294,74 @@ def test_store_streams_transcripts_in_id_order(tmp_path, roster, chair):
     assert [t.negotiation_id for t in reopened] == ids
     assert reopened == sorted(transcripts, key=lambda t: t.negotiation_id)
     assert list(TranscriptStore(tmp_path / "missing.jsonl").load()) == []
+
+
+# One line of the store, byte for byte: compact separators, sorted keys, an
+# utterance's "truncated" left out when false, "schema_version" always kept.
+GOLDEN_LINE = (
+    b'{"negotiation_id":"12502c503bc5839f","role_map":{"buyer":"acceptor","seller":"wall"},'
+    b'"scenario_id":"chair","schema_version":1,"seed":1,"svi":{"buyer":{"composite":6.0,'
+    b'"facets":{"instrumental":6.0,"process":6.0,"relationship":6.0,"self":6.0},'
+    b'"items":[[1,6],[2,6],[3,6],[4,6],[5,6],[6,6],[7,6],[8,6],[9,6],[10,6],[11,6],[12,6],'
+    b'[13,6],[14,6],[15,6],[16,6]]},"seller":{"composite":2.0,"facets":{"instrumental":2.0,'
+    b'"process":2.0,"relationship":2.0,"self":2.0},"items":[[1,2],[2,2],[3,2],[4,2],[5,2],'
+    b'[6,2],[7,2],[8,2],[9,2],[10,2],[11,2],[12,2],[13,2],[14,2],[15,2],[16,2]]}},'
+    b'"termination":"accepted","utterances":[{"index":0,"role_name":"seller",'
+    b'"speaker_agent_id":"wall","text":"My position has not changed. [OFFER price=200]"},'
+    b'{"index":1,"role_name":"buyer","speaker_agent_id":"acceptor",'
+    b'"text":"That works for me. [ACCEPT] [TERMS price=200]"}]}\n'
+)
+
+
+def test_store_line_bytes_are_fixed(tmp_path, roster, chair):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcript = run_session(chair, {"seller": "wall", "buyer": "acceptor"}, agents, seed=1)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    store.append(transcript)
+    assert store.path.read_bytes() == GOLDEN_LINE
+    assert list(TranscriptStore(store.path).load()) == [transcript]
+
+
+def older_store_line(transcript) -> str:
+    """A record as stores written before the compact format hold it: the
+    default separators and every utterance's "truncated" key."""
+    return json.dumps(transcript, default=vars, sort_keys=True) + "\n"
+
+
+def test_store_in_the_older_line_format_loads_the_same(tmp_path, roster, chair):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcripts = [
+        run_session(chair, {"seller": seller, "buyer": "echo"}, agents, seed=3)
+        for seller in ("wall", "ladder", "echo", "acceptor")
+    ]
+    compact = TranscriptStore(tmp_path / "compact.jsonl")
+    for transcript in transcripts:
+        compact.append(transcript)
+    older = tmp_path / "older.jsonl"
+    older.write_text("".join(older_store_line(t) for t in transcripts))
+    assert '"truncated": false' in older.read_text()
+    assert "truncated" not in compact.path.read_text()
+    assert list(TranscriptStore(older).load()) == list(compact.load())
+
+
+def test_truncated_utterance_keeps_its_key(tmp_path, roster, chair):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcript = run_session(chair, {"seller": "wall", "buyer": "acceptor"}, agents, seed=1)
+    cut = dataclasses.replace(transcript.utterances[0], truncated=True)
+    transcript.utterances = [cut, *transcript.utterances[1:]]
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    store.append(transcript)
+
+    record = json.loads(store.path.read_bytes())
+    assert record["utterances"][0]["truncated"] is True
+    assert "truncated" not in record["utterances"][1]
+    assert list(TranscriptStore(store.path).load()) == [transcript]
 
 
 def test_checkpoint_round_trip(tmp_path, roster):
