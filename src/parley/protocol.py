@@ -89,22 +89,21 @@ def terms_to_assignment(spec: ScenarioSpec, terms: Terms) -> Assignment | None:
     return Assignment(chosen=chosen)
 
 
-def format_offer(spec: ScenarioSpec, assignment: Assignment) -> str:
+def _terms(spec: ScenarioSpec, assignment: Assignment) -> str:
+    """The body of an ``[OFFER …]`` or ``[TERMS …]`` block."""
     if spec.kind == "distributive":
-        return f"[OFFER price={assignment.agreed_price:g}]"
-    parts = "; ".join(
+        return f"price={assignment.agreed_price:g}"
+    return "; ".join(
         f"{issue.key}={assignment.chosen[issue.issue_name]}" for issue in spec.issues
     )
-    return f"[OFFER {parts}]"
+
+
+def format_offer(spec: ScenarioSpec, assignment: Assignment) -> str:
+    return f"[OFFER {_terms(spec, assignment)}]"
 
 
 def format_close(spec: ScenarioSpec, assignment: Assignment) -> str:
-    if spec.kind == "distributive":
-        return f"{ACCEPT_MARKER} [TERMS price={assignment.agreed_price:g}]"
-    parts = "; ".join(
-        f"{issue.key}={assignment.chosen[issue.issue_name]}" for issue in spec.issues
-    )
-    return f"{ACCEPT_MARKER} [TERMS {parts}]"
+    return f"{ACCEPT_MARKER} [TERMS {_terms(spec, assignment)}]"
 
 
 def moderator_suffix(spec: ScenarioSpec) -> str:

@@ -2,9 +2,12 @@
 
 The schedule covers every ordered pair of agents (including self-play) once
 per exercise, so each agent occupies both role seats against every opponent.
-Execution runs under a bounded worker pool, flushes a checkpoint after every
-completed negotiation, and skips the pairings the transcript store already
-holds on resume.
+Execution runs under a bounded worker pool through a window of at most
+``WINDOW_PER_WORKER × concurrency_limit`` sessions, stores each finished
+session in schedule order, flushes a checkpoint after each, and skips the
+pairings the transcript store already holds on resume. So the store's bytes
+depend on neither the concurrency nor the timing of a run, and a resumed
+store equals an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -28,6 +34,9 @@ from .session import Transcript, Utterance, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
+
+# sessions in flight or finished but not yet stored, per worker
+WINDOW_PER_WORKER = 2
 
 # the Transcript fields without a default: a store line lacking one is no record
 RECORD_KEYS = frozenset(
@@ -118,10 +127,11 @@ class TranscriptStore:
     """Append-only, line-delimited transcript records, one negotiation per line.
 
     The store alone decides the line format (a transcript's fields as one
-    compact JSON object with sorted keys, an utterance's ``truncated`` left
-    out when false) and the read order (negotiation-id order). Lines written
-    with other separators, or with ``"truncated": false``, read the same, so
-    a store resumed from an older version may hold both forms.
+    compact UTF-8 JSON object with sorted keys, an utterance's ``truncated``
+    left out when false) and the read order (negotiation-id order). Lines
+    written with other separators, with ``\\uXXXX`` escapes, or with
+    ``"truncated": false``, read the same, so a store resumed from an older
+    version may hold several forms.
     One scan at open checks the provenance stamp and indexes every record by
     its negotiation_id; a line that is not a record, or repeats an id, is
     refused there. Appending an id that is already stored is a no-op, so no
@@ -190,12 +200,18 @@ class TranscriptStore:
         return frozenset(self._spans)
 
     def append(self, transcript: Transcript) -> bool:
-        line = (
-            json.dumps(
-                transcript, default=_record_fields, sort_keys=True, separators=(",", ":")
-            ).encode()
-            + b"\n"
+        dump = partial(
+            json.dumps,
+            transcript,
+            default=_record_fields,
+            sort_keys=True,
+            separators=(",", ":"),
         )
+        try:
+            line = dump(ensure_ascii=False).encode() + b"\n"
+        except UnicodeEncodeError:
+            # text with no UTF-8 form, such as a lone surrogate, is escaped
+            line = dump().encode() + b"\n"
         with self._lock:
             if transcript.negotiation_id in self._spans:
                 return False
@@ -276,24 +292,32 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str | Path, state: TournamentState) -> TournamentState:
-    """Restore the failed pairings; what is done comes from the store."""
+    """Restore the failed pairings; what is done comes from the store.
+
+    A checkpoint that does not decode, or whose ``failed`` entries lack a
+    key, raises SchemaError naming the file."""
     path = Path(path)
     if not path.exists():
         return state
-    payload = json.loads(path.read_text())
-    state.failed = [
-        (
-            Pairing(
-                exercise=f["exercise"],
-                first_role_agent=f["first_role_agent"],
-                second_role_agent=f["second_role_agent"],
-                seed=f["seed"],
-                first_mover_seat=f.get("first_mover_seat", 0),
-            ),
-            f["cause"],
-        )
-        for f in payload.get("failed", [])
-    ]
+    try:
+        payload = json.loads(path.read_text())
+        state.failed = [
+            (
+                Pairing(
+                    exercise=f["exercise"],
+                    first_role_agent=f["first_role_agent"],
+                    second_role_agent=f["second_role_agent"],
+                    seed=f["seed"],
+                    first_mover_seat=f.get("first_mover_seat", 0),
+                ),
+                f["cause"],
+            )
+            for f in payload.get("failed", [])
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"{path}: not a parley checkpoint: {type(exc).__name__}: {exc}"
+        ) from exc
     return state
 
 
@@ -321,12 +345,17 @@ def run_tournament(
 ) -> RunReport:
     """Execute every pending pairing at most ``concurrency_limit`` at a time.
 
-    The checkpoint is flushed after each completion; a rerun skips the
-    pairings the store holds, making the tournament idempotent under
-    kill-and-resume with scripted agents. A session that raises fails only
-    its pairing, and so does a backend abort (``SessionAbortError``) once the
-    client has given up; any other ``ParleyError`` cancels the queued
-    sessions and ends the run.
+    At most ``WINDOW_PER_WORKER × concurrency_limit`` sessions are in flight
+    or finished but not yet stored. Results are taken oldest first, so
+    transcripts are stored and failures recorded in schedule order, and the
+    next pairing is submitted as each is taken. The checkpoint is flushed
+    after each result; a rerun skips the pairings the store holds, making the
+    tournament idempotent under kill-and-resume with scripted agents. A
+    session that raises fails only its pairing, and so does a backend abort
+    (``SessionAbortError``) once the client has given up; any other
+    ``ParleyError`` surfaces when its session reaches the head of the window,
+    leaves the finished sessions behind it unstored, cancels the queued ones
+    and ends the run.
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -368,19 +397,21 @@ def run_tournament(
             return pairing, None, f"{type(exc).__name__}: {exc}"
         return pairing, transcript, ""
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency_limit)) as pool:
-        # as_completed drops each future once it is yielded, and no list of
-        # them is kept here, so a stored transcript is freed at once
-        done = as_completed([pool.submit(execute, pairing) for pairing in pending])
+    workers = max(1, concurrency_limit)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        submitted = (pool.submit(execute, pairing) for pairing in pending)
+        window = deque(islice(submitted, WINDOW_PER_WORKER * workers))
         try:
-            for future in done:
-                pairing, transcript, cause = future.result()
+            while window:
+                # the oldest session first, so the store follows the schedule
+                pairing, transcript, cause = window.popleft().result()
                 if transcript is None:
                     state.failed.append((pairing, cause))
                 else:
                     store.append(transcript)
                     executed += 1
                 write_checkpoint(checkpoint_path, state, store.ids)
+                window.extend(islice(submitted, 1))
         except BaseException:
             # a ParleyError or an interrupt ends the run: queued sessions
             # must not start

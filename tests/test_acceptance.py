@@ -241,9 +241,7 @@ def test_criterion_06_session_determinism_and_resume(tmp_path):
         read_checkpoint(tmp_path / "ckpt.json", resumed_state)
         run_tournament(resumed_state, scenarios, interrupted, tmp_path / "ckpt.json")
 
-        assert sorted(reference.path.read_text().strip().splitlines()) == sorted(
-            interrupted.path.read_text().strip().splitlines()
-        )
+        assert reference.path.read_bytes() == interrupted.path.read_bytes()
     report(6, "2-utterance scripted close at the current rung; kill-and-resume reproduces the run byte-for-byte")
 
 

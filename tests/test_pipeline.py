@@ -445,9 +445,7 @@ def test_torn_store_tail_is_cut_and_rerun(tmp_path):
     path = tmp_path / "torn" / "config.yaml"
     result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
     assert result.exit_code == 0, result.output
-    assert sorted(torn.read_text().splitlines()) == sorted(
-        stores["reference"].read_text().splitlines()
-    )
+    assert torn.read_bytes() == stores["reference"].read_bytes()
 
 
 def test_resume_on_an_older_format_store_appends_compact_lines(tmp_path):
@@ -497,6 +495,32 @@ def test_corrupt_store_line_exits_with_schema_error(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "transcripts.jsonl:3" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(lambda text: "[1]", id="not_an_object"),
+        pytest.param(
+            lambda text: json.dumps({"schema_version": 1, "failed": [{"exercise": "chair"}]}),
+            id="failed_entry_lacks_a_key",
+        ),
+    ],
+)
+def test_damaged_checkpoint_exits_with_schema_error(tmp_path, damage):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    checkpoint = tmp_path / "out" / "checkpoint.json"
+    checkpoint.write_text(damage(checkpoint.read_text()))
+
+    for args in (["run", "--stages", "run"], ["status"]):
+        result = runner.invoke(cli_main, [*args, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "checkpoint.json: not a parley checkpoint" in result.output
+        assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(
@@ -597,10 +621,7 @@ def test_one_six_stage_call_writes_what_six_single_stage_calls_write(tmp_path):
         files = {}
         for f in sorted(out.rglob("*")):
             if f.is_file() and f.name != "run_report.txt":
-                data = f.read_bytes()
-                if f.name == "transcripts.jsonl":  # line order follows completion
-                    data = b"".join(sorted(data.splitlines(keepends=True)))
-                files[str(f.relative_to(out))] = data
+                files[str(f.relative_to(out))] = f.read_bytes()
         return files
 
     stages = ["run", "score", "features", "style", "analyze", "report"]

@@ -108,10 +108,6 @@ def run_full(tmp_path, roster, exercises, concurrency=4, tag="a"):
     return state, store, report
 
 
-def sorted_lines(store):
-    return sorted(store.path.read_text().strip().splitlines())
-
-
 def test_kill_and_resume_reproduces_uninterrupted_run(tmp_path, roster):
     exercises = ["chair"]
     scenarios = {e: load_builtin(e) for e in exercises}
@@ -131,13 +127,13 @@ def test_kill_and_resume_reproduces_uninterrupted_run(tmp_path, roster):
     read_checkpoint(tmp_path / "ckpt_crash.json", resumed)
     report = run_tournament(resumed, scenarios, store, tmp_path / "ckpt_crash.json")
     assert report.skipped == 10
-    assert sorted_lines(store) == sorted_lines(reference_store)
+    assert store.path.read_bytes() == reference_store.path.read_bytes()
 
 
 def test_concurrency_does_not_change_outcomes(tmp_path, roster):
     _, serial, _ = run_full(tmp_path, roster, ["chair"], concurrency=1, tag="c1")
     _, parallel, _ = run_full(tmp_path, roster, ["chair"], concurrency=16, tag="c16")
-    assert sorted_lines(serial) == sorted_lines(parallel)
+    assert serial.path.read_bytes() == parallel.path.read_bytes()
 
 
 def test_failing_backend_is_isolated(tmp_path):
@@ -250,6 +246,33 @@ def test_stored_transcripts_are_released_during_the_run(tmp_path, roster):
     assert max(alive_at_append) == 0
 
 
+def test_finished_sessions_wait_in_a_bounded_window(tmp_path, roster, monkeypatch):
+    finished = []
+    unstored_at_append = []
+    run_session = parley.tournament.run_session
+
+    def counted(*args, **kwargs):
+        transcript = run_session(*args, **kwargs)
+        finished.append(transcript.negotiation_id)
+        return transcript
+
+    class SlowStore(TranscriptStore):
+        def append(self, transcript):
+            time.sleep(0.005)
+            unstored_at_append.append(len(finished) - len(self))
+            return super().append(transcript)
+
+    monkeypatch.setattr(parley.tournament, "run_session", counted)
+    concurrency = 2
+    scenarios = {"chair": load_builtin("chair")}
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = SlowStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    run_tournament(state, scenarios, store, tmp_path / "ckpt.json", concurrency_limit=concurrency)
+    assert len(unstored_at_append) == 25
+    assert max(unstored_at_append) <= 2 * concurrency
+
+
 def test_checkpoint_unwritable_aborts_before_running(tmp_path, roster):
     scenarios = {"chair": load_builtin("chair")}
     schedule = build_schedule(roster[:2], ["chair"], base_seed=7)
@@ -324,6 +347,32 @@ def test_store_line_bytes_are_fixed(tmp_path, roster, chair):
     assert list(TranscriptStore(store.path).load()) == [transcript]
 
 
+NON_ASCII = "It’s fair — I’d say €120."
+
+
+@pytest.mark.parametrize(
+    "text, stored",
+    [
+        # as a JSON string, 35 bytes in UTF-8 against 47 with \uXXXX escapes
+        pytest.param(NON_ASCII, NON_ASCII.encode(), id="utf8"),
+        # a lone surrogate has no UTF-8 form, so its line is escaped throughout
+        pytest.param("€\ud800", b"\\u20ac\\ud800", id="lone_surrogate_escaped"),
+    ],
+)
+def test_store_line_text_is_utf8_where_it_can_be(tmp_path, roster, chair, text, stored):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcript = run_session(chair, {"seller": "wall", "buyer": "acceptor"}, agents, seed=1)
+    first = dataclasses.replace(transcript.utterances[0], text=text)
+    transcript.utterances = [first, *transcript.utterances[1:]]
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    store.append(transcript)
+    golden_text = b"My position has not changed. [OFFER price=200]"
+    assert store.path.read_bytes() == GOLDEN_LINE.replace(golden_text, stored)
+    assert list(TranscriptStore(store.path).load()) == [transcript]
+
+
 def older_store_line(transcript) -> str:
     """A record as stores written before the compact format hold it: the
     default separators and every utterance's "truncated" key."""
@@ -346,6 +395,30 @@ def test_store_in_the_older_line_format_loads_the_same(tmp_path, roster, chair):
     assert '"truncated": false' in older.read_text()
     assert "truncated" not in compact.path.read_text()
     assert list(TranscriptStore(older).load()) == list(compact.load())
+
+
+def test_escaped_and_utf8_lines_in_one_store_read_the_same(tmp_path, roster, chair):
+    from parley.session import run_session
+
+    agents = {a.agent_id: a for a in roster}
+    transcripts = []
+    for seller in ("wall", "ladder", "echo", "acceptor"):
+        transcript = run_session(chair, {"seller": seller, "buyer": "echo"}, agents, seed=3)
+        first = dataclasses.replace(transcript.utterances[0], text=NON_ASCII)
+        transcript.utterances = [first, *transcript.utterances[1:]]
+        transcripts.append(transcript)
+    utf8 = TranscriptStore(tmp_path / "utf8.jsonl")
+    for transcript in transcripts:
+        utf8.append(transcript)
+    # a store an older version began, with escaped lines, resumed by this one
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(older_store_line(t) for t in transcripts[:2]))
+    resumed = TranscriptStore(mixed)
+    for transcript in transcripts:
+        resumed.append(transcript)
+    data = mixed.read_bytes()
+    assert b"\\u2019" in data and NON_ASCII.encode() in data
+    assert list(TranscriptStore(mixed).load()) == list(utf8.load())
 
 
 def test_truncated_utterance_keeps_its_key(tmp_path, roster, chair):
