@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import string
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -75,14 +76,21 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     path = Path(path)
     phrases: list[str] = []
     polarity: dict[str, float] = {}
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read lexicon ({exc.strerror})") from exc
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "\t" in line:
             phrase, raw_score = line.split("\t", 1)
             phrase = phrase.strip().lower()
-            score = float(raw_score)
+            try:
+                score = float(raw_score)
+            except ValueError:
+                raise SchemaError(f"{path}: polarity for {phrase!r} is not a number") from None
             if not -1.0 <= score <= 1.0:
                 raise SchemaError(f"{path}: polarity for {phrase!r} outside [-1, 1]")
             polarity[phrase] = score
@@ -97,17 +105,19 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
 
 
 def load_default_lexicons(directory: str | Path | None = None) -> dict[str, Lexicon]:
-    if directory is not None:
-        return {
-            name: load_lexicon(Path(directory) / f"{name}.txt")
-            for name in DEFAULT_LEXICONS
-        }
+    """The five lexicons, from ``directory`` or the built-in set; a
+    ``sentiment`` lexicon without polarity scores is refused here, before
+    any transcript is scored against it."""
+    base = resources.files("parley.data.lexicons") if directory is None else Path(directory)
     lexicons = {}
-    base = resources.files("parley.data.lexicons")
     for name in DEFAULT_LEXICONS:
-        ref = base / f"{name}.txt"
-        with resources.as_file(ref) as path:
-            lexicons[name] = load_lexicon(path, name=name)
+        with resources.as_file(base / f"{name}.txt") as path:
+            lexicons[name] = lexicon = load_lexicon(path, name=name)
+            if name == "sentiment" and lexicon.polarity is None:
+                raise SchemaError(
+                    f"{path}: the sentiment lexicon carries no polarity scores "
+                    "(give each phrase a tab-separated score in [-1, 1])"
+                )
     return lexicons
 
 
@@ -129,19 +139,15 @@ def build_tfidf(utterance_texts: list[str]) -> TfidfResult:
         raise SchemaError("conversation has no utterances")
     docs = [tokenize(text) for text in utterance_texts]
     n_docs = len(docs)
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for doc in docs:
-        for term in set(doc):
-            df[term] = df.get(term, 0) + 1
+        df.update(set(doc))
     idf = {
         term: math.log((1 + n_docs) / (1 + count)) + 1.0 for term, count in df.items()
     }
-    vectors = []
-    for doc in docs:
-        tf: dict[str, int] = {}
-        for term in doc:
-            tf[term] = tf.get(term, 0) + 1
-        vectors.append({term: count * idf[term] for term, count in tf.items()})
+    vectors = [
+        {term: count * idf[term] for term, count in Counter(doc).items()} for doc in docs
+    ]
     return TfidfResult(
         vectors=vectors,
         norms=[_norm(vector) for vector in vectors],

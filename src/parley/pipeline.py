@@ -36,6 +36,7 @@ from .features import (
 from .scoring import (
     OUTCOME_TABLE_COLUMNS,
     AgentSummary,
+    Outcome,
     aggregate_outcomes,
     extract_agreement,
     outcome_rows,
@@ -56,6 +57,8 @@ from .tournament import (
 )
 
 STAGES = ("run", "score", "features", "style", "analyze", "report")
+# the stages that read the transcript store, all in one pass per call
+READING_STAGES = ("score", "features", "report")
 
 # regression outcomes per scenario kind: (column, family)
 ANALYSIS_MODELS = {
@@ -176,6 +179,10 @@ class Pipeline:
         self._roster: list[AgentSpec] | None = None
         self._scenarios: dict[str, ScenarioSpec] | None = None
         self._store: TranscriptStore | None = None
+        # the reading stages the current run_stages call requested, and what
+        # the store pass gathered for those that have not yet taken it
+        self._reading: tuple[str, ...] = ()
+        self._gathered: dict[str, list] = {}
 
     # shared inputs ---------------------------------------------------------
 
@@ -222,21 +229,41 @@ class Pipeline:
             self._store = TranscriptStore(self.transcripts_path, self.config.config_hash)
         return self._store
 
-    def _load_transcripts(self):
-        """The stored transcripts, one at a time in negotiation-id order."""
+    def _outcome(self, transcript) -> Outcome:
+        """The transcript's outcome, scored from its marker-extracted terms."""
+        scenario = self.scenarios[transcript.scenario_id]
+        terms = extract_agreement(transcript, scenario, extractor="marker")
+        return score_outcome(transcript, scenario, terms)
+
+    def _read_store(self, stages: tuple[str, ...]) -> dict[str, list]:
+        """One pass over the stored transcripts in negotiation-id order. Each
+        decoded transcript goes to the per-transcript step of every reading
+        stage in ``stages``, which gathers score's outcome rows, features'
+        feature rows or report's outcomes."""
         if self._store is None and not self.transcripts_path.exists():
             raise PrerequisiteError(
                 "no transcript store found; run the 'run' stage first"
             )
-        return self._open_store().load()
+        # a bad lexicon fails the call before a transcript is read
+        lexicons = self._lexicons() if "features" in stages else None
+        steps = {
+            "score": lambda t: outcome_rows(self._outcome(t), t),
+            "features": lambda t: feature_rows(t, lexicons),
+            "report": lambda t: (self._outcome(t),),
+        }
+        gathered = {stage: [] for stage in stages}
+        for transcript in self._open_store().load():
+            for stage, rows in gathered.items():
+                rows.extend(steps[stage](transcript))
+        return gathered
 
-    def _scored(self):
-        """Yield each stored transcript with its outcome, scored from the
-        marker-extracted terms, in negotiation-id order."""
-        for transcript in self._load_transcripts():
-            scenario = self.scenarios[transcript.scenario_id]
-            terms = extract_agreement(transcript, scenario, extractor="marker")
-            yield transcript, score_outcome(transcript, scenario, terms)
+    def _take_gathered(self, stage: str) -> list:
+        """What the store pass gathered for ``stage``. The first reading stage
+        of a run_stages call runs the pass for every reading stage the call
+        requested; a stage method called on its own runs it for itself."""
+        if stage not in self._gathered:
+            self._gathered = self._read_store(self._reading or (stage,))
+        return self._gathered.pop(stage)
 
     # stages ----------------------------------------------------------------
 
@@ -247,14 +274,16 @@ class Pipeline:
                 f"unknown stage(s): {', '.join(unknown)}; valid: {', '.join(STAGES)}"
             )
         results = {}
-        # each call reads the store file as it is when the call starts
-        self._store = None
+        # each call reads the store file as it is when the call starts, and
+        # reads it once for all of its reading stages
+        self._store, self._gathered = None, {}
+        self._reading = tuple(s for s in READING_STAGES if s in stages)
         try:
             for stage in STAGES:
                 if stage in stages:
                     results[stage] = getattr(self, f"stage_{stage}")()
         finally:
-            self._store = None
+            self._store, self._gathered, self._reading = None, {}, ()
         return results
 
     def stage_run(self):
@@ -287,22 +316,14 @@ class Pipeline:
         return report
 
     def stage_score(self):
-        rows = [
-            row
-            for transcript, outcome in self._scored()
-            for row in outcome_rows(outcome, transcript)
-        ]
+        rows = self._take_gathered("score")
         write_table(
             self.outcomes_path, OUTCOME_TABLE_COLUMNS, rows, self.config.config_hash
         )
         return rows
 
     def stage_features(self):
-        transcripts = self._load_transcripts()
-        lexicons = self._lexicons()
-        rows = []
-        for transcript in transcripts:
-            rows.extend(feature_rows(transcript, lexicons))
+        rows = self._take_gathered("features")
         write_table(
             self.features_path, FEATURE_TABLE_COLUMNS, rows, self.config.config_hash
         )
@@ -423,7 +444,7 @@ class Pipeline:
         return results
 
     def stage_report(self):
-        outcomes = [outcome for _, outcome in self._scored()]
+        outcomes = self._take_gathered("report")
         summaries = aggregate_outcomes(outcomes)
         # summary.csv names the scenario "exercise", like every other table
         summary_rows = []

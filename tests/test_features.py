@@ -15,6 +15,7 @@ from parley.features import (
     extract_features,
     feature_rows,
     load_default_lexicons,
+    load_lexicon,
     score_mimicry,
     score_positivity,
     tokenize,
@@ -365,6 +366,36 @@ def test_default_lexicons_load():
     }
     assert lexicons["sentiment"].polarity["great"] == pytest.approx(0.8)
     assert lexicons["sentiment"].polarity["terrible"] == pytest.approx(-0.8)
+
+
+def test_lexicon_directory_needs_sentiment_polarity(tmp_path):
+    for name in ("hedges", "apologies", "gratitude", "first_person_plural"):
+        (tmp_path / f"{name}.txt").write_text("fair enough\n")
+    sentiment = tmp_path / "sentiment.txt"
+    sentiment.write_text("great\t0.5\nbad\t-0.5\n")
+    lexicons = load_default_lexicons(tmp_path)
+    assert lexicons["hedges"].phrases == ("fair enough",)
+    assert lexicons["sentiment"].polarity == {"great": 0.5, "bad": -0.5}
+
+    sentiment.write_text("great\nbad\n")
+    with pytest.raises(SchemaError, match="sentiment.txt: the sentiment lexicon carries no polarity"):
+        load_default_lexicons(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda path: path.write_text("great\tvery\n"), "polarity for 'great' is not a number"),
+        (lambda path: path.unlink(), "cannot read lexicon"),
+    ],
+    ids=["polarity_not_a_number", "missing_file"],
+)
+def test_unreadable_lexicon_file_is_a_schema_error(tmp_path, damage, message):
+    path = tmp_path / "sentiment.txt"
+    path.write_text("great\t0.5\n")
+    damage(path)
+    with pytest.raises(SchemaError, match=f"sentiment.txt: {message}"):
+        load_lexicon(path)
 
 
 def test_cosine_zero_vector_is_zero():

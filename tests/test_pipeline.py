@@ -603,6 +603,89 @@ def test_reading_stages_share_one_scan_of_an_existing_store(tmp_path, store_scan
     assert store_scans == [pipeline.transcripts_path]
 
 
+@pytest.fixture
+def store_loads(monkeypatch):
+    from parley.tournament import TranscriptStore
+
+    loads = []
+    load = TranscriptStore.load
+
+    def counting_load(self):
+        loads.append(self.path)
+        return load(self)
+
+    monkeypatch.setattr(TranscriptStore, "load", counting_load)
+    return loads
+
+
+def test_reading_stages_share_one_pass_over_the_store(tmp_path, store_loads):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    Pipeline(load_config(path)).run_stages(["run"])
+    pipeline = Pipeline(load_config(path))
+    pipeline.run_stages(["score", "features", "report"])
+    assert store_loads == [pipeline.transcripts_path]
+    for table in (pipeline.outcomes_path, pipeline.features_path):
+        assert len(read_table(table)[1]) == 18
+    assert (pipeline.config.output_dir / "summary.csv").exists()
+
+
+def test_six_stage_call_reads_the_store_once(tmp_path, store_loads):
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
+    pipeline.run_stages(["run", "score", "features", "style", "analyze", "report"])
+    assert store_loads == [pipeline.transcripts_path]
+
+
+def test_error_in_the_store_pass_fails_before_any_reading_stage_writes(
+    tmp_path, monkeypatch
+):
+    # at the second transcript, after score's step has taken the first
+    import parley.pipeline
+
+    seen = []
+    feature_rows = parley.pipeline.feature_rows
+
+    def failing_feature_rows(transcript, lexicons):
+        seen.append(transcript.negotiation_id)
+        if len(seen) == 2:
+            raise SchemaError(f"damaged: {transcript.negotiation_id}")
+        return feature_rows(transcript, lexicons)
+
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2])
+    Pipeline(load_config(path)).run_stages(["run"])
+    monkeypatch.setattr(parley.pipeline, "feature_rows", failing_feature_rows)
+    pipeline = Pipeline(load_config(path))
+    with pytest.raises(SchemaError, match="damaged"):
+        pipeline.run_stages(["score", "features", "report"])
+    assert not pipeline.outcomes_path.exists()
+    assert not pipeline.features_path.exists()
+    assert not (pipeline.config.output_dir / "summary.csv").exists()
+
+
+def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
+    tmp_path, store_loads
+):
+    from parley.features import DEFAULT_LEXICONS
+
+    lexicons = tmp_path / "lexicons"
+    lexicons.mkdir()
+    for name in DEFAULT_LEXICONS:
+        (lexicons / f"{name}.txt").write_text("great\nfair enough\n")
+    path = write_workspace(
+        tmp_path, agents=ROSTER["agents"][:2], extra={"lexicons": "lexicons"}
+    )
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score,features"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert str(lexicons / "sentiment.txt") in result.output
+    assert "Traceback" not in result.output
+    assert store_loads == []
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
 def test_each_run_stages_call_reads_the_store_as_it_is_then(tmp_path):
     pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
     pipeline.run_stages(["run"])
