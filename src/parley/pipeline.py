@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
@@ -57,7 +58,8 @@ from .tournament import (
 )
 
 STAGES = ("run", "score", "features", "style", "analyze", "report")
-# the stages that read the transcript store, all in one pass per call
+# the stages that read transcripts: those the call's run stage stores as it
+# stores them, the rest in one pass over the store per call
 READING_STAGES = ("score", "features", "report")
 
 # regression outcomes per scenario kind: (column, family)
@@ -119,33 +121,46 @@ def load_config(path: str | Path) -> RunConfig:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
+    def typed(value, key: str, kinds, noun: str):
+        # bool is an int to Python, never to a config
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise SchemaError(f"{path}: {key} must be {noun}, got {value!r}")
+        return value
+
+    def integer(value, key: str) -> int:
+        return typed(value, key, int, "an integer")
+
     output_dir = resolve(raw["output_dir"])
-    style = raw.get("style", {})
-    backend = dict(raw.get("backend", {}))
-    temperature = float(backend.get("temperature", 0.20))
+    style = typed(raw.get("style", {}), "style", dict, "a mapping")
+    backend = dict(typed(raw.get("backend", {}), "backend", dict, "a mapping"))
+    temperature = float(
+        typed(backend.get("temperature", 0.20), "backend.temperature", (int, float), "a number")
+    )
     if not 0.0 <= temperature <= 2.0:
-        raise SchemaError(f"{path}: temperature must lie in [0, 2]")
+        raise SchemaError(f"{path}: backend.temperature must lie in [0, 2]")
     backend["temperature"] = temperature
 
     config = RunConfig(
         roster_path=resolve(raw["roster"]),
-        scenario_set=list(raw["scenarios"]),
+        scenario_set=list(typed(raw["scenarios"], "scenarios", list, "a list")),
         output_dir=output_dir,
         checkpoint_path=(
             resolve(raw["checkpoint"])
             if "checkpoint" in raw
             else output_dir / "checkpoint.json"
         ),
-        base_seed=int(raw.get("base_seed", 7)),
-        concurrency_limit=int(raw.get("concurrency_limit", 4)),
+        base_seed=integer(raw.get("base_seed", 7), "base_seed"),
+        concurrency_limit=integer(raw.get("concurrency_limit", 4), "concurrency_limit"),
         backend_defaults=backend,
         style_mode=style.get("mode", "synthetic"),
-        style_seed=int(style.get("seed", 11)),
-        style_rater=dict(style.get("rater", {})),
+        style_seed=integer(style.get("seed", 11), "style.seed"),
+        style_rater=dict(typed(style.get("rater", {}), "style.rater", dict, "a mapping")),
         standardize=bool(raw.get("standardize", True)),
         small_sample=bool(raw.get("small_sample", False)),
-        analysis_terms=list(raw.get("analysis_terms", ["main"])),
-        heatmap_bins=int(raw.get("heatmap_bins", 10)),
+        analysis_terms=list(
+            typed(raw.get("analysis_terms", ["main"]), "analysis_terms", list, "a list")
+        ),
+        heatmap_bins=integer(raw.get("heatmap_bins", 10), "heatmap_bins"),
         ranking_metric=raw.get("ranking_metric", "value_claimed"),
         svi_items_path=resolve(raw["svi_items"]) if "svi_items" in raw else None,
         lexicon_dir=resolve(raw["lexicons"]) if "lexicons" in raw else None,
@@ -155,6 +170,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise SchemaError(f"roster file not found: {config.roster_path}")
     if config.style_mode not in ("synthetic", "model"):
         raise SchemaError(f"unknown style mode {config.style_mode!r}")
+    if config.heatmap_bins < 1:
+        raise SchemaError(f"{path}: heatmap_bins must be at least 1, got {config.heatmap_bins}")
     if config.ranking_metric not in RANKING_METRICS:
         raise SchemaError(f"unknown ranking metric {config.ranking_metric!r}")
     for terms in config.analysis_terms:
@@ -179,10 +196,12 @@ class Pipeline:
         self._roster: list[AgentSpec] | None = None
         self._scenarios: dict[str, ScenarioSpec] | None = None
         self._store: TranscriptStore | None = None
-        # the reading stages the current run_stages call requested, and what
-        # the store pass gathered for those that have not yet taken it
-        self._reading: tuple[str, ...] = ()
-        self._gathered: dict[str, list] = {}
+        # for the reading stages of the current run_stages call: the steps
+        # still to feed, each stage's gathered rows keyed by negotiation id,
+        # and the first error a step raised during the run stage
+        self._steps: dict[str, Callable] = {}
+        self._gathered: dict[str, dict[str, list]] = {}
+        self._step_error: Exception | None = None
 
     # shared inputs ---------------------------------------------------------
 
@@ -235,35 +254,62 @@ class Pipeline:
         terms = extract_agreement(transcript, scenario, extractor="marker")
         return score_outcome(transcript, scenario, terms)
 
-    def _read_store(self, stages: tuple[str, ...]) -> dict[str, list]:
-        """One pass over the stored transcripts in negotiation-id order. Each
-        decoded transcript goes to the per-transcript step of every reading
-        stage in ``stages``, which gathers score's outcome rows, features'
-        feature rows or report's outcomes."""
-        if self._store is None and not self.transcripts_path.exists():
-            raise PrerequisiteError(
-                "no transcript store found; run the 'run' stage first"
-            )
-        # a bad lexicon fails the call before a transcript is read
+    def _start_reading(self, stages: tuple[str, ...]) -> None:
+        """Set up the per-transcript step of every reading stage in
+        ``stages``: score's outcome rows, features' feature rows or report's
+        outcomes. A bad lexicon fails here, before the run stage plays a
+        negotiation or the store pass reads a transcript."""
         lexicons = self._lexicons() if "features" in stages else None
         steps = {
             "score": lambda t: outcome_rows(self._outcome(t), t),
             "features": lambda t: feature_rows(t, lexicons),
             "report": lambda t: (self._outcome(t),),
         }
-        gathered = {stage: [] for stage in stages}
-        for transcript in self._open_store().load():
-            for stage, rows in gathered.items():
-                rows.extend(steps[stage](transcript))
-        return gathered
+        self._steps = {stage: steps[stage] for stage in stages}
+        self._gathered = {stage: {} for stage in stages}
+        self._step_error = None
+
+    def _gather(self, transcript) -> None:
+        for stage, step in self._steps.items():
+            self._gathered[stage][transcript.negotiation_id] = step(transcript)
+
+    def _hand_over(self, transcript) -> None:
+        """Feed a transcript the run stage has just stored to every step. A
+        step that raises does not end the run; the first error is kept for
+        the first reading stage to raise."""
+        if self._step_error is None:
+            try:
+                self._gather(transcript)
+            except Exception as exc:
+                self._step_error = exc
+
+    def _read_store(self) -> None:
+        """One pass, in negotiation-id order, over the stored transcripts that
+        the run stage did not hand over (on a fresh call, none), feeding each
+        to every step."""
+        if self._store is None and not self.transcripts_path.exists():
+            raise PrerequisiteError(
+                "no transcript store found; run the 'run' stage first"
+            )
+        handed_over = set().union(*self._gathered.values())
+        for transcript in self._open_store().load(skip=handed_over):
+            self._gather(transcript)
 
     def _take_gathered(self, stage: str) -> list:
-        """What the store pass gathered for ``stage``. The first reading stage
-        of a run_stages call runs the pass for every reading stage the call
-        requested; a stage method called on its own runs it for itself."""
+        """What the steps gathered for ``stage``, in negotiation-id order. The
+        first reading stage of a run_stages call raises a step error kept
+        from the run stage, or else runs the store pass for every reading
+        stage the call requested; a stage method called on its own sets up
+        and runs its own step."""
         if stage not in self._gathered:
-            self._gathered = self._read_store(self._reading or (stage,))
-        return self._gathered.pop(stage)
+            self._start_reading((stage,))
+        if self._step_error is not None:
+            raise self._step_error
+        if self._steps:
+            self._read_store()
+            self._steps = {}
+        rows = self._gathered.pop(stage)
+        return [row for neg_id in sorted(rows) for row in rows[neg_id]]
 
     # stages ----------------------------------------------------------------
 
@@ -274,16 +320,19 @@ class Pipeline:
                 f"unknown stage(s): {', '.join(unknown)}; valid: {', '.join(STAGES)}"
             )
         results = {}
-        # each call reads the store file as it is when the call starts, and
-        # reads it once for all of its reading stages
-        self._store, self._gathered = None, {}
-        self._reading = tuple(s for s in READING_STAGES if s in stages)
+        # each call reads the store file as it is when the call starts; its
+        # reading stages take each transcript the run stage stores as it is
+        # stored, and read the rest in one pass
+        self._store = None
+        reading = tuple(s for s in READING_STAGES if s in stages)
         try:
+            if reading:
+                self._start_reading(reading)
             for stage in STAGES:
                 if stage in stages:
                     results[stage] = getattr(self, f"stage_{stage}")()
         finally:
-            self._store, self._gathered, self._reading = None, {}, ()
+            self._store, self._steps, self._gathered, self._step_error = None, {}, {}, None
         return results
 
     def stage_run(self):
@@ -296,6 +345,7 @@ class Pipeline:
             concurrency_limit=self.config.concurrency_limit,
             client=self.client,
             svi_items=self._svi_items(),
+            on_stored=self._hand_over if self._steps else None,
         )
         lines = [
             f"config={self.config.config_hash}",

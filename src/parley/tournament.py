@@ -18,9 +18,9 @@ import os
 import threading
 import time
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -224,16 +224,18 @@ class TranscriptStore:
             self._spans[transcript.negotiation_id] = (offset, len(line))
             return True
 
-    def load(self) -> Iterator[Transcript]:
-        """The stored transcripts in negotiation-id order, decoded one at a
-        time from their byte spans, so a reader holds one transcript.
+    def load(self, skip: Container[str] = ()) -> Iterator[Transcript]:
+        """The stored transcripts whose id is not in ``skip``, in
+        negotiation-id order, decoded one at a time from their byte spans, so
+        a reader holds one transcript.
 
         The scan checks only a record's top-level keys; a record whose nested
         parts do not decode raises SchemaError here, naming its id."""
-        if not self._spans:
+        ids = sorted(neg_id for neg_id in self._spans if neg_id not in skip)
+        if not ids:
             return
         with open(self.path, "rb", buffering=0) as fh:
-            for neg_id in sorted(self._spans):
+            for neg_id in ids:
                 offset, length = self._spans[neg_id]
                 fh.seek(offset)
                 try:
@@ -244,6 +246,18 @@ class TranscriptStore:
                         f"record: {type(exc).__name__}: {exc}"
                     ) from exc
                 yield transcript
+
+
+def as_loaded(transcript: Transcript) -> Transcript:
+    """The transcript as ``TranscriptStore.load()`` yields it back: the store
+    writes keys sorted, so ``role_map``, ``svi`` and each ``facets`` come back
+    in sorted-key order. Readers that walk those dicts (a seat's rows follow
+    ``role_map``) see the same order either way."""
+    svi = {
+        role: None if resp is None else replace(resp, facets=dict(sorted(resp.facets.items())))
+        for role, resp in sorted(transcript.svi.items())
+    }
+    return replace(transcript, role_map=dict(sorted(transcript.role_map.items())), svi=svi)
 
 
 def _record_fields(part) -> dict:
@@ -342,6 +356,7 @@ def run_tournament(
     concurrency_limit: int = 4,
     client: ChatModelClient | None = None,
     svi_items: list[dict] | None = None,
+    on_stored: Callable[[Transcript], None] | None = None,
 ) -> RunReport:
     """Execute every pending pairing at most ``concurrency_limit`` at a time.
 
@@ -356,6 +371,10 @@ def run_tournament(
     ``ParleyError`` surfaces when its session reaches the head of the window,
     leaves the finished sessions behind it unstored, cancels the queued ones
     and ends the run.
+
+    ``on_stored``, when given, is called on this thread with each transcript
+    the store has just taken, in the form ``store.load()`` would yield it
+    (``as_loaded``).
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -408,7 +427,8 @@ def run_tournament(
                 if transcript is None:
                     state.failed.append((pairing, cause))
                 else:
-                    store.append(transcript)
+                    if store.append(transcript) and on_stored is not None:
+                        on_stored(as_loaded(transcript))
                     executed += 1
                 write_checkpoint(checkpoint_path, state, store.ids)
                 window.extend(islice(submitted, 1))

@@ -84,6 +84,35 @@ def test_default_temperature_is_020(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"base_seed": "seven"}, "base_seed"),
+        ({"base_seed": 7.5}, "base_seed"),
+        ({"base_seed": True}, "base_seed"),
+        ({"concurrency_limit": "4"}, "concurrency_limit"),
+        ({"heatmap_bins": [10]}, "heatmap_bins"),
+        ({"heatmap_bins": 0}, "heatmap_bins"),
+        ({"style": {"mode": "synthetic", "seed": "eleven"}}, "style.seed"),
+        ({"style": "synthetic"}, "style"),
+        ({"style": {"mode": "model", "rater": "gpt"}}, "style.rater"),
+        ({"backend": ["chat_model"]}, "backend"),
+        ({"backend": {"temperature": "warm"}}, "backend.temperature"),
+        ({"scenarios": "chair"}, "scenarios"),
+        ({"analysis_terms": "main"}, "analysis_terms"),
+    ],
+)
+def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
+    path = write_workspace(tmp_path, extra=extra)
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{path}: {key} must be" in result.output
+    assert "Traceback" not in result.output
+    # refused at load, before any stage
+    assert not (tmp_path / "out").exists()
+
+
 def test_relative_config_path_resolves_checkpoint_once(tmp_path, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -610,12 +639,28 @@ def store_loads(monkeypatch):
     loads = []
     load = TranscriptStore.load
 
-    def counting_load(self):
+    def counting_load(self, *args, **kwargs):
         loads.append(self.path)
-        return load(self)
+        return load(self, *args, **kwargs)
 
     monkeypatch.setattr(TranscriptStore, "load", counting_load)
     return loads
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The ids of the stored records decoded, in decoding order."""
+    from parley.session import Transcript
+
+    ids = []
+    from_record = Transcript.from_record
+
+    def counting_from_record(record):
+        ids.append(record["negotiation_id"])
+        return from_record(record)
+
+    monkeypatch.setattr(Transcript, "from_record", staticmethod(counting_from_record))
+    return ids
 
 
 def test_reading_stages_share_one_pass_over_the_store(tmp_path, store_loads):
@@ -629,10 +674,80 @@ def test_reading_stages_share_one_pass_over_the_store(tmp_path, store_loads):
     assert (pipeline.config.output_dir / "summary.csv").exists()
 
 
-def test_six_stage_call_reads_the_store_once(tmp_path, store_loads):
+SIX_STAGES = ["run", "score", "features", "style", "analyze", "report"]
+
+
+def data_artifacts(out):
+    """Every file under ``out`` but the run report, which carries wall clock."""
+    return {
+        str(f.relative_to(out)): f.read_bytes()
+        for f in sorted(out.rglob("*"))
+        if f.is_file() and f.name != "run_report.txt"
+    }
+
+
+def test_six_stage_call_reads_the_store_once(tmp_path, store_loads, decoded):
     pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
-    pipeline.run_stages(["run", "score", "features", "style", "analyze", "report"])
+    pipeline.run_stages(SIX_STAGES)
     assert store_loads == [pipeline.transcripts_path]
+    # the run stage handed every transcript it stored to the reading stages
+    assert decoded == []
+
+
+@pytest.mark.parametrize("concurrency_limit", [1, 4])
+def test_six_stage_call_on_a_resumed_store_decodes_only_the_records_stored_before_it(
+    tmp_path, decoded, concurrency_limit
+):
+    pipelines = {}
+    for tag in ("whole", "resumed"):
+        (tmp_path / tag).mkdir()
+        path = write_workspace(tmp_path / tag, extra={"concurrency_limit": concurrency_limit})
+        pipelines[tag] = Pipeline(load_config(path))
+    pipelines["whole"].run_stages(SIX_STAGES)
+
+    # the store of a run killed after 10 negotiations, while storing the 11th
+    resumed = pipelines["resumed"]
+    resumed.run_stages(["run"])
+    stamp, *records = resumed.transcripts_path.read_bytes().splitlines(keepends=True)
+    resumed.transcripts_path.write_bytes(stamp + b"".join(records[:10]) + records[10][:40])
+    assert decoded == []
+
+    resumed.run_stages(SIX_STAGES)
+    assert decoded == sorted(json.loads(line)["negotiation_id"] for line in records[:10])
+    assert data_artifacts(resumed.config.output_dir) == data_artifacts(
+        pipelines["whole"].config.output_dir
+    )
+
+
+def test_step_error_in_the_run_stage_surfaces_before_any_reading_stage_writes(
+    tmp_path, monkeypatch
+):
+    import parley.pipeline
+
+    seen = []
+    feature_rows = parley.pipeline.feature_rows
+    error = SchemaError("damaged transcript")
+
+    def failing_feature_rows(transcript, lexicons):
+        seen.append(transcript.negotiation_id)
+        if len(seen) == 2:
+            raise error
+        return feature_rows(transcript, lexicons)
+
+    monkeypatch.setattr(parley.pipeline, "feature_rows", failing_feature_rows)
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
+    with pytest.raises(SchemaError) as raised:
+        pipeline.run_stages(["run", "score", "features", "report"])
+    assert raised.value is error
+    # the run went on and stored every scheduled negotiation; no step ran
+    # after the error
+    state, store = pipeline.tournament()
+    assert store.ids == {p.negotiation_id(pipeline.scenarios[p.exercise]) for p in state.schedule}
+    assert len(store) == 9 and len(seen) == 2
+    assert pipeline.report_path.exists()
+    assert not pipeline.outcomes_path.exists()
+    assert not pipeline.features_path.exists()
+    assert not (pipeline.config.output_dir / "summary.csv").exists()
 
 
 def test_error_in_the_store_pass_fails_before_any_reading_stage_writes(
@@ -661,9 +776,9 @@ def test_error_in_the_store_pass_fails_before_any_reading_stage_writes(
     assert not (pipeline.config.output_dir / "summary.csv").exists()
 
 
-def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
-    tmp_path, store_loads
-):
+def workspace_with_unscored_sentiment(tmp_path):
+    """A 2-agent workspace whose lexicon directory has a sentiment.txt
+    without polarity scores; returns the config path and that file."""
     from parley.features import DEFAULT_LEXICONS
 
     lexicons = tmp_path / "lexicons"
@@ -673,13 +788,32 @@ def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
     path = write_workspace(
         tmp_path, agents=ROSTER["agents"][:2], extra={"lexicons": "lexicons"}
     )
+    return path, lexicons / "sentiment.txt"
+
+
+def test_sentiment_lexicon_without_polarity_exits_before_the_run_stage(tmp_path):
+    path, sentiment = workspace_with_unscored_sentiment(tmp_path)
+    result = CliRunner().invoke(
+        cli_main, ["run", "--config", str(path), "--stages", "run,score,features"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert str(sentiment) in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+
+def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
+    tmp_path, store_loads
+):
+    path, sentiment = workspace_with_unscored_sentiment(tmp_path)
     runner = CliRunner()
     assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
 
     result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score,features"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert str(lexicons / "sentiment.txt") in result.output
+    assert str(sentiment) in result.output
     assert "Traceback" not in result.output
     assert store_loads == []
     assert not (tmp_path / "out" / "outcomes.csv").exists()
@@ -700,23 +834,15 @@ def test_each_run_stages_call_reads_the_store_as_it_is_then(tmp_path):
 
 
 def test_one_six_stage_call_writes_what_six_single_stage_calls_write(tmp_path):
-    def artifacts(out):
-        files = {}
-        for f in sorted(out.rglob("*")):
-            if f.is_file() and f.name != "run_report.txt":
-                files[str(f.relative_to(out))] = f.read_bytes()
-        return files
-
-    stages = ["run", "score", "features", "style", "analyze", "report"]
     (tmp_path / "one").mkdir()
     (tmp_path / "six").mkdir()
     one = Pipeline(load_config(write_workspace(tmp_path / "one")))
-    one.run_stages(stages)
+    one.run_stages(SIX_STAGES)
     six = Pipeline(load_config(write_workspace(tmp_path / "six")))
-    for stage in stages:
+    for stage in SIX_STAGES:
         six.run_stages([stage])
-    assert artifacts(six.config.output_dir) == artifacts(one.config.output_dir)
-    assert "summary.csv" in artifacts(one.config.output_dir)
+    assert data_artifacts(six.config.output_dir) == data_artifacts(one.config.output_dir)
+    assert "summary.csv" in data_artifacts(one.config.output_dir)
 
 
 def run_probe(source, *args):

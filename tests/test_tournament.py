@@ -130,6 +130,33 @@ def test_kill_and_resume_reproduces_uninterrupted_run(tmp_path, roster):
     assert store.path.read_bytes() == reference_store.path.read_bytes()
 
 
+def test_on_stored_gets_each_transcript_as_the_store_loads_it(tmp_path, roster):
+    # repr shows dict order, which == ignores: role_map, svi and each facets
+    # must come in the sorted-key order that load() gives them
+    import threading
+
+    handed, threads = [], set()
+
+    def on_stored(transcript):
+        handed.append(transcript)
+        threads.add(threading.current_thread())
+
+    exercises = ["chair", "employment"]
+    scenarios = {e: load_builtin(e) for e in exercises}
+    schedule = build_schedule(roster, exercises, base_seed=7)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    run_tournament(
+        state, scenarios, store, tmp_path / "ckpt.json", concurrency_limit=4, on_stored=on_stored
+    )
+    assert threads == {threading.main_thread()}
+    assert [t.negotiation_id for t in handed] == [
+        p.negotiation_id(scenarios[p.exercise]) for p in schedule
+    ]
+    by_id = sorted(handed, key=lambda t: t.negotiation_id)
+    assert [repr(t) for t in by_id] == [repr(t) for t in TranscriptStore(store.path).load()]
+
+
 def test_concurrency_does_not_change_outcomes(tmp_path, roster):
     _, serial, _ = run_full(tmp_path, roster, ["chair"], concurrency=1, tag="c1")
     _, parallel, _ = run_full(tmp_path, roster, ["chair"], concurrency=16, tag="c16")
