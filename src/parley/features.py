@@ -325,11 +325,11 @@ def feature_rows(
     transcript: Transcript, lexicons: dict[str, Lexicon] | None = None
 ) -> list[dict]:
     """Two agent-observation rows per negotiation, keyed like the outcome
-    table, in the order of ``transcript.role_map``."""
+    table, in role-name order."""
     from .scoring import observation_keys
 
     features = extract_features(transcript, lexicons)
     return [
         {**observation_keys(transcript, role_name), **asdict(features[role_name])}
-        for role_name in transcript.role_map
+        for role_name in sorted(transcript.role_map)
     ]

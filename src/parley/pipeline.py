@@ -58,8 +58,8 @@ from .tournament import (
 )
 
 STAGES = ("run", "score", "features", "style", "analyze", "report")
-# the stages that read transcripts: those the call's run stage stores as it
-# stores them, the rest in one pass over the store per call
+# the stages that read transcripts: those stored before the call in one pass
+# over the store, then each one the call's run stage stores as it stores it
 READING_STAGES = ("score", "features", "report")
 
 # regression outcomes per scenario kind: (column, family)
@@ -130,6 +130,11 @@ def load_config(path: str | Path) -> RunConfig:
     def integer(value, key: str) -> int:
         return typed(value, key, int, "an integer")
 
+    def boolean(value, key: str) -> bool:
+        if not isinstance(value, bool):
+            raise SchemaError(f"{path}: {key} must be true or false, got {value!r}")
+        return value
+
     output_dir = resolve(raw["output_dir"])
     style = typed(raw.get("style", {}), "style", dict, "a mapping")
     backend = dict(typed(raw.get("backend", {}), "backend", dict, "a mapping"))
@@ -155,8 +160,8 @@ def load_config(path: str | Path) -> RunConfig:
         style_mode=style.get("mode", "synthetic"),
         style_seed=integer(style.get("seed", 11), "style.seed"),
         style_rater=dict(typed(style.get("rater", {}), "style.rater", dict, "a mapping")),
-        standardize=bool(raw.get("standardize", True)),
-        small_sample=bool(raw.get("small_sample", False)),
+        standardize=boolean(raw.get("standardize", True), "standardize"),
+        small_sample=boolean(raw.get("small_sample", False), "small_sample"),
         analysis_terms=list(
             typed(raw.get("analysis_terms", ["main"]), "analysis_terms", list, "a list")
         ),
@@ -170,8 +175,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise SchemaError(f"roster file not found: {config.roster_path}")
     if config.style_mode not in ("synthetic", "model"):
         raise SchemaError(f"unknown style mode {config.style_mode!r}")
-    if config.heatmap_bins < 1:
-        raise SchemaError(f"{path}: heatmap_bins must be at least 1, got {config.heatmap_bins}")
+    for key in ("concurrency_limit", "heatmap_bins"):
+        if getattr(config, key) < 1:
+            raise SchemaError(f"{path}: {key} must be at least 1, got {getattr(config, key)}")
     if config.ranking_metric not in RANKING_METRICS:
         raise SchemaError(f"unknown ranking metric {config.ranking_metric!r}")
     for terms in config.analysis_terms:
@@ -197,8 +203,8 @@ class Pipeline:
         self._scenarios: dict[str, ScenarioSpec] | None = None
         self._store: TranscriptStore | None = None
         # for the reading stages of the current run_stages call: the steps
-        # still to feed, each stage's gathered rows keyed by negotiation id,
-        # and the first error a step raised during the run stage
+        # to feed, each stage's gathered rows keyed by negotiation id, and the
+        # first error a step raised during the run stage
         self._steps: dict[str, Callable] = {}
         self._gathered: dict[str, dict[str, list]] = {}
         self._step_error: Exception | None = None
@@ -254,20 +260,30 @@ class Pipeline:
         terms = extract_agreement(transcript, scenario, extractor="marker")
         return score_outcome(transcript, scenario, terms)
 
-    def _start_reading(self, stages: tuple[str, ...]) -> None:
+    def _start_reading(self, stages: list[str]) -> None:
         """Set up the per-transcript step of every reading stage in
-        ``stages``: score's outcome rows, features' feature rows or report's
-        outcomes. A bad lexicon fails here, before the run stage plays a
-        negotiation or the store pass reads a transcript."""
+        ``stages`` (score's outcome rows, features' feature rows or report's
+        outcomes) and feed it every transcript stored before this call, in
+        one pass in negotiation-id order. A bad lexicon, a damaged record or
+        a step that raises fails here, before the run stage plays a
+        negotiation; the run stage hands over what it stores after."""
         lexicons = self._lexicons() if "features" in stages else None
         steps = {
             "score": lambda t: outcome_rows(self._outcome(t), t),
             "features": lambda t: feature_rows(t, lexicons),
             "report": lambda t: (self._outcome(t),),
         }
-        self._steps = {stage: steps[stage] for stage in stages}
-        self._gathered = {stage: {} for stage in stages}
-        self._step_error = None
+        self._steps = {stage: steps[stage] for stage in READING_STAGES if stage in stages}
+        self._gathered = {stage: {} for stage in self._steps}
+        if "run" in stages:
+            # a bad roster or scenario fails before the pass makes the store
+            _ = self.roster, self.scenarios
+        elif not self.transcripts_path.exists():
+            raise PrerequisiteError(
+                "no transcript store found; run the 'run' stage first"
+            )
+        for transcript in self._open_store().load():
+            self._gather(transcript)
 
     def _gather(self, transcript) -> None:
         for stage, step in self._steps.items():
@@ -283,31 +299,11 @@ class Pipeline:
             except Exception as exc:
                 self._step_error = exc
 
-    def _read_store(self) -> None:
-        """One pass, in negotiation-id order, over the stored transcripts that
-        the run stage did not hand over (on a fresh call, none), feeding each
-        to every step."""
-        if self._store is None and not self.transcripts_path.exists():
-            raise PrerequisiteError(
-                "no transcript store found; run the 'run' stage first"
-            )
-        handed_over = set().union(*self._gathered.values())
-        for transcript in self._open_store().load(skip=handed_over):
-            self._gather(transcript)
-
     def _take_gathered(self, stage: str) -> list:
-        """What the steps gathered for ``stage``, in negotiation-id order. The
-        first reading stage of a run_stages call raises a step error kept
-        from the run stage, or else runs the store pass for every reading
-        stage the call requested; a stage method called on its own sets up
-        and runs its own step."""
-        if stage not in self._gathered:
-            self._start_reading((stage,))
+        """What the steps gathered for ``stage``, in negotiation-id order; the
+        first reading stage raises a step error kept from the run stage."""
         if self._step_error is not None:
             raise self._step_error
-        if self._steps:
-            self._read_store()
-            self._steps = {}
         rows = self._gathered.pop(stage)
         return [row for neg_id in sorted(rows) for row in rows[neg_id]]
 
@@ -320,14 +316,12 @@ class Pipeline:
                 f"unknown stage(s): {', '.join(unknown)}; valid: {', '.join(STAGES)}"
             )
         results = {}
-        # each call reads the store file as it is when the call starts; its
-        # reading stages take each transcript the run stage stores as it is
-        # stored, and read the rest in one pass
+        # each call reads the store file as it is when the call starts, before
+        # its run stage stores more
         self._store = None
-        reading = tuple(s for s in READING_STAGES if s in stages)
         try:
-            if reading:
-                self._start_reading(reading)
+            if any(s in READING_STAGES for s in stages):
+                self._start_reading(stages)
             for stage in STAGES:
                 if stage in stages:
                     results[stage] = getattr(self, f"stage_{stage}")()

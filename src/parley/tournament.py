@@ -18,9 +18,9 @@ import os
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -224,14 +224,13 @@ class TranscriptStore:
             self._spans[transcript.negotiation_id] = (offset, len(line))
             return True
 
-    def load(self, skip: Container[str] = ()) -> Iterator[Transcript]:
-        """The stored transcripts whose id is not in ``skip``, in
-        negotiation-id order, decoded one at a time from their byte spans, so
-        a reader holds one transcript.
+    def load(self) -> Iterator[Transcript]:
+        """The stored transcripts in negotiation-id order, decoded one at a
+        time from their byte spans, so a reader holds one transcript.
 
         The scan checks only a record's top-level keys; a record whose nested
         parts do not decode raises SchemaError here, naming its id."""
-        ids = sorted(neg_id for neg_id in self._spans if neg_id not in skip)
+        ids = sorted(self._spans)
         if not ids:
             return
         with open(self.path, "rb", buffering=0) as fh:
@@ -246,18 +245,6 @@ class TranscriptStore:
                         f"record: {type(exc).__name__}: {exc}"
                     ) from exc
                 yield transcript
-
-
-def as_loaded(transcript: Transcript) -> Transcript:
-    """The transcript as ``TranscriptStore.load()`` yields it back: the store
-    writes keys sorted, so ``role_map``, ``svi`` and each ``facets`` come back
-    in sorted-key order. Readers that walk those dicts (a seat's rows follow
-    ``role_map``) see the same order either way."""
-    svi = {
-        role: None if resp is None else replace(resp, facets=dict(sorted(resp.facets.items())))
-        for role, resp in sorted(transcript.svi.items())
-    }
-    return replace(transcript, role_map=dict(sorted(transcript.role_map.items())), svi=svi)
 
 
 def _record_fields(part) -> dict:
@@ -373,8 +360,7 @@ def run_tournament(
     and ends the run.
 
     ``on_stored``, when given, is called on this thread with each transcript
-    the store has just taken, in the form ``store.load()`` would yield it
-    (``as_loaded``).
+    the store has just taken.
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -428,7 +414,7 @@ def run_tournament(
                     state.failed.append((pairing, cause))
                 else:
                     if store.append(transcript) and on_stored is not None:
-                        on_stored(as_loaded(transcript))
+                        on_stored(transcript)
                     executed += 1
                 write_checkpoint(checkpoint_path, state, store.ids)
                 window.extend(islice(submitted, 1))

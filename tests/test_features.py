@@ -355,6 +355,15 @@ def test_feature_rows_keyed_like_outcome_table(feature_transcript):
         assert row["mimicry"] != ""
 
 
+def test_feature_rows_do_not_depend_on_role_map_order(feature_transcript):
+    import dataclasses
+
+    reversed_roles = dict(reversed(list(feature_transcript.role_map.items())))
+    assert list(reversed_roles) != list(feature_transcript.role_map)
+    copy = dataclasses.replace(feature_transcript, role_map=reversed_roles)
+    assert feature_rows(copy) == feature_rows(feature_transcript)
+
+
 def test_default_lexicons_load():
     lexicons = load_default_lexicons()
     assert set(lexicons) == {

@@ -100,6 +100,9 @@ def test_default_temperature_is_020(tmp_path):
         ({"backend": {"temperature": "warm"}}, "backend.temperature"),
         ({"scenarios": "chair"}, "scenarios"),
         ({"analysis_terms": "main"}, "analysis_terms"),
+        ({"standardize": "no"}, "standardize"),
+        ({"small_sample": 1}, "small_sample"),
+        ({"concurrency_limit": 0}, "concurrency_limit"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
@@ -138,6 +141,28 @@ def test_score_without_transcripts_is_prerequisite_error(tmp_path):
     pipeline = Pipeline(config)
     with pytest.raises(PrerequisiteError, match="run"):
         pipeline.run_stages(["score"])
+
+
+def test_reading_stage_without_transcripts_fails_before_any_stage_writes(tmp_path):
+    pipeline = Pipeline(load_config(write_workspace(tmp_path)))
+    with pytest.raises(PrerequisiteError, match="run"):
+        pipeline.run_stages(["style", "report"])
+    assert not pipeline.style_path.exists()
+    assert not pipeline.transcripts_path.exists()
+
+
+def test_bad_roster_with_a_reading_stage_leaves_no_store(tmp_path):
+    agents = [{"agent_id": "a", "backend": {"kind": "scripted", "policy_name": "nosuch"}}]
+    path = write_workspace(tmp_path, agents=agents)
+    runner = CliRunner()
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score"])
+    assert result.exit_code == 2, result.output
+    assert "nosuch" in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert result.exit_code == 2, result.output
+    assert "run the 'run' stage first" in result.output
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
 
 
 def test_tournament_stage_produces_n_squared_transcripts(tmp_path):
@@ -594,6 +619,29 @@ def test_damaged_nested_record_exits_with_schema_error(tmp_path):
     assert "transcripts.jsonl" in result.output
     assert record["negotiation_id"] in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+
+
+def test_damaged_record_stored_before_the_call_ends_it_before_the_run_stage(tmp_path):
+    # a store cut to 10 records, one with a damaged nested part: the call
+    # reads it before playing the 15 negotiations still to run
+    path = write_workspace(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    store = tmp_path / "out" / "transcripts.jsonl"
+    stamp, *lines = store.read_text().splitlines(keepends=True)
+    record = json.loads(lines[4])
+    del record["utterances"][0]["text"]
+    lines[4] = json.dumps(record, sort_keys=True) + "\n"
+    store.write_text(stamp + "".join(lines[:10]))
+    before = store.read_bytes()
+
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert record["negotiation_id"] in result.output
+    assert "Traceback" not in result.output
+    assert store.read_bytes() == before
     assert not (tmp_path / "out" / "outcomes.csv").exists()
 
 

@@ -11,6 +11,7 @@ from parley.catalog import Assignment, load_builtin
 from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
 from parley.scoring import Outcome, SeatScore
 from parley.tournament import (
+    RANKING_METRICS,
     TournamentState,
     TranscriptStore,
     build_schedule,
@@ -131,8 +132,8 @@ def test_kill_and_resume_reproduces_uninterrupted_run(tmp_path, roster):
 
 
 def test_on_stored_gets_each_transcript_as_the_store_loads_it(tmp_path, roster):
-    # repr shows dict order, which == ignores: role_map, svi and each facets
-    # must come in the sorted-key order that load() gives them
+    # equal field by field; the order of role_map, svi and each facets may
+    # differ from the sorted-key order that load() gives them
     import threading
 
     handed, threads = [], set()
@@ -154,7 +155,7 @@ def test_on_stored_gets_each_transcript_as_the_store_loads_it(tmp_path, roster):
         p.negotiation_id(scenarios[p.exercise]) for p in schedule
     ]
     by_id = sorted(handed, key=lambda t: t.negotiation_id)
-    assert [repr(t) for t in by_id] == [repr(t) for t in TranscriptStore(store.path).load()]
+    assert by_id == list(TranscriptStore(store.path).load())
 
 
 def test_concurrency_does_not_change_outcomes(tmp_path, roster):
@@ -511,6 +512,62 @@ def test_disjoint_value_ranges_never_cross():
     trajectory = ranking_trajectory(outcomes, "value_claimed", order_seed=9)
     assert all(r == 1 for r in trajectory.ranks["a"])
     assert all(r == 2 for r in trajectory.ranks["b"])
+
+
+def mixed_outcomes():
+    """Agent "a" as chair seller in a deal and an impasse, and as rental
+    landlord in two deals, each against its own counterpart."""
+
+    def outcome(idx, scenario_id, deal, seat, value_created, efficiency):
+        roles = ("seller", "buyer") if scenario_id == "chair" else ("landlord", "tenant")
+        return Outcome(
+            negotiation_id=f"n{idx}",
+            scenario_id=scenario_id,
+            deal=deal,
+            terms=Assignment(impasse=not deal),
+            per_role={
+                roles[0]: SeatScore(agent_id="a", **seat),
+                roles[1]: SeatScore(agent_id=f"opp-{idx}", value_claimed=0.0),
+            },
+            value_created=value_created,
+            efficiency=efficiency,
+        )
+
+    return [
+        outcome(0, "chair", True, dict(
+            value_claimed=20.0, proportion_of_pie=0.25, counterpart_sv=5.0
+        ), 80.0, 4),
+        outcome(1, "chair", False, dict(value_claimed=0.0), 0.0, 10),
+        outcome(2, "rental", True, dict(
+            value_claimed=3000.0, points=3000, proportion_of_pie=0.6, counterpart_sv=4.0
+        ), 5000.0, 6),
+        outcome(3, "rental", True, dict(
+            value_claimed=1000.0, points=1000, proportion_of_pie=0.2, counterpart_sv=6.0
+        ), 5000.0, 8),
+    ]
+
+
+# agent "a"'s observations and final cumulative mean per metric; a seat
+# without the metric (chair points, an impasse's pie share or SV) is skipped
+MIXED_MEANS = {
+    "value_claimed": (4, (20 + 0 + 3000 + 1000) / 4),
+    "points": (2, (3000 + 1000) / 2),
+    "proportion_of_pie": (3, (0.25 + 0.6 + 0.2) / 3),
+    "value_created": (4, (80 + 0 + 5000 + 5000) / 4),
+    "counterpart_sv": (3, (5 + 4 + 6) / 3),
+    "efficiency": (4, (4 + 10 + 6 + 8) / 4),
+    "deal": (4, (1 + 0 + 1 + 1) / 4),
+}
+
+
+@pytest.mark.parametrize("metric", RANKING_METRICS)
+def test_ranking_trajectory_cumulative_mean_per_metric(metric):
+    count, mean = MIXED_MEANS[metric]
+    trajectory = ranking_trajectory(mixed_outcomes(), metric, order_seed=5)
+    curve = trajectory.curves["a"]
+    assert len(curve) == count
+    assert curve[-1] == pytest.approx(mean)
+    assert trajectory.sample_counts == list(range(1, count + 1))
 
 
 def test_unknown_metric_lists_valid_ones():
