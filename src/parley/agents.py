@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .catalog import Assignment, ScenarioSpec, read_yaml
+from .catalog import Assignment, ScenarioSpec, read_yaml, typed
 from .errors import (
     BackendStatusError,
     ConfigurationError,
@@ -483,29 +483,32 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
     defaults = dict(backend_defaults or {})
     agents = []
     seen_ids = set()
-    for record in raw["agents"]:
-        if "agent_id" not in record:
+    for i, record in enumerate(typed(path, "agents", raw["agents"], list)):
+        if "agent_id" not in typed(path, f"agents[{i}]", record, dict):
             raise SchemaError(f"{path}: agent record missing field 'agent_id'")
         agent_id = str(record["agent_id"])
         if agent_id in seen_ids:
             raise SchemaError(f"{path}: duplicate agent_id {agent_id!r}")
         seen_ids.add(agent_id)
 
-        backend_raw = dict(record.get("backend", {}))
+        key = f"agent {agent_id!r} backend"
+        backend_raw = dict(typed(path, key, record.get("backend", {}), dict))
         # config-level defaults configure chat models only, so scripted
         # baselines can share a roster with them
         if backend_raw.get("kind", "chat_model") == "chat_model":
             backend_raw = {**defaults, **backend_raw}
+
+        def setting(name: str, default, kinds):
+            return typed(path, f"{key}.{name}", backend_raw.get(name, default), kinds)
+
         binding = BackendBinding(
             kind=backend_raw.get("kind", "chat_model"),
             model_name=backend_raw.get("model_name", ""),
-            temperature=float(backend_raw.get("temperature", DEFAULT_TEMPERATURE)),
-            max_reply_tokens=int(
-                backend_raw.get("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS)
-            ),
+            temperature=float(setting("temperature", DEFAULT_TEMPERATURE, (int, float))),
+            max_reply_tokens=setting("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS, int),
             endpoint=backend_raw.get("endpoint", ""),
             policy_name=backend_raw.get("policy_name", ""),
-            policy_params=dict(backend_raw.get("policy_params", {})),
+            policy_params=dict(setting("policy_params", {}, dict)),
         )
         binding.validate()
         spec = AgentSpec(

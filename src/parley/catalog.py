@@ -146,6 +146,12 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
     if not isinstance(raw_roles, list) or len(raw_roles) != 2:
         raise SchemaError(f"{source}: roles must list exactly two roles")
 
+    def number(raw_role: dict, key: str):
+        value = raw_role.get(key)
+        if value is None:
+            return None
+        return typed(source, f"role {raw_role['role_name']!r} {key}", value, (int, float))
+
     raw_issues = raw.get("issues", [])
     roles = []
     for raw_role in raw_roles:
@@ -161,8 +167,8 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
             RoleSpec(
                 role_name=raw_role["role_name"],
                 confidential_instructions=instructions,
-                batna_price=raw_role.get("batna_price"),
-                impasse_points=raw_role.get("impasse_points"),
+                batna_price=number(raw_role, "batna_price"),
+                impasse_points=number(raw_role, "impasse_points"),
             )
         )
 
@@ -186,7 +192,7 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
         roles=(roles[0], roles[1]),
         issues=tuple(issues),
         price_frame=dict(raw.get("price_frame", {})),
-        max_exchanges=int(raw.get("max_exchanges", 50)),
+        max_exchanges=typed(source, "max_exchanges", raw.get("max_exchanges", 50), int),
     )
     report = validate_scenario(spec)
     if report:
@@ -206,6 +212,25 @@ def read_yaml(path) -> object:
         return yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
+
+
+# what a value read from YAML must be, by the types ``typed`` accepts for it
+_TYPE_NOUNS = {
+    int: "an integer",
+    (int, float): "a number",
+    bool: "true or false",
+    list: "a list",
+    dict: "a mapping",
+}
+
+
+def typed(source, key: str, value, kinds):
+    """``value`` when it is one of ``kinds`` (a key of ``_TYPE_NOUNS``), else
+    a SchemaError naming ``source`` and ``key``. A YAML true or false is
+    never a number here, though Python counts a bool as an int."""
+    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+        raise SchemaError(f"{source}: {key} must be {_TYPE_NOUNS[kinds]}, got {value!r}")
+    return value
 
 
 def load_scenario_file(path: str | Path) -> ScenarioSpec:

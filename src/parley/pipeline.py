@@ -21,7 +21,7 @@ from .agents import (
     ChatModelClient,
     load_roster,
 )
-from .catalog import ScenarioSpec, load_catalog, read_yaml
+from .catalog import ScenarioSpec, load_catalog, read_yaml, typed
 from .errors import (
     ConfigurationError,
     ParleyError,
@@ -36,6 +36,7 @@ from .features import (
 )
 from .scoring import (
     OUTCOME_TABLE_COLUMNS,
+    RANKING_METRICS,
     AgentSummary,
     Outcome,
     aggregate_outcomes,
@@ -48,7 +49,6 @@ from .stats import FitResult, ModelSpec, ObservationRow, fit_with_clusters, summ
 from .style import STYLE_TABLE_COLUMNS, StyleScores, score_prompt_style
 from .tables import provenance_line, read_table, write_table
 from .tournament import (
-    RANKING_METRICS,
     TournamentState,
     TranscriptStore,
     build_schedule,
@@ -121,25 +121,11 @@ def load_config(path: str | Path) -> RunConfig:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    def typed(value, key: str, kinds, noun: str):
-        # bool is an int to Python, never to a config
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise SchemaError(f"{path}: {key} must be {noun}, got {value!r}")
-        return value
-
-    def integer(value, key: str) -> int:
-        return typed(value, key, int, "an integer")
-
-    def boolean(value, key: str) -> bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"{path}: {key} must be true or false, got {value!r}")
-        return value
-
     output_dir = resolve(raw["output_dir"])
-    style = typed(raw.get("style", {}), "style", dict, "a mapping")
-    backend = dict(typed(raw.get("backend", {}), "backend", dict, "a mapping"))
+    style = typed(path, "style", raw.get("style", {}), dict)
+    backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
     temperature = float(
-        typed(backend.get("temperature", 0.20), "backend.temperature", (int, float), "a number")
+        typed(path, "backend.temperature", backend.get("temperature", 0.20), (int, float))
     )
     if not 0.0 <= temperature <= 2.0:
         raise SchemaError(f"{path}: backend.temperature must lie in [0, 2]")
@@ -147,25 +133,25 @@ def load_config(path: str | Path) -> RunConfig:
 
     config = RunConfig(
         roster_path=resolve(raw["roster"]),
-        scenario_set=list(typed(raw["scenarios"], "scenarios", list, "a list")),
+        scenario_set=list(typed(path, "scenarios", raw["scenarios"], list)),
         output_dir=output_dir,
         checkpoint_path=(
             resolve(raw["checkpoint"])
             if "checkpoint" in raw
             else output_dir / "checkpoint.json"
         ),
-        base_seed=integer(raw.get("base_seed", 7), "base_seed"),
-        concurrency_limit=integer(raw.get("concurrency_limit", 4), "concurrency_limit"),
+        base_seed=typed(path, "base_seed", raw.get("base_seed", 7), int),
+        concurrency_limit=typed(path, "concurrency_limit", raw.get("concurrency_limit", 4), int),
         backend_defaults=backend,
         style_mode=style.get("mode", "synthetic"),
-        style_seed=integer(style.get("seed", 11), "style.seed"),
-        style_rater=dict(typed(style.get("rater", {}), "style.rater", dict, "a mapping")),
-        standardize=boolean(raw.get("standardize", True), "standardize"),
-        small_sample=boolean(raw.get("small_sample", False), "small_sample"),
+        style_seed=typed(path, "style.seed", style.get("seed", 11), int),
+        style_rater=dict(typed(path, "style.rater", style.get("rater", {}), dict)),
+        standardize=typed(path, "standardize", raw.get("standardize", True), bool),
+        small_sample=typed(path, "small_sample", raw.get("small_sample", False), bool),
         analysis_terms=list(
-            typed(raw.get("analysis_terms", ["main"]), "analysis_terms", list, "a list")
+            typed(path, "analysis_terms", raw.get("analysis_terms", ["main"]), list)
         ),
-        heatmap_bins=integer(raw.get("heatmap_bins", 10), "heatmap_bins"),
+        heatmap_bins=typed(path, "heatmap_bins", raw.get("heatmap_bins", 10), int),
         ranking_metric=raw.get("ranking_metric", "value_claimed"),
         svi_items_path=resolve(raw["svi_items"]) if "svi_items" in raw else None,
         lexicon_dir=resolve(raw["lexicons"]) if "lexicons" in raw else None,
@@ -262,8 +248,8 @@ class Pipeline:
 
     def _start_reading(self, stages: list[str]) -> None:
         """Set up the per-transcript step of every reading stage in
-        ``stages`` (score's outcome rows, features' feature rows or report's
-        outcomes) and feed it every transcript stored before this call, in
+        ``stages`` (outcome rows for score and for report, feature rows for
+        features) and feed it every transcript stored before this call, in
         one pass in negotiation-id order. A bad lexicon, a damaged record or
         a step that raises fails here, before the run stage plays a
         negotiation; the run stage hands over what it stores after."""
@@ -271,12 +257,13 @@ class Pipeline:
         steps = {
             "score": lambda t: outcome_rows(self._outcome(t), t),
             "features": lambda t: feature_rows(t, lexicons),
-            "report": lambda t: (self._outcome(t),),
         }
+        # report scores each transcript a second time, into the same rows
+        steps["report"] = steps["score"]
         self._steps = {stage: steps[stage] for stage in READING_STAGES if stage in stages}
         self._gathered = {stage: {} for stage in self._steps}
         if "run" in stages:
-            # a bad roster or scenario fails before the pass makes the store
+            # a bad roster or scenario fails before the pass reads the store
             _ = self.roster, self.scenarios
         elif not self.transcripts_path.exists():
             raise PrerequisiteError(
@@ -488,26 +475,17 @@ class Pipeline:
         return results
 
     def stage_report(self):
-        outcomes = self._take_gathered("report")
-        summaries = aggregate_outcomes(outcomes)
-        # summary.csv names the scenario "exercise", like every other table
-        summary_rows = []
-        for summary in summaries:
-            row = asdict(summary)
-            row["exercise"] = row.pop("scenario_id")
-            summary_rows.append(row)
+        rows = self._take_gathered("report")
+        summaries = aggregate_outcomes(rows)
         write_table(
             self.config.output_dir / "summary.csv",
-            tuple(
-                "exercise" if f.name == "scenario_id" else f.name
-                for f in fields(AgentSummary)
-            ),
-            summary_rows,
+            tuple(f.name for f in fields(AgentSummary)),
+            [asdict(summary) for summary in summaries],
             self.config.config_hash,
         )
 
         trajectory = ranking_trajectory(
-            outcomes, self.config.ranking_metric, self.config.base_seed
+            rows, self.config.ranking_metric, self.config.base_seed
         )
         rank_rows = []
         for agent_id in sorted(trajectory.ranks):

@@ -205,52 +205,19 @@ def proportion_of_pie(outcome: Outcome) -> dict[str, float]:
 @dataclass
 class AgentSummary:
     agent_id: str
-    scenario_id: str
-    n: int = 0
-    deal_rate: float = 0.0
-    mean_value_claimed: float = 0.0
-    mean_points: float | None = None
-    mean_value_created: float = 0.0
-    mean_proportion_of_pie: float | None = None
-    mean_counterpart_sv: float | None = None
-    mean_efficiency: float = 0.0
+    exercise: str
+    n: int
+    deal_rate: float
+    mean_value_claimed: float
+    mean_points: float | None
+    mean_value_created: float
+    mean_proportion_of_pie: float | None
+    mean_counterpart_sv: float | None
+    mean_efficiency: float
 
 
-def aggregate_outcomes(outcomes: list[Outcome]) -> list[AgentSummary]:
-    """Per-agent, per-exercise means and deal rates, ordered deterministically."""
-    if not outcomes:
-        raise EvaluationError("no outcomes to aggregate")
-    buckets: dict[tuple[str, str], list[tuple[Outcome, SeatScore]]] = {}
-    for outcome in outcomes:
-        for seat in outcome.per_role.values():
-            buckets.setdefault((seat.agent_id, outcome.scenario_id), []).append(
-                (outcome, seat)
-            )
-
-    def mean(values):
-        values = [v for v in values if v is not None]
-        return sum(values) / len(values) if values else None
-
-    summaries = []
-    for (agent_id, scenario_id), rows in sorted(buckets.items()):
-        summary = AgentSummary(agent_id=agent_id, scenario_id=scenario_id, n=len(rows))
-        summary.deal_rate = sum(1 for o, _ in rows if o.deal) / len(rows)
-        summary.mean_value_claimed = mean(s.value_claimed for _, s in rows)
-        summary.mean_points = mean(s.points for _, s in rows)
-        summary.mean_value_created = mean(o.value_created for o, _ in rows)
-        summary.mean_proportion_of_pie = mean(s.proportion_of_pie for _, s in rows)
-        summary.mean_counterpart_sv = mean(s.counterpart_sv for _, s in rows)
-        summary.mean_efficiency = mean(o.efficiency for o, _ in rows)
-        summaries.append(summary)
-    return summaries
-
-
-OUTCOME_TABLE_COLUMNS = (
-    "negotiation_id",
-    "exercise",
-    "agent_id",
-    "counterpart_id",
-    "role",
+# the per-seat metrics of an outcome row, in table order; each can rank agents
+RANKING_METRICS = (
     "deal",
     "value_claimed",
     "points",
@@ -258,10 +225,48 @@ OUTCOME_TABLE_COLUMNS = (
     "value_created",
     "counterpart_sv",
     "efficiency",
+)
+
+OUTCOME_TABLE_COLUMNS = (
+    "negotiation_id",
+    "exercise",
+    "agent_id",
+    "counterpart_id",
+    "role",
+    *RANKING_METRICS,
     "cluster_agent",
     "cluster_dyad",
     "cluster_negotiation",
 )
+
+
+def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
+    """Per-agent, per-exercise means and deal rates of outcome rows (one per
+    seat, as ``outcome_rows`` makes them), ordered by agent and exercise; a
+    metric a seat lacks (None) is left out of its mean."""
+    if not rows:
+        raise EvaluationError("no outcomes to aggregate")
+    buckets: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        buckets.setdefault((row["agent_id"], row["exercise"]), []).append(row)
+
+    def mean(values):
+        values = [v for v in values if v is not None]
+        return sum(values) / len(values) if values else None
+
+    summaries = []
+    for (agent_id, exercise), seats in sorted(buckets.items()):
+        means = {metric: mean(seat[metric] for seat in seats) for metric in RANKING_METRICS}
+        summaries.append(
+            AgentSummary(
+                agent_id=agent_id,
+                exercise=exercise,
+                n=len(seats),
+                deal_rate=means.pop("deal"),
+                **{f"mean_{metric}": value for metric, value in means.items()},
+            )
+        )
+    return summaries
 
 
 def dyad_id(agent_a: str, agent_b: str, scenario_id: str) -> str:

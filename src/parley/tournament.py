@@ -29,7 +29,7 @@ from random import Random
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
 from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError, SessionAbortError
-from .scoring import Outcome
+from .scoring import RANKING_METRICS
 from .session import Transcript, Utterance, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
@@ -135,8 +135,10 @@ class TranscriptStore:
     One scan at open checks the provenance stamp and indexes every record by
     its negotiation_id; a line that is not a record, or repeats an id, is
     refused there. Appending an id that is already stored is a no-op, so no
-    pairing can execute twice. When a config hash is given, new stores are
-    stamped with it and existing stores must carry the same stamp.
+    pairing can execute twice. When a config hash is given, existing stores
+    must carry it in their stamp, and a new store is stamped with it. A new
+    store is created by its first append, which writes the stamp with the
+    first record, so opening a store never creates a file.
 
     An unterminated final line is an append that a crash cut short: readers
     treat it as absent, and the first append cuts it off. Only the writer
@@ -148,10 +150,11 @@ class TranscriptStore:
         self._lock = threading.Lock()
         self._spans: dict[str, tuple[int, int]] = {}  # id -> (offset, length)
         self._torn_at: int | None = None  # byte offset of a torn final line
+        self._stamp = b""  # written ahead of the first line of a new store
         if self.path.exists():
             self._scan(config_hash)
         elif config_hash is not None:
-            self.path.write_text(provenance_line(config_hash) + "\n")
+            self._stamp = (provenance_line(config_hash) + "\n").encode()
 
     def _scan(self, config_hash: str | None) -> None:
         offset = 0
@@ -219,8 +222,9 @@ class TranscriptStore:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
             with open(self.path, "ab") as fh:
-                offset = fh.tell()
-                fh.write(line)
+                offset = fh.tell() + len(self._stamp)
+                fh.write(self._stamp + line)
+            self._stamp = b""
             self._spans[transcript.negotiation_id] = (offset, len(line))
             return True
 
@@ -437,17 +441,6 @@ def run_tournament(
 # Ranking stability
 
 
-RANKING_METRICS = (
-    "value_claimed",
-    "points",
-    "proportion_of_pie",
-    "value_created",
-    "counterpart_sv",
-    "efficiency",
-    "deal",
-)
-
-
 @dataclass
 class RankingTrajectory:
     metric: str
@@ -456,43 +449,21 @@ class RankingTrajectory:
     ranks: dict[str, list[int]]  # agent -> rank (1 = best) at each count
 
 
-def _metric_value(outcome: Outcome, role_name: str, metric: str) -> float | None:
-    seat = outcome.per_role[role_name]
-    if metric == "value_claimed":
-        return seat.value_claimed
-    if metric == "points":
-        return None if seat.points is None else float(seat.points)
-    if metric == "proportion_of_pie":
-        return seat.proportion_of_pie
-    if metric == "value_created":
-        return outcome.value_created
-    if metric == "counterpart_sv":
-        return seat.counterpart_sv
-    if metric == "efficiency":
-        return float(outcome.efficiency)
-    if metric == "deal":
-        return float(outcome.deal)
-    raise NotFoundError(
-        f"unknown metric {metric!r}; valid metrics: {', '.join(RANKING_METRICS)}"
-    )
-
-
 def ranking_trajectory(
-    outcomes: list[Outcome], metric: str, order_seed: int
+    rows: list[dict], metric: str, order_seed: int
 ) -> RankingTrajectory:
-    """Cumulative-mean curves over a seeded shuffle of each agent's outcomes,
-    plus each agent's rank at every sample count (higher mean = better rank;
-    ties broken by agent id)."""
+    """Cumulative-mean curves over a seeded shuffle of each agent's
+    ``metric`` values in per-seat outcome rows (None values skipped), plus
+    each agent's rank at every sample count (higher mean = better rank; ties
+    broken by agent id)."""
     if metric not in RANKING_METRICS:
         raise NotFoundError(
             f"unknown metric {metric!r}; valid metrics: {', '.join(RANKING_METRICS)}"
         )
     values: dict[str, list[float]] = {}
-    for outcome in outcomes:
-        for role_name, seat in outcome.per_role.items():
-            value = _metric_value(outcome, role_name, metric)
-            if value is not None:
-                values.setdefault(seat.agent_id, []).append(value)
+    for row in rows:
+        if row[metric] is not None:
+            values.setdefault(row["agent_id"], []).append(float(row[metric]))
     if not values:
         raise ParleyError(f"no observations carry metric {metric!r}")
 

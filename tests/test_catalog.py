@@ -329,3 +329,31 @@ def test_read_yaml_names_the_file_that_is_not_yaml(tmp_path):
     path.write_text("agents: [unclosed\n")
     with pytest.raises(SchemaError, match="bad.yaml: not valid YAML"):
         read_yaml(path)
+
+
+@pytest.mark.parametrize(
+    "name, damage, key",
+    [
+        ("chair", lambda raw: raw.update(max_exchanges="many"), "max_exchanges"),
+        ("chair", lambda raw: raw["roles"][1].update(batna_price="cheap"),
+         "role 'buyer' batna_price"),
+        ("rental", lambda raw: raw["roles"][0].update(impasse_points="none"),
+         "role 'landlord' impasse_points"),
+    ],
+    ids=["max_exchanges", "batna_price", "impasse_points"],
+)
+def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, key):
+    import yaml
+    from click.testing import CliRunner
+    from importlib import resources
+
+    from parley.cli import main as cli_main
+
+    raw = yaml.safe_load((resources.files("parley.data.scenarios") / f"{name}.yaml").read_text())
+    damage(raw)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    result = CliRunner().invoke(cli_main, ["catalog", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"{path}: {key} must be" in result.output
+    assert "Traceback" not in result.output

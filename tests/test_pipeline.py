@@ -20,6 +20,8 @@ from parley.pipeline import (
 from parley.stats import ModelSpec, fit_with_clusters
 from parley.tables import read_table, write_table
 
+from conftest import make_transcript
+
 ROSTER = {
     "agents": [
         {"agent_id": "acceptor", "backend": {"kind": "scripted", "policy_name": "immediate_acceptor", "policy_params": {"svi_rating": 6}}},
@@ -116,6 +118,34 @@ def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key
     assert not (tmp_path / "out").exists()
 
 
+def scripted_backend(**extra):
+    return {"kind": "scripted", "policy_name": "immediate_acceptor", **extra}
+
+
+@pytest.mark.parametrize(
+    "agents, key",
+    [
+        ([{"agent_id": "a", "backend": scripted_backend(temperature="hot")}],
+         "agent 'a' backend.temperature"),
+        ([{"agent_id": "a", "backend": "scripted"}], "agent 'a' backend"),
+        (3, "agents"),
+        ([3], "agents[0]"),
+        ([{"agent_id": "a", "backend": scripted_backend(max_reply_tokens="lots")}],
+         "agent 'a' backend.max_reply_tokens"),
+        ([{"agent_id": "a", "backend": scripted_backend(policy_params=[1, 2])}],
+         "agent 'a' backend.policy_params"),
+    ],
+    ids=["temperature", "backend", "agents", "agent-record", "max_reply_tokens", "policy_params"],
+)
+def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
+    path = write_workspace(tmp_path, agents=agents)
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'roster.yaml'}: {key} must be" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+
 def test_relative_config_path_resolves_checkpoint_once(tmp_path, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -158,6 +188,26 @@ def test_bad_roster_with_a_reading_stage_leaves_no_store(tmp_path):
     result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score"])
     assert result.exit_code == 2, result.output
     assert "nosuch" in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert result.exit_code == 2, result.output
+    assert "run the 'run' stage first" in result.output
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, command, exit_code",
+    [
+        ({"checkpoint": "nodir/ckpt.json"}, ["run", "--stages", "run,score"], 2),
+        ({}, ["status"], 0),
+    ],
+    ids=["unwritable-checkpoint", "status"],
+)
+def test_store_is_created_by_its_first_append(tmp_path, extra, command, exit_code):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:1], extra=extra)
+    runner = CliRunner()
+    result = runner.invoke(cli_main, [*command, "--config", str(path)])
+    assert result.exit_code == exit_code, result.output
     assert not (tmp_path / "out" / "transcripts.jsonl").exists()
     result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
     assert result.exit_code == 2, result.output
@@ -220,6 +270,61 @@ def test_rerun_rewrites_identical_data_artifacts(tmp_path):
     pipeline2 = Pipeline(load_config(tmp_path / "config.yaml"))
     pipeline2.run_stages(stages)
     assert snapshot(pipeline2) == first
+
+
+# summary.csv and the value-claimed rankings of three scripted agents over
+# chair and rental; a change in what report sums, or in the order it sums
+# them, changes these bytes
+SUMMARY_GOLDEN = (
+    "# parley=0.1.0 config=5a2e3c54c5658535\n"
+    "agent_id,exercise,n,deal_rate,mean_value_claimed,mean_points,mean_value_created,"
+    "mean_proportion_of_pie,mean_counterpart_sv,mean_efficiency\r\n"
+    "acceptor,chair,6,0.6666666666666666,-6.666666666666667,,53.333333333333336,,"
+    "4.333333333333333,35.0\r\n"
+    "acceptor,rental,6,0.6666666666666666,1466.6666666666667,1466.6666666666667,"
+    "3633.3333333333335,0.2719298245614035,4.333333333333333,35.0\r\n"
+    "ladder,chair,6,0.3333333333333333,13.333333333333334,,26.666666666666668,,"
+    "4.333333333333333,67.5\r\n"
+    "ladder,rental,6,0.3333333333333333,866.6666666666666,866.6666666666666,"
+    "1733.3333333333333,0.16666666666666666,4.333333333333333,67.5\r\n"
+    "wall,chair,6,0.3333333333333333,46.666666666666664,,26.666666666666668,,"
+    "4.333333333333333,67.5\r\n"
+    "wall,rental,6,0.3333333333333333,1300.0,1300.0,1900.0,0.2280701754385965,"
+    "4.333333333333333,67.5\r\n"
+)
+RANKINGS_GOLDEN = (
+    "# parley=0.1.0 config=5a2e3c54c5658535\n"
+    "agent_id,samples,cumulative_mean,rank\r\n"
+) + "".join(
+    f"{row}\r\n"
+    for row in (
+        "acceptor,1,1800.0,2", "acceptor,2,955.0,2", "acceptor,3,636.6666666666666,2",
+        "acceptor,4,467.5,2", "acceptor,5,358.0,2", "acceptor,6,698.3333333333334,2",
+        "acceptor,7,594.2857142857143,2", "acceptor,8,870.0,2",
+        "acceptor,9,973.3333333333334,1", "acceptor,10,876.0,1",
+        "acceptor,11,796.3636363636364,1", "acceptor,12,730.0,1",
+        "ladder,1,0.0,3", "ladder,2,55.0,3", "ladder,3,36.666666666666664,3",
+        "ladder,4,27.5,3", "ladder,5,16.0,3", "ladder,6,13.333333333333334,3",
+        "ladder,7,11.428571428571429,3", "ladder,8,310.0,3",
+        "ladder,9,586.6666666666666,3", "ladder,10,528.0,3", "ladder,11,480.0,3",
+        "ladder,12,440.0,3",
+        "wall,1,3900.0,1", "wall,2,1950.0,1", "wall,3,1300.0,1", "wall,4,975.0,1",
+        "wall,5,1560.0,1", "wall,6,1326.6666666666667,1", "wall,7,1137.142857142857,1",
+        "wall,8,995.0,1", "wall,9,884.4444444444445,2", "wall,10,796.0,2",
+        "wall,11,723.6363636363636,2", "wall,12,673.3333333333334,2",
+    )
+)
+
+
+def test_report_bytes_match_the_golden_tables(tmp_path):
+    path = write_workspace(
+        tmp_path, scenarios=("chair", "rental"), agents=ROSTER["agents"][:3],
+        extra={"concurrency_limit": 1},
+    )
+    Pipeline(load_config(path)).run_stages(["run", "report"])
+    out = tmp_path / "out"
+    assert (out / "summary.csv").read_bytes() == SUMMARY_GOLDEN.encode()
+    assert (out / "rankings_value_claimed.csv").read_bytes() == RANKINGS_GOLDEN.encode()
 
 
 def test_all_blank_response_skips_its_model_and_the_run_goes_on(tmp_path):
@@ -454,6 +559,11 @@ def test_transcript_store_refuses_foreign_config(tmp_path):
     from parley.tournament import TranscriptStore
 
     store = TranscriptStore(tmp_path / "s.jsonl", config_hash="aaa")
+    # a new store is stamped by its first append
+    assert not (tmp_path / "s.jsonl").exists()
+    store.append(
+        make_transcript("chair", {"seller": "a", "buyer": "b"}, ["hi"], ["seller"], "cap_reached")
+    )
     assert (tmp_path / "s.jsonl").read_text().startswith("# parley=")
     TranscriptStore(tmp_path / "s.jsonl", config_hash="aaa")  # same config: fine
     with pytest.raises(ArtifactMismatchError):

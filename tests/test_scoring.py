@@ -289,19 +289,19 @@ def test_deal_rate_half(chair):
         termination="cap_reached",
         seed=1,
     )
-    outcomes = [
-        score_outcome(deal, chair, Assignment(agreed_price=100)),
-        score_outcome(impasse, chair, Assignment.impasse_marker()),
+    rows = [
+        *outcome_rows(score_outcome(deal, chair, Assignment(agreed_price=100)), deal),
+        *outcome_rows(score_outcome(impasse, chair, Assignment.impasse_marker()), impasse),
     ]
-    summaries = aggregate_outcomes(outcomes)
-    by_agent = {(s.agent_id, s.scenario_id): s for s in summaries}
+    summaries = aggregate_outcomes(rows)
+    by_agent = {(s.agent_id, s.exercise): s for s in summaries}
     assert by_agent[("s1", "chair")].deal_rate == 0.5
     assert by_agent[("s1", "chair")].n == 2
 
 
 def test_fixture_means_match_hand_computation(chair):
     prices = [50, 60, 70, 80, 90, 100]
-    outcomes = []
+    rows = []
     for i, price in enumerate(prices):
         transcript = make_transcript(
             "chair",
@@ -311,8 +311,9 @@ def test_fixture_means_match_hand_computation(chair):
             termination="accepted",
             seed=i,
         )
-        outcomes.append(score_outcome(transcript, chair, Assignment(agreed_price=price)))
-    summaries = {s.agent_id: s for s in aggregate_outcomes(outcomes)}
+        outcome = score_outcome(transcript, chair, Assignment(agreed_price=price))
+        rows += outcome_rows(outcome, transcript)
+    summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
     # spreadsheet oracle: seller surpluses 10..60 mean 35; buyer 70..20 mean 45
     assert summaries["s1"].mean_value_claimed == pytest.approx(35.0)
     assert summaries["b1"].mean_value_claimed == pytest.approx(45.0)
@@ -332,10 +333,12 @@ def test_all_identical_outcomes(chair):
         )
         for i in range(3)
     ]
-    outcomes = [
-        score_outcome(t, chair, Assignment(agreed_price=90)) for t in transcripts
+    rows = [
+        row
+        for t in transcripts
+        for row in outcome_rows(score_outcome(t, chair, Assignment(agreed_price=90)), t)
     ]
-    summaries = {s.agent_id: s for s in aggregate_outcomes(outcomes)}
+    summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
     assert summaries["s1"].mean_value_claimed == 50.0
 
 

@@ -7,9 +7,8 @@ import pytest
 
 import parley.tournament
 from parley.agents import AgentSpec, BackendBinding, ChatModelClient, make_scripted_agent
-from parley.catalog import Assignment, load_builtin
+from parley.catalog import load_builtin
 from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
-from parley.scoring import Outcome, SeatScore
 from parley.tournament import (
     RANKING_METRICS,
     TournamentState,
@@ -479,25 +478,25 @@ def test_checkpoint_round_trip(tmp_path, roster):
 # Ranking trajectories
 
 
+def seat_row(agent_id, **metrics):
+    """One seat's outcome row; a metric not given is blank (None)."""
+    return {"agent_id": agent_id, **dict.fromkeys(RANKING_METRICS), **metrics}
+
+
 def outcome_with(agent_id, value, idx, scenario_id="chair"):
-    return Outcome(
-        negotiation_id=f"{agent_id}-{idx}",
-        scenario_id=scenario_id,
-        deal=True,
-        terms=Assignment(agreed_price=100),
-        per_role={
-            "seller": SeatScore(agent_id=agent_id, value_claimed=value),
-            "buyer": SeatScore(agent_id=f"opp-{idx}", value_claimed=0.0),
-        },
-        value_created=80.0,
-        efficiency=2,
-    )
+    """The two seat rows of a deal: ``agent_id`` sells and claims ``value``
+    against ``opp-{idx}``."""
+    shared = dict(exercise=scenario_id, deal=1, value_created=80.0, efficiency=2)
+    return [
+        seat_row(agent_id, value_claimed=value, **shared),
+        seat_row(f"opp-{idx}", value_claimed=0.0, **shared),
+    ]
 
 
 def test_constant_outcomes_give_flat_curves_and_stable_ranks():
-    outcomes = [outcome_with("hi", 20.0, i) for i in range(5)]
-    outcomes += [outcome_with("lo", 10.0, i + 100) for i in range(5)]
-    trajectory = ranking_trajectory(outcomes, "value_claimed", order_seed=3)
+    rows = [row for i in range(5) for row in outcome_with("hi", 20.0, i)]
+    rows += [row for i in range(5) for row in outcome_with("lo", 10.0, i + 100)]
+    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=3)
     assert all(v == 20.0 for v in trajectory.curves["hi"])
     assert all(r == 1 for r in trajectory.ranks["hi"])
     assert all(r > 1 for r in trajectory.ranks["lo"])
@@ -507,41 +506,38 @@ def test_disjoint_value_ranges_never_cross():
     import random
 
     rng = random.Random(0)
-    outcomes = [outcome_with("a", 15 + rng.random() * 5, i) for i in range(30)]
-    outcomes += [outcome_with("b", 5 + rng.random() * 5, i + 500) for i in range(30)]
-    trajectory = ranking_trajectory(outcomes, "value_claimed", order_seed=9)
+    rows = [row for i in range(30) for row in outcome_with("a", 15 + rng.random() * 5, i)]
+    rows += [
+        row for i in range(30) for row in outcome_with("b", 5 + rng.random() * 5, i + 500)
+    ]
+    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=9)
     assert all(r == 1 for r in trajectory.ranks["a"])
     assert all(r == 2 for r in trajectory.ranks["b"])
 
 
-def mixed_outcomes():
+def mixed_rows():
     """Agent "a" as chair seller in a deal and an impasse, and as rental
     landlord in two deals, each against its own counterpart."""
 
-    def outcome(idx, scenario_id, deal, seat, value_created, efficiency):
-        roles = ("seller", "buyer") if scenario_id == "chair" else ("landlord", "tenant")
-        return Outcome(
-            negotiation_id=f"n{idx}",
-            scenario_id=scenario_id,
-            deal=deal,
-            terms=Assignment(impasse=not deal),
-            per_role={
-                roles[0]: SeatScore(agent_id="a", **seat),
-                roles[1]: SeatScore(agent_id=f"opp-{idx}", value_claimed=0.0),
-            },
-            value_created=value_created,
+    def outcome(idx, exercise, deal, seat, value_created, efficiency):
+        shared = dict(
+            exercise=exercise, deal=int(deal), value_created=value_created,
             efficiency=efficiency,
         )
+        return [
+            seat_row("a", **seat, **shared),
+            seat_row(f"opp-{idx}", value_claimed=0.0, **shared),
+        ]
 
     return [
-        outcome(0, "chair", True, dict(
+        *outcome(0, "chair", True, dict(
             value_claimed=20.0, proportion_of_pie=0.25, counterpart_sv=5.0
         ), 80.0, 4),
-        outcome(1, "chair", False, dict(value_claimed=0.0), 0.0, 10),
-        outcome(2, "rental", True, dict(
+        *outcome(1, "chair", False, dict(value_claimed=0.0), 0.0, 10),
+        *outcome(2, "rental", True, dict(
             value_claimed=3000.0, points=3000, proportion_of_pie=0.6, counterpart_sv=4.0
         ), 5000.0, 6),
-        outcome(3, "rental", True, dict(
+        *outcome(3, "rental", True, dict(
             value_claimed=1000.0, points=1000, proportion_of_pie=0.2, counterpart_sv=6.0
         ), 5000.0, 8),
     ]
@@ -563,7 +559,7 @@ MIXED_MEANS = {
 @pytest.mark.parametrize("metric", RANKING_METRICS)
 def test_ranking_trajectory_cumulative_mean_per_metric(metric):
     count, mean = MIXED_MEANS[metric]
-    trajectory = ranking_trajectory(mixed_outcomes(), metric, order_seed=5)
+    trajectory = ranking_trajectory(mixed_rows(), metric, order_seed=5)
     curve = trajectory.curves["a"]
     assert len(curve) == count
     assert curve[-1] == pytest.approx(mean)
@@ -571,9 +567,9 @@ def test_ranking_trajectory_cumulative_mean_per_metric(metric):
 
 
 def test_unknown_metric_lists_valid_ones():
-    outcomes = [outcome_with("a", 1.0, 0)]
+    rows = outcome_with("a", 1.0, 0)
     with pytest.raises(NotFoundError, match="value_claimed"):
-        ranking_trajectory(outcomes, "charisma", order_seed=1)
+        ranking_trajectory(rows, "charisma", order_seed=1)
 
 
 def test_noisy_rank_agreement_improves_with_samples():
@@ -583,23 +579,19 @@ def test_noisy_rank_agreement_improves_with_samples():
 
     rng = random.Random(42)
     agents = {f"agent{i}": 10.0 + 2.0 * i for i in range(6)}
-    outcomes = []
+    rows = []
     idx = 0
     for agent_id, mean in agents.items():
         for _ in range(80):
-            outcomes.append(outcome_with(agent_id, rng.gauss(mean, 8.0), idx))
+            rows += outcome_with(agent_id, rng.gauss(mean, 8.0), idx)
             idx += 1
-    trajectory = ranking_trajectory(outcomes, "value_claimed", order_seed=7)
+    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=7)
 
     # direct recomputation of each curve from the same seeded shuffle
     from parley.tournament import stable_seed as seed_of
 
     for agent_id in agents:
-        values = [
-            o.per_role["seller"].value_claimed
-            for o in outcomes
-            if o.per_role["seller"].agent_id == agent_id
-        ]
+        values = [row["value_claimed"] for row in rows if row["agent_id"] == agent_id]
         shuffled = list(values)
         random.Random(seed_of(7, agent_id)).shuffle(shuffled)
         running = 0.0
