@@ -71,6 +71,14 @@ class BackendBinding:
                 raise ConfigurationError("scripted backend must not set model_name/endpoint")
 
 
+def reply_token_limit(source, key: str, value) -> int:
+    """``value`` when it is an integer of at least 1, else a SchemaError
+    naming ``source`` and ``key``: a limit of 0 cuts every reply to nothing."""
+    if typed(source, key, value, int) < 1:
+        raise SchemaError(f"{source}: {key} must be at least 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     agent_id: str
@@ -505,7 +513,11 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
             kind=backend_raw.get("kind", "chat_model"),
             model_name=backend_raw.get("model_name", ""),
             temperature=float(setting("temperature", DEFAULT_TEMPERATURE, (int, float))),
-            max_reply_tokens=setting("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS, int),
+            max_reply_tokens=reply_token_limit(
+                path,
+                f"{key}.max_reply_tokens",
+                backend_raw.get("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS),
+            ),
             endpoint=backend_raw.get("endpoint", ""),
             policy_name=backend_raw.get("policy_name", ""),
             policy_params=dict(setting("policy_params", {}, dict)),

@@ -20,6 +20,7 @@ from .agents import (
     BackendBinding,
     ChatModelClient,
     load_roster,
+    reply_token_limit,
 )
 from .catalog import ScenarioSpec, load_catalog, read_yaml, typed
 from .errors import (
@@ -47,7 +48,7 @@ from .scoring import (
 from .session import load_svi_items
 from .stats import FitResult, ModelSpec, ObservationRow, fit_with_clusters, summarize_fit
 from .style import STYLE_TABLE_COLUMNS, StyleScores, score_prompt_style
-from .tables import provenance_line, read_table, write_table
+from .tables import is_blank, provenance_line, read_table, write_table
 from .tournament import (
     TournamentState,
     TranscriptStore,
@@ -130,6 +131,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not 0.0 <= temperature <= 2.0:
         raise SchemaError(f"{path}: backend.temperature must lie in [0, 2]")
     backend["temperature"] = temperature
+    if "max_reply_tokens" in backend:
+        reply_token_limit(path, "backend.max_reply_tokens", backend["max_reply_tokens"])
 
     config = RunConfig(
         roster_path=resolve(raw["roster"]),
@@ -194,6 +197,8 @@ class Pipeline:
         self._steps: dict[str, Callable] = {}
         self._gathered: dict[str, dict[str, list]] = {}
         self._step_error: Exception | None = None
+        # the rows of each table analyze reads that this call wrote, by path
+        self._written: dict[Path, list[dict]] = {}
 
     # shared inputs ---------------------------------------------------------
 
@@ -314,6 +319,7 @@ class Pipeline:
                     results[stage] = getattr(self, f"stage_{stage}")()
         finally:
             self._store, self._steps, self._gathered, self._step_error = None, {}, {}, None
+            self._written = {}
         return results
 
     def stage_run(self):
@@ -346,19 +352,22 @@ class Pipeline:
         self.report_path.write_text("\n".join(lines) + "\n")
         return report
 
-    def stage_score(self):
-        rows = self._take_gathered("score")
-        write_table(
-            self.outcomes_path, OUTCOME_TABLE_COLUMNS, rows, self.config.config_hash
-        )
+    def _write(self, path: Path, columns: tuple[str, ...], rows: list[dict]) -> list[dict]:
+        """Write a table analyze reads, and keep its rows for this call's
+        analyze stage."""
+        write_table(path, columns, rows, self.config.config_hash)
+        self._written[path] = rows
         return rows
 
-    def stage_features(self):
-        rows = self._take_gathered("features")
-        write_table(
-            self.features_path, FEATURE_TABLE_COLUMNS, rows, self.config.config_hash
+    def stage_score(self):
+        return self._write(
+            self.outcomes_path, OUTCOME_TABLE_COLUMNS, self._take_gathered("score")
         )
-        return rows
+
+    def stage_features(self):
+        return self._write(
+            self.features_path, FEATURE_TABLE_COLUMNS, self._take_gathered("features")
+        )
 
     def stage_style(self):
         scores: list[StyleScores] = []
@@ -391,29 +400,31 @@ class Pipeline:
                     )
                 )
         rows = sorted((asdict(s) for s in scores), key=lambda r: r["agent_id"])
-        write_table(self.style_path, STYLE_TABLE_COLUMNS, rows, self.config.config_hash)
-        return rows
+        return self._write(self.style_path, STYLE_TABLE_COLUMNS, rows)
 
     # analysis ----------------------------------------------------------------
 
-    def _styles_by_agent(self) -> dict[str, tuple[float, float]]:
-        if not self.style_path.exists():
+    def _table_rows(self, path: Path) -> list[dict] | None:
+        """The rows of the table at ``path``: those this call wrote there,
+        else the file's, read back under this config's hash; None when this
+        call wrote no such table and there is no file."""
+        if path in self._written:
+            return self._written[path]
+        if not path.exists():
+            return None
+        return read_table(path, self.config.config_hash)[1]
+
+    def stage_analyze(self):
+        out_rows = self._table_rows(self.outcomes_path)
+        if out_rows is None:
+            raise PrerequisiteError("no outcome table found; run the 'score' stage first")
+        style_rows = self._table_rows(self.style_path)
+        if style_rows is None:
             raise PrerequisiteError("no style table found; run the 'style' stage first")
-        _, style_rows = read_table(self.style_path, self.config.config_hash)
-        return {
+        styles = {
             r["agent_id"]: (float(r["warmth"]), float(r["dominance"]))
             for r in style_rows
         }
-
-    def _outcome_rows(self) -> list[dict]:
-        if not self.outcomes_path.exists():
-            raise PrerequisiteError("no outcome table found; run the 'score' stage first")
-        _, rows = read_table(self.outcomes_path, self.config.config_hash)
-        return rows
-
-    def stage_analyze(self):
-        out_rows = self._outcome_rows()
-        styles = self._styles_by_agent()
         self.analysis_dir.mkdir(parents=True, exist_ok=True)
 
         # (key, table, exercise or None for pooled, column, family, terms, title)
@@ -428,8 +439,8 @@ class Pipeline:
                         f"{scenario_id}: {column} ({family}, {terms})",
                     ))
         # communication features as responses, pooled across exercises
-        if self.features_path.exists():
-            _, feat_rows = read_table(self.features_path, self.config.config_hash)
+        feat_rows = self._table_rows(self.features_path)
+        if feat_rows is not None:
             for column in FEATURE_NAMES:
                 jobs.append((
                     f"features_{column}", feat_rows, None, column, "linear", "main",
@@ -525,8 +536,8 @@ def build_observation_rows(
     for record in outcome_table:
         if exercise is not None and record["exercise"] != exercise:
             continue
-        raw = record.get(y_column, "")
-        if raw == "":
+        raw = record.get(y_column)
+        if is_blank(raw):
             continue
         agent_id = record["agent_id"]
         if agent_id not in styles:
@@ -615,8 +626,8 @@ def heatmap_grid(
         raise ConfigurationError("bins must be >= 1")
     per_agent: dict[str, list[float]] = {}
     for record in outcome_table:
-        raw = record.get(metric, "")
-        if raw == "":
+        raw = record.get(metric)
+        if is_blank(raw):
             continue
         per_agent.setdefault(record["agent_id"], []).append(float(raw))
     if not per_agent:

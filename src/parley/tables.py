@@ -41,6 +41,11 @@ def parse_provenance(
     return meta
 
 
+def is_blank(value) -> bool:
+    """Whether a table cell is blank: None in memory, "" once read back."""
+    return value in (None, "")
+
+
 def write_table(
     path: str | Path,
     columns: tuple[str, ...] | list[str],
@@ -52,7 +57,7 @@ def write_table(
     path = Path(path)
     kept, omitted = [], []
     for col in columns:
-        if rows and all(row.get(col) in (None, "") for row in rows):
+        if rows and all(is_blank(row.get(col)) for row in rows):
             omitted.append(col)
         else:
             kept.append(col)

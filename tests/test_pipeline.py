@@ -105,6 +105,10 @@ def test_default_temperature_is_020(tmp_path):
         ({"standardize": "no"}, "standardize"),
         ({"small_sample": 1}, "small_sample"),
         ({"concurrency_limit": 0}, "concurrency_limit"),
+        # config-level backend defaults are checked at config load, even when
+        # no agent of the roster takes them
+        ({"backend": {"max_reply_tokens": "lots"}}, "backend.max_reply_tokens"),
+        ({"backend": {"max_reply_tokens": 0}}, "backend.max_reply_tokens"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
@@ -132,10 +136,15 @@ def scripted_backend(**extra):
         ([3], "agents[0]"),
         ([{"agent_id": "a", "backend": scripted_backend(max_reply_tokens="lots")}],
          "agent 'a' backend.max_reply_tokens"),
+        ([{"agent_id": "a", "backend": scripted_backend(max_reply_tokens=0)}],
+         "agent 'a' backend.max_reply_tokens"),
         ([{"agent_id": "a", "backend": scripted_backend(policy_params=[1, 2])}],
          "agent 'a' backend.policy_params"),
     ],
-    ids=["temperature", "backend", "agents", "agent-record", "max_reply_tokens", "policy_params"],
+    ids=[
+        "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
+        "max_reply_tokens-zero", "policy_params",
+    ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
     path = write_workspace(tmp_path, agents=agents)
@@ -437,6 +446,9 @@ def test_heatmap_two_corner_agents():
     table = [
         {"agent_id": "cold", "value_claimed": "1.0"},
         {"agent_id": "warm", "value_claimed": "3.0"},
+        # blank cells, as read back and as kept in memory, are left out
+        {"agent_id": "warm", "value_claimed": ""},
+        {"agent_id": "cold", "value_claimed": None},
     ]
     styles = {"cold": (0.0, 0.0), "warm": (100.0, 100.0)}
     grid = heatmap_grid(table, styles, "value_claimed", bins=10)
@@ -519,6 +531,15 @@ def test_blank_response_rows_are_dropped():
             "cluster_agent": "a",
             "cluster_dyad": "a~b:chair",
             "cluster_negotiation": "n2",
+        },
+        # a row kept in memory holds None where its table has a blank cell
+        {
+            "exercise": "chair",
+            "agent_id": "a",
+            "counterpart_sv": None,
+            "cluster_agent": "a",
+            "cluster_dyad": "a~b:chair",
+            "cluster_negotiation": "n3",
         },
     ]
     rows = build_observation_rows(
@@ -1001,6 +1022,56 @@ def test_one_six_stage_call_writes_what_six_single_stage_calls_write(tmp_path):
         six.run_stages([stage])
     assert data_artifacts(six.config.output_dir) == data_artifacts(one.config.output_dir)
     assert "summary.csv" in data_artifacts(one.config.output_dir)
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """The paths the pipeline reads tables from, in reading order."""
+    import parley.pipeline
+
+    paths = []
+
+    def recording_read_table(path, *args, **kwargs):
+        paths.append(Path(path))
+        return read_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(parley.pipeline, "read_table", recording_read_table)
+    return paths
+
+
+def test_six_stage_call_reads_no_table_back(tmp_path, monkeypatch):
+    import parley.pipeline
+
+    def refusing_read_table(*args, **kwargs):
+        raise AssertionError(f"read_table{args}")
+
+    monkeypatch.setattr(parley.pipeline, "read_table", refusing_read_table)
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, scenarios=("chair", "rental"))))
+    results = pipeline.run_stages(SIX_STAGES)
+    assert "chair_value_claimed" in results["analyze"]
+    assert "features_hedges" in results["analyze"]
+
+
+def test_analyze_in_a_later_call_reads_the_tables_and_writes_the_same_bytes(
+    tmp_path, table_reads
+):
+    (tmp_path / "one").mkdir()
+    (tmp_path / "split").mkdir()
+    extra = {"analysis_terms": ["main", "quadratic"]}
+    one = Pipeline(load_config(write_workspace(tmp_path / "one", extra=extra)))
+    one.run_stages(SIX_STAGES)
+    split = Pipeline(load_config(write_workspace(tmp_path / "split", extra=extra)))
+    split.run_stages(SIX_STAGES[:4])
+    assert table_reads == []
+    split.run_stages(["analyze", "report"])
+    assert table_reads == [split.outcomes_path, split.style_path, split.features_path]
+
+    def analysis(pipeline):
+        artifacts = data_artifacts(pipeline.config.output_dir)
+        return {name: data for name, data in artifacts.items() if name.startswith("analysis")}
+
+    assert analysis(split) == analysis(one)
+    assert "analysis/analysis_results.json" in analysis(one)
 
 
 def run_probe(source, *args):
