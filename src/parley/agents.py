@@ -510,16 +510,16 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
             return typed(path, f"{key}.{name}", backend_raw.get(name, default), kinds)
 
         binding = BackendBinding(
-            kind=backend_raw.get("kind", "chat_model"),
-            model_name=backend_raw.get("model_name", ""),
+            kind=setting("kind", "chat_model", str),
+            model_name=setting("model_name", "", str),
             temperature=float(setting("temperature", DEFAULT_TEMPERATURE, (int, float))),
             max_reply_tokens=reply_token_limit(
                 path,
                 f"{key}.max_reply_tokens",
                 backend_raw.get("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS),
             ),
-            endpoint=backend_raw.get("endpoint", ""),
-            policy_name=backend_raw.get("policy_name", ""),
+            endpoint=setting("endpoint", "", str),
+            policy_name=setting("policy_name", "", str),
             policy_params=dict(setting("policy_params", {}, dict)),
         )
         binding.validate()

@@ -219,6 +219,7 @@ _TYPE_NOUNS = {
     int: "an integer",
     (int, float): "a number",
     bool: "true or false",
+    str: "a string",
     list: "a list",
     dict: "a mapping",
 }

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import SchemaError
+from .scoring import CLUSTER_COLUMNS, KEY_COLUMNS, observation_keys
 from .session import Transcript
 
 # the lexicons whose feature is a count of matches per utterance
@@ -308,17 +309,7 @@ def extract_features(
     return features
 
 
-FEATURE_TABLE_COLUMNS = (
-    "negotiation_id",
-    "exercise",
-    "agent_id",
-    "counterpart_id",
-    "role",
-    *FEATURE_NAMES,
-    "cluster_agent",
-    "cluster_dyad",
-    "cluster_negotiation",
-)
+FEATURE_TABLE_COLUMNS = (*KEY_COLUMNS, *FEATURE_NAMES, *CLUSTER_COLUMNS)
 
 
 def feature_rows(
@@ -326,8 +317,6 @@ def feature_rows(
 ) -> list[dict]:
     """Two agent-observation rows per negotiation, keyed like the outcome
     table, in role-name order."""
-    from .scoring import observation_keys
-
     features = extract_features(transcript, lexicons)
     return [
         {**observation_keys(transcript, role_name), **asdict(features[role_name])}

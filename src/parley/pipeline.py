@@ -39,10 +39,8 @@ from .scoring import (
     OUTCOME_TABLE_COLUMNS,
     RANKING_METRICS,
     AgentSummary,
-    Outcome,
     aggregate_outcomes,
     extract_agreement,
-    outcome_rows,
     score_outcome,
 )
 from .session import load_svi_items
@@ -91,6 +89,7 @@ class RunConfig:
     backend_defaults: dict = field(default_factory=dict)
     style_mode: str = "synthetic"  # "synthetic" | "model"
     style_seed: int = 11
+    # the style rater's binding: model_name, endpoint and temperature
     style_rater: dict = field(default_factory=dict)
     standardize: bool = True
     small_sample: bool = False
@@ -122,17 +121,24 @@ def load_config(path: str | Path) -> RunConfig:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
+    def temperature(key: str, value) -> float:
+        value = float(typed(path, key, value, (int, float)))
+        if not 0.0 <= value <= 2.0:
+            raise SchemaError(f"{path}: {key} must be in [0, 2], got {value}")
+        return value
+
     output_dir = resolve(raw["output_dir"])
     style = typed(path, "style", raw.get("style", {}), dict)
+    rater = typed(path, "style.rater", style.get("rater", {}), dict)
     backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
-    temperature = float(
-        typed(path, "backend.temperature", backend.get("temperature", 0.20), (int, float))
+    backend["temperature"] = temperature(
+        "backend.temperature", backend.get("temperature", 0.20)
     )
-    if not 0.0 <= temperature <= 2.0:
-        raise SchemaError(f"{path}: backend.temperature must lie in [0, 2]")
-    backend["temperature"] = temperature
     if "max_reply_tokens" in backend:
         reply_token_limit(path, "backend.max_reply_tokens", backend["max_reply_tokens"])
+    for name in ("kind", "model_name", "endpoint", "policy_name", "api_key"):
+        if name in backend:
+            typed(path, f"backend.{name}", backend[name], str)
 
     config = RunConfig(
         roster_path=resolve(raw["roster"]),
@@ -148,7 +154,11 @@ def load_config(path: str | Path) -> RunConfig:
         backend_defaults=backend,
         style_mode=style.get("mode", "synthetic"),
         style_seed=typed(path, "style.seed", style.get("seed", 11), int),
-        style_rater=dict(typed(path, "style.rater", style.get("rater", {}), dict)),
+        style_rater={
+            "model_name": typed(path, "style.rater.model_name", rater.get("model_name", ""), str),
+            "endpoint": typed(path, "style.rater.endpoint", rater.get("endpoint", ""), str),
+            "temperature": temperature("style.rater.temperature", rater.get("temperature", 0.0)),
+        },
         standardize=typed(path, "standardize", raw.get("standardize", True), bool),
         small_sample=typed(path, "small_sample", raw.get("small_sample", False), bool),
         analysis_terms=list(
@@ -245,8 +255,9 @@ class Pipeline:
             self._store = TranscriptStore(self.transcripts_path, self.config.config_hash)
         return self._store
 
-    def _outcome(self, transcript) -> Outcome:
-        """The transcript's outcome, scored from its marker-extracted terms."""
+    def _outcome(self, transcript) -> list[dict]:
+        """The transcript's two outcome rows, scored from its marker-extracted
+        terms."""
         scenario = self.scenarios[transcript.scenario_id]
         terms = extract_agreement(transcript, scenario, extractor="marker")
         return score_outcome(transcript, scenario, terms)
@@ -260,7 +271,7 @@ class Pipeline:
         negotiation; the run stage hands over what it stores after."""
         lexicons = self._lexicons() if "features" in stages else None
         steps = {
-            "score": lambda t: outcome_rows(self._outcome(t), t),
+            "score": self._outcome,
             "features": lambda t: feature_rows(t, lexicons),
         }
         # report scores each transcript a second time, into the same rows
@@ -385,13 +396,7 @@ class Pipeline:
         else:
             if self.client is None:
                 raise ConfigurationError("style mode 'model' requires a chat client")
-            rater = self.config.style_rater
-            binding = BackendBinding(
-                kind="chat_model",
-                model_name=rater.get("model_name", ""),
-                endpoint=rater.get("endpoint", ""),
-                temperature=float(rater.get("temperature", 0.0)),
-            )
+            binding = BackendBinding(kind="chat_model", **self.config.style_rater)
             binding.validate()
             for agent in self.roster:
                 scores.append(

@@ -20,26 +20,6 @@ from .protocol import extraction_schema, parse_block, terms_to_assignment
 from .session import Transcript
 
 
-@dataclass
-class SeatScore:
-    agent_id: str
-    value_claimed: float
-    points: int | None = None  # integrative only
-    proportion_of_pie: float | None = None
-    counterpart_sv: float | None = None
-
-
-@dataclass
-class Outcome:
-    negotiation_id: str
-    scenario_id: str
-    deal: bool
-    terms: Assignment
-    per_role: dict[str, SeatScore]
-    value_created: float
-    efficiency: int  # messages exchanged
-
-
 def _latest_counterpart_terms(transcript: Transcript) -> dict[str, str] | None:
     """Raw pairs from the counterpart's most recent proposal before the close."""
     if len(transcript.utterances) < 2:
@@ -150,56 +130,83 @@ def extract_agreement(
     raise ScoringError(f"unknown extractor {extractor!r}")
 
 
+# the columns that lead an agent-observation row, and the cluster columns that
+# close it; the outcome and feature tables share both
+KEY_COLUMNS = ("negotiation_id", "exercise", "agent_id", "counterpart_id", "role")
+CLUSTER_COLUMNS = ("cluster_agent", "cluster_dyad", "cluster_negotiation")
+
+
+def dyad_id(agent_a: str, agent_b: str, scenario_id: str) -> str:
+    pair = "~".join(sorted((agent_a, agent_b)))
+    return f"{pair}:{scenario_id}"
+
+
+def observation_keys(transcript: Transcript, role_name: str) -> dict:
+    """The key and cluster columns of one seat's row."""
+    agent_id = transcript.role_map[role_name]
+    counterpart_id = transcript.role_map[transcript.counterpart_role(role_name)]
+    keys = (
+        transcript.negotiation_id,
+        transcript.scenario_id,
+        agent_id,
+        counterpart_id,
+        role_name,
+    )
+    clusters = (
+        agent_id,
+        dyad_id(agent_id, counterpart_id, transcript.scenario_id),
+        transcript.negotiation_id,
+    )
+    return dict(zip(KEY_COLUMNS + CLUSTER_COLUMNS, keys + clusters))
+
+
+# the per-seat metrics of an outcome row, in table order; each can rank agents
+RANKING_METRICS = (
+    "deal",
+    "value_claimed",
+    "points",
+    "proportion_of_pie",
+    "value_created",
+    "counterpart_sv",
+    "efficiency",
+)
+
+OUTCOME_TABLE_COLUMNS = (*KEY_COLUMNS, *RANKING_METRICS, *CLUSTER_COLUMNS)
+
+
 def score_outcome(
     transcript: Transcript, scenario: ScenarioSpec, terms: Assignment
-) -> Outcome:
-    """Compute all per-seat and joint metrics for one negotiation."""
+) -> list[dict]:
+    """The negotiation's two outcome rows, one per seat in the scenario's role
+    order: the seat's key and cluster columns and its ``RANKING_METRICS``.
+    ``points`` and ``proportion_of_pie`` are None outside integrative
+    exercises."""
     values, joint = evaluate_assignment(scenario, terms)
     deal = not terms.impasse
-    per_role: dict[str, SeatScore] = {}
-    for role_name in scenario.role_names:
-        counterpart = scenario.counterpart_role(role_name)
-        counterpart_svi = transcript.svi.get(counterpart)
-        seat = SeatScore(
-            agent_id=transcript.role_map[role_name],
-            value_claimed=values[role_name],
-            counterpart_sv=None if counterpart_svi is None else counterpart_svi.composite,
-        )
-        if scenario.kind == "integrative":
-            seat.points = int(values[role_name])
-        per_role[role_name] = seat
-
-    outcome = Outcome(
-        negotiation_id=transcript.negotiation_id,
-        scenario_id=scenario.scenario_id,
-        deal=deal,
-        terms=terms,
-        per_role=per_role,
-        value_created=joint,
-        efficiency=len(transcript.utterances),
-    )
-    if scenario.kind == "integrative":
-        shares = proportion_of_pie(outcome)
-        for role_name, share in shares.items():
-            per_role[role_name].proportion_of_pie = share
-    return outcome
-
-
-def proportion_of_pie(outcome: Outcome) -> dict[str, float]:
-    """Each seat's share of the final pie; impasses are 0% for both parties."""
-    first_seat = next(iter(outcome.per_role.values()))
-    if first_seat.points is None:
-        raise EvaluationError("proportion of pie applies to integrative outcomes only")
-    if not outcome.deal:
-        return {role: 0.0 for role in outcome.per_role}
-    if outcome.value_created == 0:
+    integrative = scenario.kind == "integrative"
+    if integrative and deal and joint == 0:
         raise EvaluationError(
-            f"negotiation {outcome.negotiation_id}: deal with zero value created"
+            f"negotiation {transcript.negotiation_id}: deal with zero value created"
         )
-    return {
-        role: seat.points / outcome.value_created
-        for role, seat in outcome.per_role.items()
-    }
+    rows = []
+    for role_name in scenario.role_names:
+        counterpart_svi = transcript.svi.get(scenario.counterpart_role(role_name))
+        row = {
+            **observation_keys(transcript, role_name),
+            "deal": int(deal),
+            "value_claimed": values[role_name],
+            "points": None,
+            "proportion_of_pie": None,
+            "value_created": joint,
+            "counterpart_sv": None if counterpart_svi is None else counterpart_svi.composite,
+            "efficiency": len(transcript.utterances),  # messages exchanged
+        }
+        if integrative:
+            row["points"] = int(values[role_name])
+            # the seat's share of the final pie; an impasse is 0% for both
+            row["proportion_of_pie"] = row["points"] / joint if deal else 0.0
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -216,33 +223,9 @@ class AgentSummary:
     mean_efficiency: float
 
 
-# the per-seat metrics of an outcome row, in table order; each can rank agents
-RANKING_METRICS = (
-    "deal",
-    "value_claimed",
-    "points",
-    "proportion_of_pie",
-    "value_created",
-    "counterpart_sv",
-    "efficiency",
-)
-
-OUTCOME_TABLE_COLUMNS = (
-    "negotiation_id",
-    "exercise",
-    "agent_id",
-    "counterpart_id",
-    "role",
-    *RANKING_METRICS,
-    "cluster_agent",
-    "cluster_dyad",
-    "cluster_negotiation",
-)
-
-
 def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
     """Per-agent, per-exercise means and deal rates of outcome rows (one per
-    seat, as ``outcome_rows`` makes them), ordered by agent and exercise; a
+    seat, as ``score_outcome`` makes them), ordered by agent and exercise; a
     metric a seat lacks (None) is left out of its mean."""
     if not rows:
         raise EvaluationError("no outcomes to aggregate")
@@ -267,45 +250,3 @@ def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
             )
         )
     return summaries
-
-
-def dyad_id(agent_a: str, agent_b: str, scenario_id: str) -> str:
-    pair = "~".join(sorted((agent_a, agent_b)))
-    return f"{pair}:{scenario_id}"
-
-
-def observation_keys(transcript: Transcript, role_name: str) -> dict:
-    """The key and cluster columns of one seat's row, shared by the outcome
-    and feature tables."""
-    agent_id = transcript.role_map[role_name]
-    counterpart_id = transcript.role_map[transcript.counterpart_role(role_name)]
-    return {
-        "negotiation_id": transcript.negotiation_id,
-        "exercise": transcript.scenario_id,
-        "agent_id": agent_id,
-        "counterpart_id": counterpart_id,
-        "role": role_name,
-        "cluster_agent": agent_id,
-        "cluster_dyad": dyad_id(agent_id, counterpart_id, transcript.scenario_id),
-        "cluster_negotiation": transcript.negotiation_id,
-    }
-
-
-def outcome_rows(outcome: Outcome, transcript: Transcript) -> list[dict]:
-    """Two agent-observation rows per negotiation, in the scenario's role
-    order."""
-    rows = []
-    for role_name, seat in outcome.per_role.items():
-        rows.append(
-            {
-                **observation_keys(transcript, role_name),
-                "deal": int(outcome.deal),
-                "value_claimed": seat.value_claimed,
-                "points": seat.points,
-                "proportion_of_pie": seat.proportion_of_pie,
-                "value_created": outcome.value_created,
-                "counterpart_sv": seat.counterpart_sv,
-                "efficiency": outcome.efficiency,
-            }
-        )
-    return rows

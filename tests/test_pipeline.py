@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from pathlib import Path
@@ -109,6 +110,20 @@ def test_default_temperature_is_020(tmp_path):
         # no agent of the roster takes them
         ({"backend": {"max_reply_tokens": "lots"}}, "backend.max_reply_tokens"),
         ({"backend": {"max_reply_tokens": 0}}, "backend.max_reply_tokens"),
+        ({"backend": {"temperature": 3.0}}, "backend.temperature"),
+        ({"backend": {"kind": 5}}, "backend.kind"),
+        ({"backend": {"model_name": 5}}, "backend.model_name"),
+        ({"backend": {"endpoint": 7}}, "backend.endpoint"),
+        ({"backend": {"policy_name": ["mirror"]}}, "backend.policy_name"),
+        ({"backend": {"api_key": 1234}}, "backend.api_key"),
+        # the style rater is checked at load too, not when the style stage
+        # builds its binding
+        ({"style": {"mode": "model", "rater": {"temperature": "warm"}}},
+         "style.rater.temperature"),
+        ({"style": {"mode": "model", "rater": {"temperature": 2.5}}},
+         "style.rater.temperature"),
+        ({"style": {"mode": "model", "rater": {"model_name": 5}}}, "style.rater.model_name"),
+        ({"style": {"mode": "model", "rater": {"endpoint": None}}}, "style.rater.endpoint"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
@@ -140,10 +155,21 @@ def scripted_backend(**extra):
          "agent 'a' backend.max_reply_tokens"),
         ([{"agent_id": "a", "backend": scripted_backend(policy_params=[1, 2])}],
          "agent 'a' backend.policy_params"),
+        ([{"agent_id": "a", "backend": {"kind": 5, "policy_name": "mirror"}}],
+         "agent 'a' backend.kind"),
+        ([{"agent_id": "a", "prompt": "p",
+           "backend": {"kind": "chat_model", "model_name": 5, "endpoint": "http://e"}}],
+         "agent 'a' backend.model_name"),
+        ([{"agent_id": "a", "prompt": "p",
+           "backend": {"kind": "chat_model", "model_name": "m", "endpoint": 7}}],
+         "agent 'a' backend.endpoint"),
+        ([{"agent_id": "a", "backend": {"kind": "scripted", "policy_name": 3}}],
+         "agent 'a' backend.policy_name"),
     ],
     ids=[
         "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
-        "max_reply_tokens-zero", "policy_params",
+        "max_reply_tokens-zero", "policy_params", "kind", "model_name", "endpoint",
+        "policy_name",
     ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
@@ -330,10 +356,14 @@ def test_report_bytes_match_the_golden_tables(tmp_path):
         tmp_path, scenarios=("chair", "rental"), agents=ROSTER["agents"][:3],
         extra={"concurrency_limit": 1},
     )
-    Pipeline(load_config(path)).run_stages(["run", "report"])
+    Pipeline(load_config(path)).run_stages(["run", "score", "report"])
     out = tmp_path / "out"
     assert (out / "summary.csv").read_bytes() == SUMMARY_GOLDEN.encode()
     assert (out / "rankings_value_claimed.csv").read_bytes() == RANKINGS_GOLDEN.encode()
+    # chair's rows leave points and proportion_of_pie blank; rental's fill them
+    assert hashlib.sha256((out / "outcomes.csv").read_bytes()).hexdigest() == (
+        "f7d7e2f1361ce7c23b8fb7949f541ddc48cd08eda66890ea6850825ab321ea0a"
+    )
 
 
 def test_all_blank_response_skips_its_model_and_the_run_goes_on(tmp_path):

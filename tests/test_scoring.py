@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from parley.agents import BackendBinding, ChatModelClient, make_scripted_agent
-from parley.catalog import Assignment
+from parley.catalog import Assignment, IssueSchedule
 from parley.errors import EvaluationError, ExtractionConflictError
 from parley.scoring import (
+    OUTCOME_TABLE_COLUMNS,
     aggregate_outcomes,
     dyad_id,
     extract_agreement,
-    outcome_rows,
-    proportion_of_pie,
     score_outcome,
 )
 from parley.session import SviResponse, run_session
@@ -128,25 +129,29 @@ def test_model_extractor_enforces_all_issues(rental):
 # score_outcome
 
 
+def seats(rows):
+    """An outcome's rows keyed by role."""
+    return {row["role"]: row for row in rows}
+
+
 def test_chair_deal_scores(chair):
     transcript = accepted_chair_transcript(price=100)
     transcript.svi = {"seller": svi(6.0), "buyer": svi(3.0)}
-    outcome = score_outcome(transcript, chair, Assignment(agreed_price=100))
-    assert outcome.per_role["seller"].value_claimed == 60
-    assert outcome.per_role["buyer"].value_claimed == 20
-    assert outcome.efficiency == 2
+    rows = score_outcome(transcript, chair, Assignment(agreed_price=100))
+    by_role = seats(rows)
+    assert by_role["seller"]["value_claimed"] == 60
+    assert by_role["buyer"]["value_claimed"] == 20
+    assert all(row["efficiency"] == 2 for row in rows)
     # counterpart SV belongs to the rater's counterpart, never the rater
-    assert outcome.per_role["seller"].counterpart_sv == 3.0
-    assert outcome.per_role["buyer"].counterpart_sv == 6.0
+    assert by_role["seller"]["counterpart_sv"] == 3.0
+    assert by_role["buyer"]["counterpart_sv"] == 6.0
 
 
 def test_counterpart_sv_swap_is_asymmetric(chair):
     transcript = accepted_chair_transcript(price=100)
     transcript.svi = {"seller": svi(1.0), "buyer": svi(7.0)}
-    outcome = score_outcome(transcript, chair, Assignment(agreed_price=100))
-    assert outcome.per_role["seller"].counterpart_sv != outcome.per_role[
-        "buyer"
-    ].counterpart_sv
+    by_role = seats(score_outcome(transcript, chair, Assignment(agreed_price=100)))
+    assert by_role["seller"]["counterpart_sv"] != by_role["buyer"]["counterpart_sv"]
 
 
 def test_rental_impasse_scores(rental):
@@ -157,11 +162,12 @@ def test_rental_impasse_scores(rental):
         roles=["landlord", "tenant"],
         termination="cap_reached",
     )
-    outcome = score_outcome(transcript, rental, Assignment.impasse_marker())
-    assert outcome.per_role["landlord"].points == 0
-    assert outcome.per_role["tenant"].points == 0
-    assert outcome.value_created == 0
-    assert not outcome.deal
+    rows = score_outcome(transcript, rental, Assignment.impasse_marker())
+    by_role = seats(rows)
+    assert by_role["landlord"]["points"] == 0
+    assert by_role["tenant"]["points"] == 0
+    assert all(row["value_created"] == 0 for row in rows)
+    assert all(row["deal"] == 0 for row in rows)
 
 
 def test_employment_impasse_scores(employment):
@@ -172,29 +178,27 @@ def test_employment_impasse_scores(employment):
         roles=["consultant", "coo"],
         termination="walkaway",
     )
-    outcome = score_outcome(transcript, employment, Assignment.impasse_marker())
-    assert outcome.per_role["consultant"].points == 500
-    assert outcome.per_role["coo"].points == 500
-    assert outcome.value_created == 1000
+    rows = score_outcome(transcript, employment, Assignment.impasse_marker())
+    by_role = seats(rows)
+    assert by_role["consultant"]["points"] == 500
+    assert by_role["coo"]["points"] == 500
+    assert all(row["value_created"] == 1000 for row in rows)
 
 
 def test_missing_svi_leaves_other_fields(chair):
     transcript = accepted_chair_transcript(price=80)
     transcript.svi = {"seller": None, "buyer": svi(5.0)}
-    outcome = score_outcome(transcript, chair, Assignment(agreed_price=80))
-    assert outcome.per_role["buyer"].counterpart_sv is None
-    assert outcome.per_role["seller"].counterpart_sv == 5.0
-    assert outcome.per_role["seller"].value_claimed == 40
+    by_role = seats(score_outcome(transcript, chair, Assignment(agreed_price=80)))
+    assert by_role["buyer"]["counterpart_sv"] is None
+    assert by_role["seller"]["counterpart_sv"] == 5.0
+    assert by_role["seller"]["value_claimed"] == 40
 
 
 def test_distributive_conservation_over_all_prices(chair):
     for price in range(40, 121):
         transcript = accepted_chair_transcript(price=price)
-        outcome = score_outcome(transcript, chair, Assignment(agreed_price=price))
-        total = (
-            outcome.per_role["seller"].value_claimed
-            + outcome.per_role["buyer"].value_claimed
-        )
+        by_role = seats(score_outcome(transcript, chair, Assignment(agreed_price=price)))
+        total = by_role["seller"]["value_claimed"] + by_role["buyer"]["value_claimed"]
         assert total == 80
 
 
@@ -216,11 +220,12 @@ def test_integrative_scores_match_catalog_evaluation(rental):
         roles=["landlord", "tenant"],
         termination="accepted",
     )
-    outcome = score_outcome(transcript, rental, assignment)
+    rows = score_outcome(transcript, rental, assignment)
+    by_role = seats(rows)
     values, joint = evaluate_assignment(rental, assignment)
-    assert outcome.per_role["landlord"].points == values["landlord"]
-    assert outcome.per_role["tenant"].points == values["tenant"]
-    assert outcome.value_created == joint
+    assert by_role["landlord"]["points"] == values["landlord"]
+    assert by_role["tenant"]["points"] == values["tenant"]
+    assert all(row["value_created"] == joint for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +243,16 @@ def make_integrative_outcome(rental, chosen):
     return score_outcome(transcript, rental, Assignment(chosen=chosen))
 
 
+def shares(rows):
+    return {row["role"]: row["proportion_of_pie"] for row in rows}
+
+
 def test_symmetric_points_split_the_pie(rental):
-    outcome = make_integrative_outcome(
+    rows = make_integrative_outcome(
         rental,
         {"Rent Amount": "C", "Deposit": "E", "Start Date": "E", "Contract Length": "A"},
     )
-    shares = proportion_of_pie(outcome)
-    assert shares == {"landlord": 0.5, "tenant": 0.5}
+    assert shares(rows) == {"landlord": 0.5, "tenant": 0.5}
 
 
 def test_impasse_is_zero_share_for_both(rental):
@@ -255,8 +263,8 @@ def test_impasse_is_zero_share_for_both(rental):
         roles=["landlord", "tenant"],
         termination="cap_reached",
     )
-    outcome = score_outcome(transcript, rental, Assignment.impasse_marker())
-    assert proportion_of_pie(outcome) == {"landlord": 0.0, "tenant": 0.0}
+    rows = score_outcome(transcript, rental, Assignment.impasse_marker())
+    assert shares(rows) == {"landlord": 0.0, "tenant": 0.0}
 
 
 def test_shares_sum_to_one_on_deals(rental):
@@ -264,15 +272,47 @@ def test_shares_sum_to_one_on_deals(rental):
 
     for combo in itertools.islice(itertools.product("ABCDE", repeat=4), 0, 625, 37):
         chosen = dict(zip((i.issue_name for i in rental.issues), combo))
-        outcome = make_integrative_outcome(rental, chosen)
-        assert sum(proportion_of_pie(outcome).values()) == pytest.approx(1.0)
+        rows = make_integrative_outcome(rental, chosen)
+        assert sum(shares(rows).values()) == pytest.approx(1.0)
 
 
-def test_proportion_rejects_distributive(chair):
+def test_distributive_rows_carry_no_points_or_share(chair):
     transcript = accepted_chair_transcript()
-    outcome = score_outcome(transcript, chair, Assignment(agreed_price=100))
-    with pytest.raises(EvaluationError):
-        proportion_of_pie(outcome)
+    rows = score_outcome(transcript, chair, Assignment(agreed_price=100))
+    for row in rows:
+        assert row["points"] is None
+        assert row["proportion_of_pie"] is None
+
+
+def test_deal_with_zero_value_created_is_refused(rental):
+    # every option of every issue is worth 0 points to both seats
+    zero = replace(
+        rental,
+        scenario_id="zero_pie",
+        issues=tuple(
+            IssueSchedule(
+                issue.issue_name,
+                tuple(
+                    (label, term, {role: 0 for role in points})
+                    for label, term, points in issue.options
+                ),
+            )
+            for issue in rental.issues
+        ),
+    )
+    transcript = make_transcript(
+        "zero_pie",
+        {"landlord": "l", "tenant": "t"},
+        ["a", "b"],
+        roles=["landlord", "tenant"],
+        termination="accepted",
+    )
+    chosen = {issue.issue_name: "A" for issue in zero.issues}
+    with pytest.raises(EvaluationError, match=transcript.negotiation_id):
+        score_outcome(transcript, zero, Assignment(chosen=chosen))
+    # an impasse creates no value either, and that is no error
+    rows = score_outcome(transcript, zero, Assignment.impasse_marker())
+    assert shares(rows) == {"landlord": 0.0, "tenant": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +330,8 @@ def test_deal_rate_half(chair):
         seed=1,
     )
     rows = [
-        *outcome_rows(score_outcome(deal, chair, Assignment(agreed_price=100)), deal),
-        *outcome_rows(score_outcome(impasse, chair, Assignment.impasse_marker()), impasse),
+        *score_outcome(deal, chair, Assignment(agreed_price=100)),
+        *score_outcome(impasse, chair, Assignment.impasse_marker()),
     ]
     summaries = aggregate_outcomes(rows)
     by_agent = {(s.agent_id, s.exercise): s for s in summaries}
@@ -311,8 +351,7 @@ def test_fixture_means_match_hand_computation(chair):
             termination="accepted",
             seed=i,
         )
-        outcome = score_outcome(transcript, chair, Assignment(agreed_price=price))
-        rows += outcome_rows(outcome, transcript)
+        rows += score_outcome(transcript, chair, Assignment(agreed_price=price))
     summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
     # spreadsheet oracle: seller surpluses 10..60 mean 35; buyer 70..20 mean 45
     assert summaries["s1"].mean_value_claimed == pytest.approx(35.0)
@@ -334,9 +373,7 @@ def test_all_identical_outcomes(chair):
         for i in range(3)
     ]
     rows = [
-        row
-        for t in transcripts
-        for row in outcome_rows(score_outcome(t, chair, Assignment(agreed_price=90)), t)
+        row for t in transcripts for row in score_outcome(t, chair, Assignment(agreed_price=90))
     ]
     summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
     assert summaries["s1"].mean_value_claimed == 50.0
@@ -349,14 +386,16 @@ def test_all_identical_outcomes(chair):
 def test_outcome_rows_cluster_ids(chair):
     transcript = accepted_chair_transcript(price=100)
     transcript.svi = {"seller": svi(4.0), "buyer": svi(4.0)}
-    outcome = score_outcome(transcript, chair, Assignment(agreed_price=100))
-    rows = outcome_rows(outcome, transcript)
+    rows = score_outcome(transcript, chair, Assignment(agreed_price=100))
     assert len(rows) == 2
     for row in rows:
         assert row["cluster_negotiation"] == transcript.negotiation_id
         assert row["cluster_dyad"] == dyad_id("s1", "b1", "chair")
     assert {row["agent_id"] for row in rows} == {"s1", "b1"}
     assert rows[0]["counterpart_id"] != rows[0]["agent_id"]
+    # one row per seat, in the scenario's role order, laid out as the table is
+    assert [row["role"] for row in rows] == list(chair.role_names)
+    assert all(set(row) == set(OUTCOME_TABLE_COLUMNS) for row in rows)
 
 
 def test_dyad_id_is_unordered():
