@@ -37,6 +37,9 @@ CLEAN_SLATE_PREFACE = (
 DEFAULT_TEMPERATURE = 0.20
 DEFAULT_MAX_REPLY_TOKENS = 1024
 API_KEY_ENV_VAR = "PARLEY_API_KEY"
+BACKEND_KINDS = ("chat_model", "scripted")
+TEMPERATURE_BOUNDS = (0, 2)
+REPLY_TOKEN_BOUNDS = (1, None)  # a limit of 0 would cut every reply to nothing
 
 
 @dataclass(frozen=True)
@@ -48,35 +51,6 @@ class BackendBinding:
     endpoint: str = ""
     policy_name: str = ""
     policy_params: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.kind not in ("chat_model", "scripted"):
-            raise ConfigurationError(f"unknown backend kind {self.kind!r}")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ConfigurationError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.kind == "chat_model":
-            if self.policy_name:
-                raise ConfigurationError("chat_model backend must not set policy_name")
-            if not self.model_name or not self.endpoint:
-                raise ConfigurationError("chat_model backend requires model_name and endpoint")
-        else:
-            if not self.policy_name:
-                raise ConfigurationError("scripted backend requires policy_name")
-            if self.policy_name not in SCRIPTED_POLICIES:
-                raise NotFoundError(
-                    f"unknown scripted policy {self.policy_name!r}; "
-                    f"registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
-                )
-            if self.model_name or self.endpoint:
-                raise ConfigurationError("scripted backend must not set model_name/endpoint")
-
-
-def reply_token_limit(source, key: str, value) -> int:
-    """``value`` when it is an integer of at least 1, else a SchemaError
-    naming ``source`` and ``key``: a limit of 0 cuts every reply to nothing."""
-    if typed(source, key, value, int) < 1:
-        raise SchemaError(f"{source}: {key} must be at least 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -271,6 +245,10 @@ SCRIPTED_POLICIES: dict[str, type[ScriptedPolicy]] = {
 }
 
 
+def _unknown_policy(name: str) -> str:
+    return f"unknown scripted policy {name!r}; registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
+
+
 def get_policy(binding: BackendBinding) -> ScriptedPolicy:
     """The policy of a validated scripted binding."""
     return SCRIPTED_POLICIES[binding.policy_name](binding.policy_params)
@@ -283,11 +261,11 @@ def make_scripted_agent(
     nickname: str | None = None,
 ) -> AgentSpec:
     """Build a deterministic scripted agent; identical params give identical behavior."""
-    params = dict(params or {})
+    if policy_name not in SCRIPTED_POLICIES:
+        raise NotFoundError(_unknown_policy(policy_name))
     binding = BackendBinding(
-        kind="scripted", policy_name=policy_name, policy_params=params
+        kind="scripted", policy_name=policy_name, policy_params=dict(params or {})
     )
-    binding.validate()
     agent_id = agent_id or policy_name
     return AgentSpec(
         agent_id=agent_id,
@@ -351,7 +329,8 @@ class ChatModelClient:
     can capture requests and replay recorded responses without a network. It
     raises ``OSError`` for a transport failure and ``BackendStatusError`` for
     a non-2xx reply. Transport failures, 408, 429 and 5xx are retried; a
-    ``Retry-After`` lengthens the backoff, up to ``timeout``. Any other status
+    ``Retry-After`` lengthens the backoff, up to ``timeout``. A 401 or 403
+    raises ``ConfigurationError``, which ends a tournament; any other status
     ends the request at once.
     """
 
@@ -407,6 +386,10 @@ class ChatModelClient:
                     binding.endpoint, payload, self.api_key, self.timeout
                 )
             except BackendStatusError as exc:
+                if exc.status in (401, 403):  # a refused key: every request fails
+                    raise ConfigurationError(
+                        f"backend {binding.endpoint!r} refused the credentials: {exc}"
+                    ) from exc
                 if not _retryable(exc.status):
                     raise SessionAbortError(
                         f"backend {binding.endpoint!r} answered {exc}"
@@ -484,14 +467,12 @@ def next_message(
 def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[AgentSpec]:
     """Read an agent roster: one record per agent with optional backend overrides."""
     path = Path(path)
-    raw = read_yaml(path)
-    if not isinstance(raw, dict) or "agents" not in raw:
-        raise SchemaError(f"{path}: roster file must contain an 'agents' list")
+    raw = typed(path, "top level", read_yaml(path), dict)
 
     defaults = dict(backend_defaults or {})
     agents = []
     seen_ids = set()
-    for i, record in enumerate(typed(path, "agents", raw["agents"], list)):
+    for i, record in enumerate(typed(path, "agents", raw.get("agents"), list)):
         if "agent_id" not in typed(path, f"agents[{i}]", record, dict):
             raise SchemaError(f"{path}: agent record missing field 'agent_id'")
         agent_id = str(record["agent_id"])
@@ -506,23 +487,34 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
         if backend_raw.get("kind", "chat_model") == "chat_model":
             backend_raw = {**defaults, **backend_raw}
 
-        def setting(name: str, default, kinds):
-            return typed(path, f"{key}.{name}", backend_raw.get(name, default), kinds)
+        def setting(name: str, default, kinds, **checks):
+            return typed(path, f"{key}.{name}", backend_raw.get(name, default), kinds, **checks)
 
+        temperature = setting("temperature", DEFAULT_TEMPERATURE, (int, float), bounds=TEMPERATURE_BOUNDS)
         binding = BackendBinding(
-            kind=setting("kind", "chat_model", str),
+            kind=setting("kind", "chat_model", str, choices=BACKEND_KINDS),
             model_name=setting("model_name", "", str),
-            temperature=float(setting("temperature", DEFAULT_TEMPERATURE, (int, float))),
-            max_reply_tokens=reply_token_limit(
-                path,
-                f"{key}.max_reply_tokens",
-                backend_raw.get("max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS),
+            temperature=float(temperature),
+            max_reply_tokens=setting(
+                "max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS, int, bounds=REPLY_TOKEN_BOUNDS
             ),
             endpoint=setting("endpoint", "", str),
             policy_name=setting("policy_name", "", str),
             policy_params=dict(setting("policy_params", {}, dict)),
         )
-        binding.validate()
+        # a chat model needs a model and an endpoint, a scripted agent a
+        # registered policy; neither sets the other's keys
+        chat = binding.kind == "chat_model"
+        for name, wanted in (("model_name", chat), ("endpoint", chat), ("policy_name", not chat)):
+            value = getattr(binding, name)
+            if wanted and not value:
+                raise SchemaError(f"{path}: {key}.{name} must be set for a {binding.kind} backend")
+            if value and not wanted:
+                raise SchemaError(
+                    f"{path}: {key}.{name} must be empty for a {binding.kind} backend, got {value!r}"
+                )
+        if not chat and binding.policy_name not in SCRIPTED_POLICIES:
+            raise SchemaError(f"{path}: {key}.policy_name: {_unknown_policy(binding.policy_name)}")
         spec = AgentSpec(
             agent_id=agent_id,
             nickname=str(record.get("nickname", agent_id)),

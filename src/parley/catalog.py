@@ -138,9 +138,7 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
         return raw[key]
 
     scenario_id = require("scenario_id")
-    kind = require("kind")
-    if kind not in ("distributive", "integrative"):
-        raise SchemaError(f"{source}: kind must be distributive or integrative, got {kind!r}")
+    kind = typed(source, "kind", require("kind"), str, choices=("distributive", "integrative"))
 
     raw_roles = require("roles")
     if not isinstance(raw_roles, list) or len(raw_roles) != 2:
@@ -225,21 +223,27 @@ _TYPE_NOUNS = {
 }
 
 
-def typed(source, key: str, value, kinds):
-    """``value`` when it is one of ``kinds`` (a key of ``_TYPE_NOUNS``), else
-    a SchemaError naming ``source`` and ``key``. A YAML true or false is
-    never a number here, though Python counts a bool as an int."""
+def typed(source, key: str, value, kinds, *, choices=None, bounds=None):
+    """``value`` when it is one of ``kinds`` (a key of ``_TYPE_NOUNS``), one
+    of ``choices`` and within ``bounds`` ``(low, high)`` (``high`` None: at
+    least ``low``), each when given; else a SchemaError naming ``source`` and
+    ``key``. A YAML true or false is never a number, though Python counts a
+    bool as an int."""
+    low, high = bounds or (None, None)
     if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
-        raise SchemaError(f"{source}: {key} must be {_TYPE_NOUNS[kinds]}, got {value!r}")
-    return value
+        must = _TYPE_NOUNS[kinds]
+    elif choices is not None and value not in choices:
+        must = "one of " + ", ".join(choices)
+    elif bounds and (value < low or (high is not None and value > high)):
+        must = f"at least {low}" if high is None else f"in [{low}, {high}]"
+    else:
+        return value
+    raise SchemaError(f"{source}: {key} must be {must}, got {value!r}")
 
 
 def load_scenario_file(path: str | Path) -> ScenarioSpec:
     path = Path(path)
-    raw = read_yaml(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: top level must be a mapping")
-    return _parse_scenario(raw, str(path))
+    return _parse_scenario(typed(path, "top level", read_yaml(path), dict), str(path))
 
 
 def load_builtin(scenario_id: str) -> ScenarioSpec:

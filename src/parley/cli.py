@@ -11,7 +11,7 @@ import sys
 import click
 
 from .agents import ChatModelClient, load_roster
-from .catalog import BUILTIN_SCENARIOS, load_catalog, validate_scenario
+from .catalog import BUILTIN_SCENARIOS, load_catalog
 from .errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -38,10 +38,8 @@ def _fail(exc: ParleyError) -> None:
 
 def _pipeline(config_path: str) -> Pipeline:
     config = load_config(config_path)
-    client = None
-    backend = config.backend_defaults
-    if backend.get("endpoint"):
-        client = ChatModelClient(api_key=backend.get("api_key", ""))
+    # for chat-model agents and the model rater; a scripted run sends nothing
+    client = ChatModelClient(api_key=config.backend_defaults.get("api_key", ""))
     return Pipeline(config, client=client)
 
 
@@ -58,13 +56,12 @@ def catalog(source):
         specs = load_catalog(source)
     except ParleyError as exc:
         _fail(exc)
+    # the loader refuses a scenario that breaks an invariant
     for spec in specs:
-        violations = validate_scenario(spec)
         shape = (
             f"{len(spec.issues)} issues" if spec.kind == "integrative" else "price only"
         )
-        status = "ok" if not violations else "INVALID: " + "; ".join(violations)
-        click.echo(f"{spec.scenario_id:<12} {spec.kind:<13} {shape:<10} {status}")
+        click.echo(f"{spec.scenario_id:<12} {spec.kind:<13} {shape:<10} ok")
     if source is None:
         click.echo(f"\nbuilt-ins: {', '.join(BUILTIN_SCENARIOS)}")
 

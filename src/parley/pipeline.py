@@ -16,11 +16,13 @@ from pathlib import Path
 from random import Random
 
 from .agents import (
+    BACKEND_KINDS,
+    REPLY_TOKEN_BOUNDS,
+    TEMPERATURE_BOUNDS,
     AgentSpec,
     BackendBinding,
     ChatModelClient,
     load_roster,
-    reply_token_limit,
 )
 from .catalog import ScenarioSpec, load_catalog, read_yaml, typed
 from .errors import (
@@ -44,7 +46,7 @@ from .scoring import (
     score_outcome,
 )
 from .session import load_svi_items
-from .stats import FitResult, ModelSpec, ObservationRow, fit_with_clusters, summarize_fit
+from .stats import MODEL_TERMS, FitResult, ModelSpec, ObservationRow, fit_with_clusters, summarize_fit
 from .style import STYLE_TABLE_COLUMNS, StyleScores, score_prompt_style
 from .tables import is_blank, provenance_line, read_table, write_table
 from .tournament import (
@@ -60,6 +62,7 @@ STAGES = ("run", "score", "features", "style", "analyze", "report")
 # the stages that read transcripts: those stored before the call in one pass
 # over the store, then each one the call's run stage stores as it stores it
 READING_STAGES = ("score", "features", "report")
+STYLE_MODES = ("synthetic", "model")
 
 # regression outcomes per scenario kind: (column, family)
 ANALYSIS_MODELS = {
@@ -87,10 +90,9 @@ class RunConfig:
     base_seed: int = 7
     concurrency_limit: int = 4
     backend_defaults: dict = field(default_factory=dict)
-    style_mode: str = "synthetic"  # "synthetic" | "model"
+    style_mode: str = "synthetic"  # one of STYLE_MODES
     style_seed: int = 11
-    # the style rater's binding: model_name, endpoint and temperature
-    style_rater: dict = field(default_factory=dict)
+    style_rater: BackendBinding | None = None  # the model rater
     standardize: bool = True
     small_sample: bool = False
     analysis_terms: list[str] = field(default_factory=lambda: ["main"])
@@ -108,80 +110,77 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    raw = read_yaml(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: config must be a mapping")
+    raw = typed(path, "top level", read_yaml(path), dict)
     for key in ("roster", "scenarios", "output_dir"):
         if key not in raw:
             raise SchemaError(f"{path}: missing config key {key!r}")
 
-    base = path.parent
+    def resolve(key: str) -> Path | None:
+        """The path at ``key``, taken from the config's folder; None when unset."""
+        if key not in raw:
+            return None
+        p = Path(typed(path, key, raw[key], str))
+        return p if p.is_absolute() else path.parent / p
 
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    def temperature(key: str, value) -> float:
-        value = float(typed(path, key, value, (int, float)))
-        if not 0.0 <= value <= 2.0:
-            raise SchemaError(f"{path}: {key} must be in [0, 2], got {value}")
-        return value
-
-    output_dir = resolve(raw["output_dir"])
+    output_dir = resolve("output_dir")
     style = typed(path, "style", raw.get("style", {}), dict)
+    style_mode = typed(path, "style.mode", style.get("mode", "synthetic"), str, choices=STYLE_MODES)
     rater = typed(path, "style.rater", style.get("rater", {}), dict)
-    backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
-    backend["temperature"] = temperature(
-        "backend.temperature", backend.get("temperature", 0.20)
+    style_rater = BackendBinding(
+        kind="chat_model",
+        model_name=typed(path, "style.rater.model_name", rater.get("model_name", ""), str),
+        endpoint=typed(path, "style.rater.endpoint", rater.get("endpoint", ""), str),
+        temperature=float(typed(path, "style.rater.temperature", rater.get("temperature", 0.0),
+                                (int, float), bounds=TEMPERATURE_BOUNDS)),
     )
+    if style_mode == "model":
+        # refused now, not once every negotiation has been played
+        for name in ("model_name", "endpoint"):
+            if not getattr(style_rater, name):
+                raise SchemaError(f"{path}: style.rater.{name} must be set when style.mode is model")
+    backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
+    temperature = typed(path, "backend.temperature", backend.get("temperature", 0.20), (int, float),
+                        bounds=TEMPERATURE_BOUNDS)
+    backend["temperature"] = float(temperature)
     if "max_reply_tokens" in backend:
-        reply_token_limit(path, "backend.max_reply_tokens", backend["max_reply_tokens"])
-    for name in ("kind", "model_name", "endpoint", "policy_name", "api_key"):
+        typed(path, "backend.max_reply_tokens", backend["max_reply_tokens"], int,
+              bounds=REPLY_TOKEN_BOUNDS)
+    if "kind" in backend:
+        typed(path, "backend.kind", backend["kind"], str, choices=BACKEND_KINDS)
+    for name in ("model_name", "endpoint", "policy_name", "api_key"):
         if name in backend:
             typed(path, f"backend.{name}", backend[name], str)
+    analysis_terms = list(typed(path, "analysis_terms", raw.get("analysis_terms", ["main"]), list))
+    for i, terms in enumerate(analysis_terms):
+        typed(path, f"analysis_terms[{i}]", terms, str, choices=MODEL_TERMS)
 
     config = RunConfig(
-        roster_path=resolve(raw["roster"]),
+        roster_path=resolve("roster"),
         scenario_set=list(typed(path, "scenarios", raw["scenarios"], list)),
         output_dir=output_dir,
-        checkpoint_path=(
-            resolve(raw["checkpoint"])
-            if "checkpoint" in raw
-            else output_dir / "checkpoint.json"
-        ),
+        checkpoint_path=resolve("checkpoint") or output_dir / "checkpoint.json",
         base_seed=typed(path, "base_seed", raw.get("base_seed", 7), int),
-        concurrency_limit=typed(path, "concurrency_limit", raw.get("concurrency_limit", 4), int),
+        concurrency_limit=typed(
+            path, "concurrency_limit", raw.get("concurrency_limit", 4), int, bounds=(1, None)
+        ),
         backend_defaults=backend,
-        style_mode=style.get("mode", "synthetic"),
+        style_mode=style_mode,
         style_seed=typed(path, "style.seed", style.get("seed", 11), int),
-        style_rater={
-            "model_name": typed(path, "style.rater.model_name", rater.get("model_name", ""), str),
-            "endpoint": typed(path, "style.rater.endpoint", rater.get("endpoint", ""), str),
-            "temperature": temperature("style.rater.temperature", rater.get("temperature", 0.0)),
-        },
+        style_rater=style_rater,
         standardize=typed(path, "standardize", raw.get("standardize", True), bool),
         small_sample=typed(path, "small_sample", raw.get("small_sample", False), bool),
-        analysis_terms=list(
-            typed(path, "analysis_terms", raw.get("analysis_terms", ["main"]), list)
+        analysis_terms=analysis_terms,
+        heatmap_bins=typed(path, "heatmap_bins", raw.get("heatmap_bins", 10), int, bounds=(1, None)),
+        ranking_metric=typed(
+            path, "ranking_metric", raw.get("ranking_metric", "value_claimed"), str,
+            choices=RANKING_METRICS,
         ),
-        heatmap_bins=typed(path, "heatmap_bins", raw.get("heatmap_bins", 10), int),
-        ranking_metric=raw.get("ranking_metric", "value_claimed"),
-        svi_items_path=resolve(raw["svi_items"]) if "svi_items" in raw else None,
-        lexicon_dir=resolve(raw["lexicons"]) if "lexicons" in raw else None,
+        svi_items_path=resolve("svi_items"),
+        lexicon_dir=resolve("lexicons"),
         raw=raw,
     )
     if not config.roster_path.exists():
-        raise SchemaError(f"roster file not found: {config.roster_path}")
-    if config.style_mode not in ("synthetic", "model"):
-        raise SchemaError(f"unknown style mode {config.style_mode!r}")
-    for key in ("concurrency_limit", "heatmap_bins"):
-        if getattr(config, key) < 1:
-            raise SchemaError(f"{path}: {key} must be at least 1, got {getattr(config, key)}")
-    if config.ranking_metric not in RANKING_METRICS:
-        raise SchemaError(f"unknown ranking metric {config.ranking_metric!r}")
-    for terms in config.analysis_terms:
-        if terms not in ("main", "quadratic", "interaction"):
-            raise SchemaError(f"unknown analysis terms {terms!r}")
+        raise SchemaError(f"{path}: roster file not found: {config.roster_path}")
     return config
 
 
@@ -230,12 +229,6 @@ class Pipeline:
             self._scenarios = specs
         return self._scenarios
 
-    def _svi_items(self):
-        return load_svi_items(self.config.svi_items_path)
-
-    def _lexicons(self):
-        return load_default_lexicons(self.config.lexicon_dir)
-
     def tournament(self) -> tuple[TournamentState, TranscriptStore]:
         """The schedule with its restored failures, and the transcript store,
         which alone says which negotiations are done."""
@@ -269,7 +262,7 @@ class Pipeline:
         one pass in negotiation-id order. A bad lexicon, a damaged record or
         a step that raises fails here, before the run stage plays a
         negotiation; the run stage hands over what it stores after."""
-        lexicons = self._lexicons() if "features" in stages else None
+        lexicons = load_default_lexicons(self.config.lexicon_dir) if "features" in stages else None
         steps = {
             "score": self._outcome,
             "features": lambda t: feature_rows(t, lexicons),
@@ -342,7 +335,7 @@ class Pipeline:
             self.config.checkpoint_path,
             concurrency_limit=self.config.concurrency_limit,
             client=self.client,
-            svi_items=self._svi_items(),
+            svi_items=load_svi_items(self.config.svi_items_path),
             on_stored=self._hand_over if self._steps else None,
         )
         lines = [
@@ -396,12 +389,11 @@ class Pipeline:
         else:
             if self.client is None:
                 raise ConfigurationError("style mode 'model' requires a chat client")
-            binding = BackendBinding(kind="chat_model", **self.config.style_rater)
-            binding.validate()
             for agent in self.roster:
                 scores.append(
                     score_prompt_style(
-                        agent.prompt_text, self.client, binding, agent_id=agent.agent_id
+                        agent.prompt_text, self.client, self.config.style_rater,
+                        agent_id=agent.agent_id,
                     )
                 )
         rows = sorted((asdict(s) for s in scores), key=lambda r: r["agent_id"])
@@ -627,8 +619,6 @@ def heatmap_grid(
     """
     import warnings
 
-    if bins < 1:
-        raise ConfigurationError("bins must be >= 1")
     per_agent: dict[str, list[float]] = {}
     for record in outcome_table:
         raw = record.get(metric)

@@ -23,8 +23,8 @@ from .agents import (
     get_policy,
     next_message,
 )
-from .catalog import ScenarioSpec, read_yaml
-from .errors import ConfigurationError, SessionAbortError
+from .catalog import ScenarioSpec, read_yaml, typed
+from .errors import ConfigurationError, SchemaError, SessionAbortError
 from .protocol import has_accept, has_walkaway, moderator_suffix, parse_block, terms_to_assignment
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -134,13 +134,19 @@ def detect_termination(utterances: list[Utterance], scenario: ScenarioSpec) -> s
 
 
 def load_svi_items(path=None) -> list[dict]:
-    if path is not None:
-        raw = read_yaml(Path(path))
-    else:
-        raw = read_yaml(resources.files("parley.data") / "svi_items.yaml")
-    items = raw["items"]
-    if len(items) != 16 or {it["facet"] for it in items} != set(SVI_FACETS):
-        raise ConfigurationError("questionnaire file must define 16 items across the four facets")
+    """The questionnaire's items: 16 mappings with an integer ``id``, a
+    string ``text`` and a ``facet`` of ``SVI_FACETS``, every facet covered. A
+    file that breaks this raises SchemaError naming it and the key."""
+    source = Path(path) if path is not None else resources.files("parley.data") / "svi_items.yaml"
+    raw = typed(source, "top level", read_yaml(source), dict)
+    items = typed(source, "items", raw.get("items"), list)
+    for i, item in enumerate(items):
+        typed(source, f"items[{i}]", item, dict)
+        typed(source, f"items[{i}].id", item.get("id"), int)
+        typed(source, f"items[{i}].text", item.get("text"), str)
+        typed(source, f"items[{i}].facet", item.get("facet"), str, choices=SVI_FACETS)
+    if len(items) != 16 or {item["facet"] for item in items} != set(SVI_FACETS):
+        raise SchemaError(f"{source}: items must be 16 items covering the four facets")
     return items
 
 
@@ -184,11 +190,10 @@ def administer_svi(
     agent: AgentSpec,
     view: SessionView,
     seed: int,
+    items: list[dict],
     client: ChatModelClient | None = None,
-    items: list[dict] | None = None,
 ) -> SviResponse | None:
     """Ask one agent to fill in the questionnaire; None when unparseable."""
-    items = items if items is not None else load_svi_items()
     if agent.backend.kind == "scripted":
         reply_text = get_policy(agent.backend).answer_questionnaire(
             [it["text"] for it in items], seed
@@ -223,7 +228,8 @@ def run_session(
     """Run one negotiation to termination and administer the questionnaire.
 
     A backend abort during the negotiation raises ``SessionAbortError``; one
-    while a questionnaire is answered leaves that questionnaire missing.
+    while a questionnaire is answered leaves that questionnaire missing. A
+    refused key (``ConfigurationError``) raises in either case.
     """
     role_names = scenario.role_names
     for role in role_names:
@@ -295,6 +301,6 @@ def run_session(
             history=tuple(history),
         )
         transcript.svi[role_name] = administer_svi(
-            agent, view, seed, client=client, items=items
+            agent, view, seed, items, client=client
         )
     return transcript

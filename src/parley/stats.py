@@ -36,17 +36,20 @@ class ObservationRow:
     cluster_negotiation: str
 
 
+MODEL_TERMS = ("main", "quadratic", "interaction")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: str  # "linear" | "logistic"
-    terms: str = "main"  # "main" | "quadratic" | "interaction"
+    terms: str = "main"  # one of MODEL_TERMS
     standardize: bool = False
     cluster_dims: tuple[str, ...] = CLUSTER_DIMS
 
     def __post_init__(self):
         if self.family not in ("linear", "logistic"):
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.terms not in ("main", "quadratic", "interaction"):
+        if self.terms not in MODEL_TERMS:
             raise ConfigurationError(f"unknown terms {self.terms!r}")
         for dim in self.cluster_dims:
             if dim not in CLUSTER_DIMS:

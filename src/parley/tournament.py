@@ -359,7 +359,8 @@ def run_tournament(
     tournament idempotent under kill-and-resume with scripted agents. A
     session that raises fails only its pairing, and so does a backend abort
     (``SessionAbortError``) once the client has given up; any other
-    ``ParleyError`` surfaces when its session reaches the head of the window,
+    ``ParleyError`` (a refused key among them) stops any session from
+    starting, surfaces when its session reaches the head of the window,
     leaves the finished sessions behind it unstored, cancels the queued ones
     and ends the run.
 
@@ -381,8 +382,13 @@ def run_tournament(
     skipped = len(state.schedule) - len(pending)
     start = time.monotonic()
     executed = 0
+    # set by the first ParleyError, so no later session starts; their results
+    # are never taken, as that error's session is ahead of them in the window
+    stopped = threading.Event()
 
     def execute(pairing: Pairing) -> tuple[Pairing, Transcript | None, str]:
+        if stopped.is_set():
+            return pairing, None, "not started: the run was ended"
         scenario = scenarios[pairing.exercise]
         role_map = pairing.role_map(scenario)
         first_mover = scenario.role_names[pairing.first_mover_seat]
@@ -400,6 +406,7 @@ def run_tournament(
             # the client has already retried what a retry could mend
             return pairing, None, f"{type(exc).__name__}: {exc}"
         except ParleyError:
+            stopped.set()
             raise
         except Exception as exc:
             # one broken session is this pairing's failure, not the run's

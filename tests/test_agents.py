@@ -181,16 +181,30 @@ def test_scripted_reply_truncated_at_token_cap(chair):
 # Backend binding validation
 
 
-def test_temperature_bounds():
-    with pytest.raises(ConfigurationError):
-        BackendBinding(kind="chat_model", model_name="m", endpoint="e", temperature=2.5).validate()
+def refused_roster_message(tmp_path, backend):
+    import yaml
+
+    path = tmp_path / "roster.yaml"
+    path.write_text(yaml.safe_dump({"agents": [{"agent_id": "a", "prompt": "p", "backend": backend}]}))
+    with pytest.raises(SchemaError) as refused:
+        load_roster(path)
+    return str(refused.value).removeprefix(f"{path}: agent 'a' backend.")
 
 
-def test_kind_field_exclusivity():
-    with pytest.raises(ConfigurationError):
-        BackendBinding(kind="chat_model", model_name="m", endpoint="e", policy_name="mirror").validate()
-    with pytest.raises(ConfigurationError):
-        BackendBinding(kind="scripted", policy_name="mirror", model_name="m").validate()
+def test_temperature_bounds(tmp_path):
+    backend = {"kind": "chat_model", "model_name": "m", "endpoint": "e", "temperature": 2.5}
+    assert refused_roster_message(tmp_path, backend) == "temperature must be in [0, 2], got 2.5"
+
+
+def test_kind_field_exclusivity(tmp_path):
+    chat = {"kind": "chat_model", "model_name": "m", "endpoint": "e", "policy_name": "mirror"}
+    assert refused_roster_message(tmp_path, chat) == (
+        "policy_name must be empty for a chat_model backend, got 'mirror'"
+    )
+    scripted = {"kind": "scripted", "policy_name": "mirror", "model_name": "m"}
+    assert refused_roster_message(tmp_path, scripted) == (
+        "model_name must be empty for a scripted backend, got 'm'"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +320,9 @@ def sleeps(monkeypatch):
 def test_client_error_status_is_not_retried(chair, sleeps, status):
     transport, calls = scripted_replies(BackendStatusError(status), canned_response("late"))
     client = ChatModelClient(transport=transport, max_retries=3)
-    with pytest.raises(SessionAbortError, match=f"HTTP {status}"):
+    # a refused key is a configuration error, which ends a tournament
+    refused = status in (401, 403)
+    with pytest.raises(ConfigurationError if refused else SessionAbortError, match=f"HTTP {status}"):
         ask(client, chair)
     assert len(calls) == 1
     assert sleeps == []

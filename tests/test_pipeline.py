@@ -124,6 +124,14 @@ def test_default_temperature_is_020(tmp_path):
          "style.rater.temperature"),
         ({"style": {"mode": "model", "rater": {"model_name": 5}}}, "style.rater.model_name"),
         ({"style": {"mode": "model", "rater": {"endpoint": None}}}, "style.rater.endpoint"),
+        # values checked against their choices and bounds at load, and a
+        # model rater without a model or an endpoint refused before any
+        # negotiation is played
+        ({"ranking_metric": ["value_claimed"]}, "ranking_metric"),
+        ({"analysis_terms": ["cubic"]}, "analysis_terms[0]"),
+        ({"style": {"mode": "synthetc"}}, "style.mode"),
+        ({"style": {"mode": "model", "rater": {"temperature": 0.0}}}, "style.rater.model_name"),
+        ({"style": {"mode": "model", "rater": {"model_name": "r"}}}, "style.rater.endpoint"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
@@ -165,11 +173,21 @@ def scripted_backend(**extra):
          "agent 'a' backend.endpoint"),
         ([{"agent_id": "a", "backend": {"kind": "scripted", "policy_name": 3}}],
          "agent 'a' backend.policy_name"),
+        ([{"agent_id": "a", "prompt": "p", "backend": {
+            "kind": "chat_model", "model_name": "m", "endpoint": "http://e", "temperature": 5}}],
+         "agent 'a' backend.temperature"),
+        ([{"agent_id": "a", "prompt": "p", "backend": {"kind": "chat_model", "model_name": "m"}}],
+         "agent 'a' backend.endpoint"),
+        ([{"agent_id": "a", "backend": {"kind": "gpt", "policy_name": "mirror"}}],
+         "agent 'a' backend.kind"),
+        ([{"agent_id": "a", "backend": scripted_backend(model_name="m")}],
+         "agent 'a' backend.model_name"),
     ],
     ids=[
         "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
         "max_reply_tokens-zero", "policy_params", "kind", "model_name", "endpoint",
-        "policy_name",
+        "policy_name", "temperature-range", "chat-without-endpoint", "kind-unknown",
+        "scripted-with-model_name",
     ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
@@ -179,6 +197,64 @@ def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key
     assert f"{tmp_path / 'roster.yaml'}: {key} must be" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "questionnaire, key",
+    [
+        ({"schema_version": 1}, "items"),
+        ({"items": [{"id": 1, "text": "How satisfied are you?"}]}, "items[0].facet"),
+    ],
+    ids=["no-items", "item-without-facet"],
+)
+def test_malformed_questionnaire_exits_2_naming_file_and_key(tmp_path, questionnaire, key):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"svi_items": "svi.yaml"})
+    (tmp_path / "svi.yaml").write_text(yaml.safe_dump(questionnaire))
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score"])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'svi.yaml'}: {key} must be" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+
+def test_model_rater_gets_a_chat_client(tmp_path, monkeypatch):
+    # a scripted roster has no endpoint of its own; the model rater still
+    # needs a client
+    rated = []
+
+    def rater(endpoint, payload, api_key, timeout):
+        rated.append((endpoint, payload["model"], payload["temperature"]))
+        reply = '{"warmth_score": 60, "dominance_score": 40}'
+        return {"choices": [{"message": {"content": reply}, "finish_reason": "stop"}]}
+
+    monkeypatch.setattr("parley.agents._http_transport", rater)
+    agents = [dict(a, prompt=f"Play as {a['agent_id']}.") for a in ROSTER["agents"][:2]]
+    style = {"mode": "model", "rater": {"model_name": "r", "endpoint": "https://rater.invalid/v1",
+                                        "temperature": 0.5}}
+    path = write_workspace(tmp_path, agents=agents, extra={"style": style})
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score,style"])
+    assert result.exit_code == 0, result.output
+    assert rated == [("https://rater.invalid/v1", "r", 0.5)] * 2
+    _, rows = read_table(tmp_path / "out" / "style.csv", load_config(path).config_hash)
+    assert [(r["agent_id"], r["rater"]) for r in rows] == [("acceptor", "r"), ("ladder", "r")]
+
+
+def test_chat_agent_with_its_own_endpoint_gets_a_chat_client(tmp_path, monkeypatch):
+    # the config sets no backend endpoint; the agent's own is enough
+    asked = []
+
+    def walk_away(endpoint, payload, api_key, timeout):
+        asked.append(endpoint)
+        return {"choices": [{"message": {"content": "[WALKAWAY]"}, "finish_reason": "stop"}]}
+
+    monkeypatch.setattr("parley.agents._http_transport", walk_away)
+    model = {"agent_id": "model", "prompt": "Negotiate.",
+             "backend": {"kind": "chat_model", "model_name": "m", "endpoint": "https://own.invalid/v1"}}
+    path = write_workspace(tmp_path, agents=[model, ROSTER["agents"][2]])
+    result = CliRunner().invoke(cli_main, ["resume", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "executed=4 skipped=0 failed=0" in result.output
+    assert set(asked) == {"https://own.invalid/v1"}
 
 
 def test_relative_config_path_resolves_checkpoint_once(tmp_path, monkeypatch):
@@ -1216,6 +1292,21 @@ def test_cli_catalog_lists_builtins():
     assert result.exit_code == 0
     for name in ("lamp", "table", "chair", "rental", "employment"):
         assert name in result.output
+
+
+def test_cli_catalog_refuses_an_invalid_scenario_file(tmp_path):
+    # the loader refuses a scenario that breaks an invariant, so no listing
+    # line can mark one INVALID
+    from importlib import resources
+
+    chair = yaml.safe_load((resources.files("parley.data.scenarios") / "chair.yaml").read_text())
+    (tmp_path / "chair.yaml").write_text(yaml.safe_dump(chair))
+    (tmp_path / "short.yaml").write_text(yaml.safe_dump(dict(chair, scenario_id="short", max_exchanges=0)))
+    result = CliRunner().invoke(cli_main, ["catalog", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'short.yaml'}: max_exchanges must be >= 1" in result.output
+    assert "INVALID" not in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cli_roster_validate(tmp_path):

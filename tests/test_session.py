@@ -2,7 +2,7 @@ import pytest
 
 from parley.agents import make_scripted_agent
 from parley.catalog import Assignment
-from parley.errors import ConfigurationError, SessionAbortError
+from parley.errors import BackendStatusError, ConfigurationError, SchemaError, SessionAbortError
 from parley.protocol import format_close, format_offer, moderator_suffix
 from parley.scoring import extract_agreement
 from parley.session import (
@@ -187,6 +187,30 @@ def test_backend_abort_propagates_out_of_run_session(chair):
         )
 
 
+def test_refused_key_while_answering_the_questionnaire_ends_the_session(chair):
+    # a refused key is refused for every later request too, so it is not
+    # recorded as one missing questionnaire
+    from parley.agents import AgentSpec, BackendBinding, ChatModelClient
+
+    def refuse_questionnaire(endpoint, payload, api_key, timeout):
+        if payload["messages"][-1]["content"].startswith("The negotiation has ended."):
+            raise BackendStatusError(403)
+        return {"choices": [{"message": {"content": "[WALKAWAY]"}, "finish_reason": "stop"}]}
+
+    client = ChatModelClient(transport=refuse_questionnaire)
+    wall = make_scripted_agent("stonewaller", agent_id="wall")
+    model = AgentSpec(
+        "model", "model", "be brief",
+        BackendBinding(kind="chat_model", model_name="m", endpoint="https://example.invalid"),
+    )
+    with pytest.raises(ConfigurationError, match="refused the credentials: HTTP 403"):
+        run_session(
+            chair, {"seller": "model", "buyer": "wall"}, agents_for(wall, model), seed=1,
+            client=client,
+        )
+    assert client.usage["requests"] == 1
+
+
 def test_termination_consistent_with_extraction(rental):
     # accepted <=> marker extraction yields a complete assignment
     ladder = make_scripted_agent(
@@ -212,6 +236,24 @@ def test_termination_consistent_with_extraction(rental):
 
 # ---------------------------------------------------------------------------
 # Questionnaire
+
+
+def test_questionnaire_file_is_checked_when_read(tmp_path):
+    import yaml
+
+    items = load_svi_items()
+    path = tmp_path / "svi.yaml"
+    path.write_text(yaml.safe_dump({"schema_version": 1}))
+    with pytest.raises(SchemaError, match=f"^{path}: items must be a list, got None$"):
+        load_svi_items(path)
+    faceless = [dict(item) for item in items]
+    del faceless[3]["facet"]
+    path.write_text(yaml.safe_dump({"items": faceless}))
+    with pytest.raises(SchemaError, match=rf"^{path}: items\[3\]\.facet must be a string, got None$"):
+        load_svi_items(path)
+    path.write_text(yaml.safe_dump({"items": items[:15]}))
+    with pytest.raises(SchemaError, match=f"^{path}: items must be 16 items"):
+        load_svi_items(path)
 
 
 def test_svi_all_sevens():

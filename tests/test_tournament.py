@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 import weakref
+from functools import partial
 
 import pytest
 
@@ -197,29 +198,43 @@ def test_failing_backend_is_isolated(tmp_path):
 
 
 def test_backend_abort_fails_its_pairing_once_with_its_cause(tmp_path):
-    # a status no retry mends: the client gives up after one request, and
-    # the session is not run again
-    calls = []
-
-    def unauthorized(endpoint, payload, api_key, timeout):
-        calls.append(endpoint)
-        raise BackendStatusError(401)
-
-    client = ChatModelClient(transport=unauthorized, backoff_base=0.001)
+    # a status no retry mends: the client gives up after one request. A
+    # refused key ends the run there; any other such status fails only its
+    # pairing, and the session is not run again
     binding = BackendBinding(kind="chat_model", model_name="m", endpoint="fake://chat")
     roster = [AgentSpec(a, a, "be brief", binding) for a in ("m1", "m2")]
-    schedule = build_schedule(roster, ["chair"], base_seed=7)
-    store = TranscriptStore(tmp_path / "store.jsonl")
-    state = TournamentState(roster=roster, schedule=schedule)
-    report = run_tournament(
-        state, {"chair": load_builtin("chair")}, store, tmp_path / "ckpt.json", client=client
-    )
+
+    def tournament(status):
+        calls = []
+
+        def answer(endpoint, payload, api_key, timeout):
+            calls.append(endpoint)
+            raise BackendStatusError(status)
+
+        client = ChatModelClient(transport=answer, backoff_base=0.001)
+        store = TranscriptStore(tmp_path / f"store{status}.jsonl")
+        state = TournamentState(roster=roster, schedule=build_schedule(roster, ["chair"], base_seed=7))
+        run = partial(
+            run_tournament, state, {"chair": load_builtin("chair")}, store,
+            tmp_path / f"ckpt{status}.json", concurrency_limit=1, client=client,
+        )
+        return run, calls, store, state
+
+    run, calls, store, state = tournament(401)
+    with pytest.raises(ConfigurationError, match="'fake://chat' refused the credentials: HTTP 401"):
+        run()
+    assert len(calls) == 1
+    assert len(store) == 0
+    assert state.failed == []
+
+    run, calls, store, state = tournament(400)
+    report = run()
     assert len(calls) == 4
     assert report.failed == len(state.failed) == 4
     assert len(store) == 0
     for _, cause in state.failed:
         assert cause.startswith("SessionAbortError: ")
-        assert "HTTP 401" in cause
+        assert "HTTP 400" in cause
 
 
 def test_crashing_session_fails_only_its_pairing(tmp_path, roster, monkeypatch):
