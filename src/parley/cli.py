@@ -106,8 +106,7 @@ def run(config_path, stages):
 def resume(config_path):
     """Resume an interrupted tournament; the transcript store says what is done."""
     try:
-        pipeline = _pipeline(config_path)
-        report = pipeline.stage_run()
+        report = _pipeline(config_path).run_stages(["run"])["run"]
     except ParleyError as exc:
         _fail(exc)
     click.echo(

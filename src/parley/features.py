@@ -160,10 +160,6 @@ def _norm(u: dict[str, float]) -> float:
     return math.sqrt(sum(x * x for x in u.values()))
 
 
-def cosine_similarity(u: dict[str, float], v: dict[str, float]) -> float:
-    return _cosine(u, _norm(u), v, _norm(v))
-
-
 def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: float) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0

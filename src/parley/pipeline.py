@@ -199,15 +199,6 @@ class Pipeline:
         self.report_path = config.output_dir / "run_report.txt"
         self._roster: list[AgentSpec] | None = None
         self._scenarios: dict[str, ScenarioSpec] | None = None
-        self._store: TranscriptStore | None = None
-        # for the reading stages of the current run_stages call: the steps
-        # to feed, each stage's gathered rows keyed by negotiation id, and the
-        # first error a step raised during the run stage
-        self._steps: dict[str, Callable] = {}
-        self._gathered: dict[str, dict[str, list]] = {}
-        self._step_error: Exception | None = None
-        # the rows of each table analyze reads that this call wrote, by path
-        self._written: dict[Path, list[dict]] = {}
 
     # shared inputs ---------------------------------------------------------
 
@@ -229,24 +220,20 @@ class Pipeline:
             self._scenarios = specs
         return self._scenarios
 
-    def tournament(self) -> tuple[TournamentState, TranscriptStore]:
+    def tournament(
+        self, store: TranscriptStore | None = None
+    ) -> tuple[TournamentState, TranscriptStore]:
         """The schedule with its restored failures, and the transcript store,
-        which alone says which negotiations are done."""
+        which alone says which negotiations are done: ``store``, or the file
+        opened (and scanned) now."""
         schedule = build_schedule(
             self.roster, list(self.scenarios.keys()), self.config.base_seed
         )
         state = TournamentState(roster=self.roster, schedule=schedule)
         read_checkpoint(self.config.checkpoint_path, state)
-        return state, self._open_store()
-
-    def _open_store(self) -> TranscriptStore:
-        """The transcript store, opened (and its file scanned) on first use and
-        kept until run_stages returns. The run stage's appends keep its index
-        current, so later stages read through it without scanning the file
-        again."""
-        if self._store is None:
-            self._store = TranscriptStore(self.transcripts_path, self.config.config_hash)
-        return self._store
+        if store is None:
+            store = TranscriptStore(self.transcripts_path, self.config.config_hash)
+        return state, store
 
     def _outcome(self, transcript) -> list[dict]:
         """The transcript's two outcome rows, scored from its marker-extracted
@@ -254,54 +241,6 @@ class Pipeline:
         scenario = self.scenarios[transcript.scenario_id]
         terms = extract_agreement(transcript, scenario, extractor="marker")
         return score_outcome(transcript, scenario, terms)
-
-    def _start_reading(self, stages: list[str]) -> None:
-        """Set up the per-transcript step of every reading stage in
-        ``stages`` (outcome rows for score and for report, feature rows for
-        features) and feed it every transcript stored before this call, in
-        one pass in negotiation-id order. A bad lexicon, a damaged record or
-        a step that raises fails here, before the run stage plays a
-        negotiation; the run stage hands over what it stores after."""
-        lexicons = load_default_lexicons(self.config.lexicon_dir) if "features" in stages else None
-        steps = {
-            "score": self._outcome,
-            "features": lambda t: feature_rows(t, lexicons),
-        }
-        # report scores each transcript a second time, into the same rows
-        steps["report"] = steps["score"]
-        self._steps = {stage: steps[stage] for stage in READING_STAGES if stage in stages}
-        self._gathered = {stage: {} for stage in self._steps}
-        if "run" in stages:
-            # a bad roster or scenario fails before the pass reads the store
-            _ = self.roster, self.scenarios
-        elif not self.transcripts_path.exists():
-            raise PrerequisiteError(
-                "no transcript store found; run the 'run' stage first"
-            )
-        for transcript in self._open_store().load():
-            self._gather(transcript)
-
-    def _gather(self, transcript) -> None:
-        for stage, step in self._steps.items():
-            self._gathered[stage][transcript.negotiation_id] = step(transcript)
-
-    def _hand_over(self, transcript) -> None:
-        """Feed a transcript the run stage has just stored to every step. A
-        step that raises does not end the run; the first error is kept for
-        the first reading stage to raise."""
-        if self._step_error is None:
-            try:
-                self._gather(transcript)
-            except Exception as exc:
-                self._step_error = exc
-
-    def _take_gathered(self, stage: str) -> list:
-        """What the steps gathered for ``stage``, in negotiation-id order; the
-        first reading stage raises a step error kept from the run stage."""
-        if self._step_error is not None:
-            raise self._step_error
-        rows = self._gathered.pop(stage)
-        return [row for neg_id in sorted(rows) for row in rows[neg_id]]
 
     # stages ----------------------------------------------------------------
 
@@ -311,23 +250,13 @@ class Pipeline:
             raise ConfigurationError(
                 f"unknown stage(s): {', '.join(unknown)}; valid: {', '.join(STAGES)}"
             )
-        results = {}
-        # each call reads the store file as it is when the call starts, before
-        # its run stage stores more
-        self._store = None
-        try:
-            if any(s in READING_STAGES for s in stages):
-                self._start_reading(stages)
-            for stage in STAGES:
-                if stage in stages:
-                    results[stage] = getattr(self, f"stage_{stage}")()
-        finally:
-            self._store, self._steps, self._gathered, self._step_error = None, {}, {}, None
-            self._written = {}
-        return results
+        call = _Call(self, stages)
+        return {
+            stage: getattr(self, f"stage_{stage}")(call) for stage in STAGES if stage in stages
+        }
 
-    def stage_run(self):
-        state, store = self.tournament()
+    def stage_run(self, call: _Call):
+        state, store = self.tournament(call.store)
         report = run_tournament(
             state,
             self.scenarios,
@@ -335,8 +264,8 @@ class Pipeline:
             self.config.checkpoint_path,
             concurrency_limit=self.config.concurrency_limit,
             client=self.client,
-            svi_items=load_svi_items(self.config.svi_items_path),
-            on_stored=self._hand_over if self._steps else None,
+            svi_items=call.svi_items,
+            on_stored=call.hand_over if call.steps else None,
         )
         lines = [
             f"config={self.config.config_hash}",
@@ -356,24 +285,13 @@ class Pipeline:
         self.report_path.write_text("\n".join(lines) + "\n")
         return report
 
-    def _write(self, path: Path, columns: tuple[str, ...], rows: list[dict]) -> list[dict]:
-        """Write a table analyze reads, and keep its rows for this call's
-        analyze stage."""
-        write_table(path, columns, rows, self.config.config_hash)
-        self._written[path] = rows
-        return rows
+    def stage_score(self, call: _Call):
+        return call.write(self.outcomes_path, OUTCOME_TABLE_COLUMNS, call.take("score"))
 
-    def stage_score(self):
-        return self._write(
-            self.outcomes_path, OUTCOME_TABLE_COLUMNS, self._take_gathered("score")
-        )
+    def stage_features(self, call: _Call):
+        return call.write(self.features_path, FEATURE_TABLE_COLUMNS, call.take("features"))
 
-    def stage_features(self):
-        return self._write(
-            self.features_path, FEATURE_TABLE_COLUMNS, self._take_gathered("features")
-        )
-
-    def stage_style(self):
+    def stage_style(self, call: _Call):
         scores: list[StyleScores] = []
         if self.config.style_mode == "synthetic":
             for agent in self.roster:
@@ -397,25 +315,15 @@ class Pipeline:
                     )
                 )
         rows = sorted((asdict(s) for s in scores), key=lambda r: r["agent_id"])
-        return self._write(self.style_path, STYLE_TABLE_COLUMNS, rows)
+        return call.write(self.style_path, STYLE_TABLE_COLUMNS, rows)
 
     # analysis ----------------------------------------------------------------
 
-    def _table_rows(self, path: Path) -> list[dict] | None:
-        """The rows of the table at ``path``: those this call wrote there,
-        else the file's, read back under this config's hash; None when this
-        call wrote no such table and there is no file."""
-        if path in self._written:
-            return self._written[path]
-        if not path.exists():
-            return None
-        return read_table(path, self.config.config_hash)[1]
-
-    def stage_analyze(self):
-        out_rows = self._table_rows(self.outcomes_path)
+    def stage_analyze(self, call: _Call):
+        out_rows = call.table_rows(self.outcomes_path)
         if out_rows is None:
             raise PrerequisiteError("no outcome table found; run the 'score' stage first")
-        style_rows = self._table_rows(self.style_path)
+        style_rows = call.table_rows(self.style_path)
         if style_rows is None:
             raise PrerequisiteError("no style table found; run the 'style' stage first")
         styles = {
@@ -436,7 +344,7 @@ class Pipeline:
                         f"{scenario_id}: {column} ({family}, {terms})",
                     ))
         # communication features as responses, pooled across exercises
-        feat_rows = self._table_rows(self.features_path)
+        feat_rows = call.table_rows(self.features_path)
         if feat_rows is not None:
             for column in FEATURE_NAMES:
                 jobs.append((
@@ -482,8 +390,8 @@ class Pipeline:
         (self.analysis_dir / "analysis_results.json").write_text(payload + "\n")
         return results
 
-    def stage_report(self):
-        rows = self._take_gathered("report")
+    def stage_report(self, call: _Call):
+        rows = call.take("report")
         summaries = aggregate_outcomes(rows)
         write_table(
             self.config.output_dir / "summary.csv",
@@ -514,6 +422,91 @@ class Pipeline:
             self.config.config_hash,
         )
         return summaries
+
+
+class _Call:
+    """What one ``run_stages`` call owns: the transcript store as the call
+    found it, the per-transcript step of each of its reading stages (outcome
+    rows for score and for report, feature rows for features) with the rows
+    each gathered, the first error a step raised during the run stage, the
+    questionnaire items, and the rows of each table analyze reads that the
+    call wrote.
+
+    Making one reads every input the call needs before any stage runs: the
+    lexicons, then for a run stage the roster, scenarios and questionnaire,
+    then the store. The scan that opens the store hands every transcript
+    stored before the call to the steps, in file order; the run stage hands
+    over each one it stores after. A bad input file, a damaged record or a
+    step that raises on a stored record fails here, before anything is
+    played or written."""
+
+    def __init__(self, pipeline: Pipeline, stages: list[str]):
+        config = pipeline.config
+        self.config_hash = config.config_hash
+        lexicons = load_default_lexicons(config.lexicon_dir) if "features" in stages else None
+        steps = {
+            "score": pipeline._outcome,
+            "features": lambda t: feature_rows(t, lexicons),
+        }
+        # report scores each transcript a second time, into the same rows
+        steps["report"] = steps["score"]
+        self.steps: dict[str, Callable] = {
+            stage: steps[stage] for stage in READING_STAGES if stage in stages
+        }
+        # each reading stage's rows, keyed by negotiation id
+        self.gathered: dict[str, dict[str, list]] = {stage: {} for stage in self.steps}
+        self.step_error: Exception | None = None
+        self.written: dict[Path, list[dict]] = {}
+        self.svi_items: list[dict] | None = None
+        self.store: TranscriptStore | None = None
+        if "run" in stages:
+            _ = pipeline.roster, pipeline.scenarios
+            self.svi_items = load_svi_items(config.svi_items_path)
+        elif self.steps and not pipeline.transcripts_path.exists():
+            raise PrerequisiteError("no transcript store found; run the 'run' stage first")
+        if "run" in stages or self.steps:
+            self.store = TranscriptStore(
+                pipeline.transcripts_path, self.config_hash, self.gather if self.steps else None
+            )
+
+    def gather(self, transcript) -> None:
+        for stage, step in self.steps.items():
+            self.gathered[stage][transcript.negotiation_id] = step(transcript)
+
+    def hand_over(self, transcript) -> None:
+        """Feed a transcript the run stage has just stored to every step. A
+        step that raises does not end the run; the first error is kept for
+        the first reading stage to raise."""
+        if self.step_error is None:
+            try:
+                self.gather(transcript)
+            except Exception as exc:
+                self.step_error = exc
+
+    def take(self, stage: str) -> list:
+        """What the steps gathered for ``stage``, in negotiation-id order; the
+        first reading stage raises a step error kept from the run stage."""
+        if self.step_error is not None:
+            raise self.step_error
+        rows = self.gathered.pop(stage)
+        return [row for neg_id in sorted(rows) for row in rows[neg_id]]
+
+    def write(self, path: Path, columns: tuple[str, ...], rows: list[dict]) -> list[dict]:
+        """Write a table analyze reads, and keep its rows for this call's
+        analyze stage."""
+        write_table(path, columns, rows, self.config_hash)
+        self.written[path] = rows
+        return rows
+
+    def table_rows(self, path: Path) -> list[dict] | None:
+        """The rows of the table at ``path``: those this call wrote there,
+        else the file's, read back under this config's hash; None when this
+        call wrote no such table and there is no file."""
+        if path in self.written:
+            return self.written[path]
+        if not path.exists():
+            return None
+        return read_table(path, self.config_hash)[1]
 
 
 def build_observation_rows(

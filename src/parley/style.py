@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -158,25 +157,3 @@ def pearson_r(x, y) -> float:
 
 
 STYLE_TABLE_COLUMNS = tuple(f.name for f in fields(StyleScores))
-
-
-def read_ratings_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Ratings grid: header 'target,<rater>,<rater>,...', one target per row."""
-    import csv
-
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 3:
-            raise SchemaError(f"{path}: need a target column and at least 2 raters")
-        raters = header[1:]
-        targets, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header) or any(cell.strip() == "" for cell in row[1:]):
-                raise SchemaError(f"{path}: incomplete ratings row {row!r}")
-            targets.append(row[0])
-            rows.append([float(cell) for cell in row[1:]])
-    return targets, raters, as_ratings_matrix(rows)

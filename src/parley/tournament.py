@@ -134,7 +134,9 @@ class TranscriptStore:
     version may hold several forms.
     One scan at open checks the provenance stamp and indexes every record by
     its negotiation_id; a line that is not a record, or repeats an id, is
-    refused there. Appending an id that is already stored is a no-op, so no
+    refused there. Given ``on_record``, the same scan also builds each
+    record's transcript and hands it over, in file order, so a reader of the
+    whole store decodes each line once. Appending an id that is already stored is a no-op, so no
     pairing can execute twice. When a config hash is given, existing stores
     must carry it in their stamp, and a new store is stamped with it. A new
     store is created by its first append, which writes the stamp with the
@@ -145,18 +147,25 @@ class TranscriptStore:
     truncates, because a reader may run while a writer is appending.
     """
 
-    def __init__(self, path: str | Path, config_hash: str | None = None):
+    def __init__(
+        self,
+        path: str | Path,
+        config_hash: str | None = None,
+        on_record: Callable[[Transcript], None] | None = None,
+    ):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._spans: dict[str, tuple[int, int]] = {}  # id -> (offset, length)
         self._torn_at: int | None = None  # byte offset of a torn final line
         self._stamp = b""  # written ahead of the first line of a new store
         if self.path.exists():
-            self._scan(config_hash)
+            self._scan(config_hash, on_record)
         elif config_hash is not None:
             self._stamp = (provenance_line(config_hash) + "\n").encode()
 
-    def _scan(self, config_hash: str | None) -> None:
+    def _scan(
+        self, config_hash: str | None, on_record: Callable[[Transcript], None] | None
+    ) -> None:
         offset = 0
         with open(self.path, "rb") as fh:
             if config_hash is not None:
@@ -191,6 +200,8 @@ class TranscriptStore:
                         f"{self.path}:{lineno}: negotiation_id {neg_id!r} is stored twice"
                     )
                 self._spans[neg_id] = span
+                if on_record is not None:
+                    on_record(self._transcript(neg_id, record))
 
     def __contains__(self, neg_id: str) -> bool:
         return neg_id in self._spans
@@ -228,12 +239,21 @@ class TranscriptStore:
             self._spans[transcript.negotiation_id] = (offset, len(line))
             return True
 
+    def _transcript(self, neg_id: str, record: dict) -> Transcript:
+        """The transcript of a decoded line. The scan checks only a record's
+        top-level keys; a record whose nested parts do not decode raises
+        SchemaError here, naming its id."""
+        try:
+            return Transcript.from_record(record)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"{self.path}: negotiation_id {neg_id!r} is not a transcript "
+                f"record: {type(exc).__name__}: {exc}"
+            ) from exc
+
     def load(self) -> Iterator[Transcript]:
         """The stored transcripts in negotiation-id order, decoded one at a
-        time from their byte spans, so a reader holds one transcript.
-
-        The scan checks only a record's top-level keys; a record whose nested
-        parts do not decode raises SchemaError here, naming its id."""
+        time from their byte spans, so a reader holds one transcript."""
         ids = sorted(self._spans)
         if not ids:
             return
@@ -241,14 +261,7 @@ class TranscriptStore:
             for neg_id in ids:
                 offset, length = self._spans[neg_id]
                 fh.seek(offset)
-                try:
-                    transcript = Transcript.from_record(json.loads(fh.read(length)))
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(
-                        f"{self.path}: negotiation_id {neg_id!r} is not a transcript "
-                        f"record: {type(exc).__name__}: {exc}"
-                    ) from exc
-                yield transcript
+                yield self._transcript(neg_id, json.loads(fh.read(length)))
 
 
 def _record_fields(part) -> dict:

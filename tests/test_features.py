@@ -10,7 +10,6 @@ from parley.errors import SchemaError
 from parley.features import (
     Lexicon,
     build_tfidf,
-    cosine_similarity,
     count_lexicon,
     extract_features,
     feature_rows,
@@ -95,10 +94,12 @@ def test_mimicry_is_directional(feature_transcript):
     assert seller != buyer
 
 
-# A fixed 12-utterance conversation whose summed similarities differ in the
-# last bit when the dot product follows set (string-hash) order.
+# A fixed 12-utterance conversation whose seller mimicry score differs in the
+# last bit when the dot product follows set (string-hash) order. Both seats'
+# scores are printed: their sum rounds that bit away.
 _HASH_SEED_PROBE = """
-from parley.features import build_tfidf, cosine_similarity
+from parley.features import build_tfidf, score_mimicry
+from parley.session import Transcript, Utterance
 texts = [
     "I can offer the chair for 150 dollars, it is in great condition and barely used.",
     "That seems high to me; would you take 90 dollars for the chair today?",
@@ -113,8 +114,14 @@ texts = [
     "Great, so we agree on 122 dollars with the cushion, pick up this week.",
     "Agreed, thank you so much, I will bring cash and pick it up this week.",
 ]
-v = build_tfidf(texts).vectors
-print(repr(sum(cosine_similarity(v[i], v[i - 1]) for i in range(1, len(v)))))
+roles = ("seller", "buyer")
+transcript = Transcript(
+    negotiation_id="probe", scenario_id="chair", role_map=dict.fromkeys(roles, "a"),
+    utterances=[Utterance(i, "a", roles[i % 2], text) for i, text in enumerate(texts)],
+    termination="accepted", seed=0,
+)
+tfidf = build_tfidf(texts)
+print([repr(score_mimicry(transcript, role, tfidf)) for role in roles])
 """
 
 
@@ -408,4 +415,6 @@ def test_unreadable_lexicon_file_is_a_schema_error(tmp_path, damage, message):
 
 
 def test_cosine_zero_vector_is_zero():
-    assert cosine_similarity({}, {"a": 1.0}) == 0.0
+    # an utterance with no tokens is a zero vector: its similarity is 0.0
+    t = two_sided(["I can do 150 for the chair.", ""])
+    assert score_mimicry(t, "buyer") == 0.0

@@ -703,13 +703,13 @@ def test_transcript_store_refuses_foreign_config(tmp_path):
 
 def test_resume_trusts_the_store_over_a_lagging_checkpoint(tmp_path):
     pipeline = Pipeline(load_config(write_workspace(tmp_path)))
-    assert pipeline.stage_run().executed == 25
+    assert pipeline.run_stages(["run"])["run"].executed == 25
     store_bytes = pipeline.transcripts_path.read_bytes()
     checkpoint = json.loads(pipeline.config.checkpoint_path.read_text())
     checkpoint["completed"] = checkpoint["completed"][:5]
     pipeline.config.checkpoint_path.write_text(json.dumps(checkpoint))
 
-    report = pipeline.stage_run()
+    report = pipeline.run_stages(["run"])["run"]
     assert (report.executed, report.skipped) == (0, 25)
     assert pipeline.transcripts_path.read_bytes() == store_bytes
 
@@ -893,9 +893,9 @@ def store_scans(monkeypatch):
     scans = []
     scan = TranscriptStore._scan
 
-    def counting_scan(self, config_hash):
+    def counting_scan(self, config_hash, on_record):
         scans.append(self.path)
-        return scan(self, config_hash)
+        return scan(self, config_hash, on_record)
 
     monkeypatch.setattr(TranscriptStore, "_scan", counting_scan)
     return scans
@@ -948,12 +948,22 @@ def decoded(monkeypatch):
     return ids
 
 
-def test_reading_stages_share_one_pass_over_the_store(tmp_path, store_loads):
+def test_reading_stages_share_one_pass_over_the_store(
+    tmp_path, store_scans, store_loads, decoded
+):
     path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
     Pipeline(load_config(path)).run_stages(["run"])
+    stored = [
+        json.loads(line)["negotiation_id"]
+        for line in (tmp_path / "out" / "transcripts.jsonl").read_text().splitlines()[1:]
+    ]
+    assert len(stored) == 9 and decoded == []
     pipeline = Pipeline(load_config(path))
     pipeline.run_stages(["score", "features", "report"])
-    assert store_loads == [pipeline.transcripts_path]
+    # the scan that indexes the store is the one decode of each record
+    assert store_scans == [pipeline.transcripts_path]
+    assert store_loads == []
+    assert decoded == stored
     for table in (pipeline.outcomes_path, pipeline.features_path):
         assert len(read_table(table)[1]) == 18
     assert (pipeline.config.output_dir / "summary.csv").exists()
@@ -971,10 +981,10 @@ def data_artifacts(out):
     }
 
 
-def test_six_stage_call_reads_the_store_once(tmp_path, store_loads, decoded):
+def test_six_stage_call_reads_the_store_once(tmp_path, store_scans, store_loads, decoded):
     pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
     pipeline.run_stages(SIX_STAGES)
-    assert store_loads == [pipeline.transcripts_path]
+    assert store_scans == [] and store_loads == []
     # the run stage handed every transcript it stored to the reading stages
     assert decoded == []
 
@@ -998,7 +1008,8 @@ def test_six_stage_call_on_a_resumed_store_decodes_only_the_records_stored_befor
     assert decoded == []
 
     resumed.run_stages(SIX_STAGES)
-    assert decoded == sorted(json.loads(line)["negotiation_id"] for line in records[:10])
+    # in the store file's order, which is the schedule's
+    assert decoded == [json.loads(line)["negotiation_id"] for line in records[:10]]
     assert data_artifacts(resumed.config.output_dir) == data_artifacts(
         pipelines["whole"].config.output_dir
     )
@@ -1061,6 +1072,27 @@ def test_error_in_the_store_pass_fails_before_any_reading_stage_writes(
     assert not (pipeline.config.output_dir / "summary.csv").exists()
 
 
+def test_malformed_questionnaire_exits_before_reading_the_store(tmp_path, decoded):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"svi_items": "svi.yaml"})
+    from importlib import resources
+
+    svi = tmp_path / "svi.yaml"
+    svi.write_text((resources.files("parley.data") / "svi_items.yaml").read_text())
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"]).exit_code == 0
+    store = tmp_path / "out" / "transcripts.jsonl"
+    before = store.read_bytes()
+
+    svi.write_text(yaml.safe_dump({"schema_version": 1}))
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score"])
+    assert result.exit_code == 2, result.output
+    assert f"{svi}: items must be" in result.output
+    assert "Traceback" not in result.output
+    assert decoded == []
+    assert store.read_bytes() == before
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
+
+
 def workspace_with_unscored_sentiment(tmp_path):
     """A 2-agent workspace whose lexicon directory has a sentiment.txt
     without polarity scores; returns the config path and that file."""
@@ -1089,7 +1121,7 @@ def test_sentiment_lexicon_without_polarity_exits_before_the_run_stage(tmp_path)
 
 
 def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
-    tmp_path, store_loads
+    tmp_path, store_scans, store_loads
 ):
     path, sentiment = workspace_with_unscored_sentiment(tmp_path)
     runner = CliRunner()
@@ -1100,7 +1132,7 @@ def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
     assert isinstance(result.exception, SystemExit)
     assert str(sentiment) in result.output
     assert "Traceback" not in result.output
-    assert store_loads == []
+    assert store_scans == [] and store_loads == []
     assert not (tmp_path / "out" / "outcomes.csv").exists()
     assert not (tmp_path / "out" / "features.csv").exists()
 
@@ -1277,7 +1309,7 @@ def test_run_stage_keeps_concurrency_limit_requests_in_flight(tmp_path):
         return {"choices": [{"message": {"content": "[WALKAWAY]"}, "finish_reason": "stop"}]}
 
     pipeline = Pipeline(load_config(path), client=ChatModelClient(transport=transport))
-    report = pipeline.stage_run()
+    report = pipeline.run_stages(["run"])["run"]
     assert (report.executed, report.failed) == (16, 0)
     assert peak == 12
 

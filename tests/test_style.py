@@ -8,7 +8,6 @@ from parley.style import (
     STYLE_RATER_INSTRUCTION,
     icc_3_1,
     pearson_r,
-    read_ratings_csv,
     score_prompt_style,
 )
 
@@ -176,24 +175,3 @@ def test_pearson_invariant_under_positive_affine(scale, shift):
     assert pearson_r(scale * x + shift, y) == pytest.approx(base, abs=1e-9)
     assert pearson_r(x, scale * y + shift) == pytest.approx(base, abs=1e-9)
     assert pearson_r(-scale * x + shift, y) == pytest.approx(-base, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Ratings file import
-
-
-def test_ratings_csv_round_trip(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("target,model,human\np1,80,75\np2,20,30\np3,55,60\n")
-    targets, raters, matrix = read_ratings_csv(path)
-    assert targets == ["p1", "p2", "p3"]
-    assert raters == ["model", "human"]
-    assert matrix.shape == (3, 2)
-    assert icc_3_1(matrix) > 0.9
-
-
-def test_ratings_csv_incomplete_cell(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("target,model,human\np1,80,\n")
-    with pytest.raises(SchemaError):
-        read_ratings_csv(path)
