@@ -1073,9 +1073,9 @@ def test_error_in_the_store_pass_fails_before_any_reading_stage_writes(
 
 
 def test_malformed_questionnaire_exits_before_reading_the_store(tmp_path, decoded):
-    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"svi_items": "svi.yaml"})
     from importlib import resources
 
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"svi_items": "svi.yaml"})
     svi = tmp_path / "svi.yaml"
     svi.write_text((resources.files("parley.data") / "svi_items.yaml").read_text())
     runner = CliRunner()
