@@ -7,7 +7,6 @@ are deterministic policies used for testing and desk-scale runs.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import threading
@@ -62,20 +61,12 @@ class AgentSpec:
 
 
 @dataclass(frozen=True)
-class PromptAssembly:
-    """System prompt for one seat: preface, role briefing, participant prompt."""
-
-    system_text: str
-    parts: tuple[str, str, str]
-
-
-@dataclass(frozen=True)
 class SessionView:
     """What an agent sees when asked for its next message."""
 
     scenario: ScenarioSpec
     role_name: str
-    assembly: PromptAssembly
+    system_text: str  # assemble_system_prompt's, for this seat
     history: tuple[tuple[str, str], ...]  # (role_name, text) in order
 
     def own_turns(self) -> int:
@@ -102,9 +93,7 @@ class Reply:
     truncated: bool = False
 
 
-def assemble_system_prompt(
-    agent: AgentSpec, role, protocol_suffix: str = ""
-) -> PromptAssembly:
+def assemble_system_prompt(agent: AgentSpec, role, protocol_suffix: str = "") -> str:
     """Compose the system prompt: preface, then role briefing, then the prompt.
 
     Byte-stable for identical inputs. The protocol suffix (closing-marker
@@ -117,9 +106,7 @@ def assemble_system_prompt(
     role_text = role.confidential_instructions
     if protocol_suffix:
         role_text = role_text.rstrip("\n") + "\n\n" + protocol_suffix
-    parts = (CLEAN_SLATE_PREFACE, role_text, agent.prompt_text)
-    system_text = "\n\n".join(parts)
-    return PromptAssembly(system_text=system_text, parts=parts)
+    return "\n\n".join((CLEAN_SLATE_PREFACE, role_text, agent.prompt_text))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +308,16 @@ def _retryable(status: int) -> bool:
     return status in (408, 429) or status >= 500
 
 
+# statuses every later request would get too: a refused key, or a path or
+# model name the server does not know. A 400 or 422 can be one request's
+# fault (a history longer than the model's context), so it is not here.
+_RUN_ENDING_STATUSES = {
+    401: "refused the credentials",
+    403: "refused the credentials",
+    404: "knows no such path or model",
+}
+
+
 class ChatModelClient:
     """Chat-completion client with bounded retries and backoff. The
     tournament's worker pool bounds the requests in flight.
@@ -329,28 +326,25 @@ class ChatModelClient:
     can capture requests and replay recorded responses without a network. It
     raises ``OSError`` for a transport failure and ``BackendStatusError`` for
     a non-2xx reply. Transport failures, 408, 429 and 5xx are retried; a
-    ``Retry-After`` lengthens the backoff, up to ``timeout``. A 401 or 403
-    raises ``ConfigurationError``, which ends a tournament; any other status
-    ends the request at once.
+    ``Retry-After`` lengthens the backoff, up to ``timeout``. A 401, 403 or
+    404 raises ``ConfigurationError``, which ends a tournament; any other
+    status ends the request at once.
     """
 
     def __init__(
         self,
         api_key: str = "",
         transport: Callable[[str, dict, str, float], dict] | None = None,
-        audit_log: Path | str | None = None,
         max_retries: int = 3,
         backoff_base: float = 0.5,
         timeout: float = 120.0,
     ):
         self.api_key = os.environ.get(API_KEY_ENV_VAR) or api_key
         self.transport = transport or _http_transport
-        self.audit_log = Path(audit_log) if audit_log else None
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout
         self.usage = {"prompt_tokens": 0, "completion_tokens": 0, "requests": 0, "retries": 0}
-        self._audit_lock = threading.Lock()
         self._usage_lock = threading.Lock()
 
     def complete(
@@ -359,13 +353,12 @@ class ChatModelClient:
         system_text: str,
         messages: list[dict],
         seed: int | None = None,
-        max_tokens: int | None = None,
     ) -> Reply:
         payload = {
             "model": binding.model_name,
             "messages": [{"role": "system", "content": system_text}, *messages],
             "temperature": binding.temperature,
-            "max_tokens": max_tokens or binding.max_reply_tokens,
+            "max_tokens": binding.max_reply_tokens,
         }
         if seed is not None:
             payload["seed"] = seed
@@ -386,9 +379,9 @@ class ChatModelClient:
                     binding.endpoint, payload, self.api_key, self.timeout
                 )
             except BackendStatusError as exc:
-                if exc.status in (401, 403):  # a refused key: every request fails
+                if exc.status in _RUN_ENDING_STATUSES:
                     raise ConfigurationError(
-                        f"backend {binding.endpoint!r} refused the credentials: {exc}"
+                        f"backend {binding.endpoint!r} {_RUN_ENDING_STATUSES[exc.status]}: {exc}"
                     ) from exc
                 if not _retryable(exc.status):
                     raise SessionAbortError(
@@ -399,7 +392,6 @@ class ChatModelClient:
             except OSError as exc:
                 last_error, retry_after = exc, None
                 continue
-            self._audit(payload, response)
             self._record_usage(response)
             return self._parse_response(response)
         raise SessionAbortError(
@@ -423,14 +415,6 @@ class ChatModelClient:
             self.usage["prompt_tokens"] += int(usage.get("prompt_tokens", 0))
             self.usage["completion_tokens"] += int(usage.get("completion_tokens", 0))
 
-    def _audit(self, payload: dict, response: dict) -> None:
-        if self.audit_log is None:
-            return
-        record = json.dumps({"request": payload, "response": response}, sort_keys=True)
-        with self._audit_lock:
-            with open(self.audit_log, "a") as fh:
-                fh.write(record + "\n")
-
 
 def next_message(
     agent: AgentSpec,
@@ -441,9 +425,9 @@ def next_message(
     """Produce the agent's next utterance.
 
     Scripted backends are pure functions of (view, seed). Chat-model backends
-    issue exactly one completion request: the assembly as system content, the
-    agent's own past messages as assistant turns, the counterpart's as user
-    turns.
+    issue exactly one completion request: the system prompt as system
+    content, the agent's own past messages as assistant turns, the
+    counterpart's as user turns.
     """
     binding = agent.backend
     if binding.kind == "scripted":
@@ -456,7 +440,7 @@ def next_message(
     if client is None:
         raise ConfigurationError("chat_model backend requires a ChatModelClient")
     return client.complete(
-        binding, view.assembly.system_text, view.chat_messages(), seed=seed
+        binding, view.system_text, view.chat_messages(), seed=seed
     )
 
 

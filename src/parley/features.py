@@ -130,7 +130,6 @@ def load_default_lexicons(directory: str | Path | None = None) -> dict[str, Lexi
 class TfidfResult:
     vectors: list[dict[str, float]]  # one per utterance, in order
     norms: list[float]  # each vector's Euclidean norm
-    all_empty: bool
 
 
 def build_tfidf(utterance_texts: list[str]) -> TfidfResult:
@@ -149,11 +148,7 @@ def build_tfidf(utterance_texts: list[str]) -> TfidfResult:
     vectors = [
         {term: count * idf[term] for term, count in Counter(doc).items()} for doc in docs
     ]
-    return TfidfResult(
-        vectors=vectors,
-        norms=[_norm(vector) for vector in vectors],
-        all_empty=all(not d for d in docs),
-    )
+    return TfidfResult(vectors=vectors, norms=[_norm(vector) for vector in vectors])
 
 
 def _norm(u: dict[str, float]) -> float:
@@ -170,16 +165,14 @@ def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: flo
 
 
 def score_mimicry(
-    transcript: Transcript, role_name: str, tfidf: TfidfResult | None = None
+    transcript: Transcript, role_name: str, tfidf: TfidfResult | None
 ) -> float | None:
     """Mean cosine similarity between each of the seat's utterances and the
     counterpart utterance immediately before it; None when the seat never
     replies (it only opened). ``tfidf`` is the conversation's
-    ``build_tfidf``, built here when not given."""
+    ``build_tfidf``, None only for a conversation without utterances."""
     if not transcript.utterances:
         return None
-    if tfidf is None:
-        tfidf = build_tfidf([u.text for u in transcript.utterances])
     similarities = []
     for i, utterance in enumerate(transcript.utterances):
         if utterance.role_name != role_name or i == 0:
@@ -199,21 +192,11 @@ def score_mimicry(
 # Lexicon rates and positivity
 
 
-def _lowered(transcript: Transcript) -> list[str]:
-    return [u.text.lower() for u in transcript.utterances]
-
-
 def count_lexicon(
-    transcript: Transcript,
-    role_name: str,
-    lexicon: Lexicon,
-    lowered: list[str] | None = None,
+    transcript: Transcript, role_name: str, lexicon: Lexicon, lowered: list[str]
 ) -> float | None:
     """Matches per utterance, averaged over the seat's utterances.
-    ``lowered`` is the utterances' texts lowercased, in order, made here
-    when not given."""
-    if lowered is None:
-        lowered = _lowered(transcript)
+    ``lowered`` is the utterances' texts lowercased, in order."""
     counts = [
         lexicon.count(text)
         for u, text in zip(transcript.utterances, lowered)
@@ -225,18 +208,12 @@ def count_lexicon(
 
 
 def score_positivity(
-    transcript: Transcript,
-    role_name: str,
-    lexicon: Lexicon,
-    lowered: list[str] | None = None,
+    transcript: Transcript, role_name: str, lexicon: Lexicon, lowered: list[str]
 ) -> float | None:
     """Mean polarity of matched terms per utterance (0 when none match),
-    averaged over the seat's utterances. ``lowered`` is as in
-    ``count_lexicon``."""
-    if lexicon.polarity is None:
-        raise SchemaError(f"lexicon {lexicon.name!r} carries no polarity scores")
-    if lowered is None:
-        lowered = _lowered(transcript)
+    averaged over the seat's utterances. ``lexicon`` carries polarity scores
+    (``load_default_lexicons`` refuses a sentiment file without them);
+    ``lowered`` is as in ``count_lexicon``."""
     per_utterance = []
     for utterance, text in zip(transcript.utterances, lowered):
         if utterance.role_name != role_name:
@@ -272,13 +249,13 @@ FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def extract_features(
-    transcript: Transcript, lexicons: dict[str, Lexicon] | None = None
+    transcript: Transcript, lexicons: dict[str, Lexicon]
 ) -> dict[str, FeatureVector]:
-    """All eight features for both role seats; None where undefined."""
-    lexicons = lexicons or load_default_lexicons()
+    """All eight features for both role seats; None where undefined.
+    ``lexicons`` is ``load_default_lexicons``'s mapping."""
     # each text is lowercased once, and that copy feeds the TF-IDF tokens and
     # all five lexicon scans; one TF-IDF build serves both seats' mimicry
-    lowered = _lowered(transcript)
+    lowered = [u.text.lower() for u in transcript.utterances]
     tfidf = build_tfidf(lowered) if lowered else None
     features = {}
     for role_name in transcript.role_map:
@@ -308,9 +285,7 @@ def extract_features(
 FEATURE_TABLE_COLUMNS = (*KEY_COLUMNS, *FEATURE_NAMES, *CLUSTER_COLUMNS)
 
 
-def feature_rows(
-    transcript: Transcript, lexicons: dict[str, Lexicon] | None = None
-) -> list[dict]:
+def feature_rows(transcript: Transcript, lexicons: dict[str, Lexicon]) -> list[dict]:
     """Two agent-observation rows per negotiation, keyed like the outcome
     table, in role-name order."""
     features = extract_features(transcript, lexicons)

@@ -239,7 +239,7 @@ class Pipeline:
         """The transcript's two outcome rows, scored from its marker-extracted
         terms."""
         scenario = self.scenarios[transcript.scenario_id]
-        terms = extract_agreement(transcript, scenario, extractor="marker")
+        terms = extract_agreement(transcript, scenario)
         return score_outcome(transcript, scenario, terms)
 
     # stages ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Outcome extraction and scoring: every metric the analysis pipeline consumes.
 
 Two extractors recover final terms from a transcript. The marker-protocol
-extractor parses the structured close deterministically; the model-assisted
-extractor asks a chat model to read the transcript against a fixed terms
-schema. Both enforce the all-issues rule and code premature closes as
-impasses.
+extractor (``extract_agreement``, the one the score stage runs) parses the
+structured close deterministically; the model-assisted extractor
+(``extract_agreement_model``, a cross-check) asks a chat model to read the
+transcript against a fixed terms schema. Both enforce the all-issues rule
+and code premature closes as impasses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .agents import BackendBinding, ChatModelClient
 from .catalog import Assignment, ScenarioSpec, evaluate_assignment
 from .errors import EvaluationError, ExtractionConflictError, ScoringError
-from .protocol import extraction_schema, parse_block, terms_to_assignment
+from .protocol import Terms, extraction_schema, parse_block, terms_to_assignment
 from .session import Transcript
 
 
@@ -46,9 +47,7 @@ def _normalize(key: str, value: str) -> str:
     return value
 
 
-def extract_agreement_marker(
-    transcript: Transcript, scenario: ScenarioSpec
-) -> Assignment:
+def extract_agreement(transcript: Transcript, scenario: ScenarioSpec) -> Assignment:
     """Deterministic extraction from the bracketed closing protocol."""
     if transcript.termination != "accepted":
         return Assignment.impasse_marker()
@@ -105,29 +104,11 @@ def extract_agreement_model(
 
     if not parsed.get("deal") or not isinstance(parsed.get("terms"), dict):
         return Assignment.impasse_marker()
-    from .protocol import Terms
-
     assignment = terms_to_assignment(
         scenario, Terms({str(k).lower(): str(v) for k, v in parsed["terms"].items()})
     )
     # all-issues rule: anything incomplete is an impasse
     return assignment if assignment is not None else Assignment.impasse_marker()
-
-
-def extract_agreement(
-    transcript: Transcript,
-    scenario: ScenarioSpec,
-    extractor: str = "marker",
-    client: ChatModelClient | None = None,
-    binding: BackendBinding | None = None,
-) -> Assignment:
-    if extractor == "marker":
-        return extract_agreement_marker(transcript, scenario)
-    if extractor == "model":
-        if client is None or binding is None:
-            raise ScoringError("model-assisted extraction requires a client and binding")
-        return extract_agreement_model(transcript, scenario, client, binding)
-    raise ScoringError(f"unknown extractor {extractor!r}")
 
 
 # the columns that lead an agent-observation row, and the cluster columns that

@@ -205,7 +205,7 @@ def administer_svi(
         messages.append({"role": "user", "content": questionnaire_text(items)})
         try:
             reply_text = client.complete(
-                agent.backend, view.assembly.system_text, messages, seed=seed
+                agent.backend, view.system_text, messages, seed=seed
             ).text
         except SessionAbortError:
             return None
@@ -242,13 +242,13 @@ def run_session(
     if first_mover not in role_names:
         raise ConfigurationError(f"first_mover {first_mover!r} is not a role")
 
-    assemblies = {}
     suffix = moderator_suffix(scenario)
-    for role_name in role_names:
-        agent = agents[role_map[role_name]]
-        assemblies[role_name] = assemble_system_prompt(
-            agent, scenario.role(role_name), protocol_suffix=suffix
+    system_texts = {
+        role_name: assemble_system_prompt(
+            agents[role_map[role_name]], scenario.role(role_name), protocol_suffix=suffix
         )
+        for role_name in role_names
+    }
 
     neg_id = negotiation_id(scenario.scenario_id, role_map, seed)
     utterances: list[Utterance] = []
@@ -262,7 +262,7 @@ def run_session(
         view = SessionView(
             scenario=scenario,
             role_name=current,
-            assembly=assemblies[current],
+            system_text=system_texts[current],
             history=tuple(history),
         )
         reply = next_message(agent, view, seed, client=client)
@@ -297,7 +297,7 @@ def run_session(
         view = SessionView(
             scenario=scenario,
             role_name=role_name,
-            assembly=assemblies[role_name],
+            system_text=system_texts[role_name],
             history=tuple(history),
         )
         transcript.svi[role_name] = administer_svi(

@@ -362,7 +362,8 @@ def run_tournament(
     svi_items: list[dict] | None = None,
     on_stored: Callable[[Transcript], None] | None = None,
 ) -> RunReport:
-    """Execute every pending pairing at most ``concurrency_limit`` at a time.
+    """Execute every pending pairing at most ``concurrency_limit`` (at least
+    1, as ``load_config`` requires) at a time.
 
     At most ``WINDOW_PER_WORKER × concurrency_limit`` sessions are in flight
     or finished but not yet stored. Results are taken oldest first, so
@@ -426,10 +427,9 @@ def run_tournament(
             return pairing, None, f"{type(exc).__name__}: {exc}"
         return pairing, transcript, ""
 
-    workers = max(1, concurrency_limit)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
         submitted = (pool.submit(execute, pairing) for pairing in pending)
-        window = deque(islice(submitted, WINDOW_PER_WORKER * workers))
+        window = deque(islice(submitted, WINDOW_PER_WORKER * concurrency_limit))
         try:
             while window:
                 # the oldest session first, so the store follows the schedule

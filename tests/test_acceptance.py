@@ -19,8 +19,8 @@ import yaml
 
 from parley.agents import make_scripted_agent
 from parley.catalog import Assignment, enumerate_frontier, evaluate_assignment, load_builtin
-from parley.features import extract_features, score_mimicry
-from parley.scoring import extract_agreement
+from parley.features import build_tfidf, extract_features, load_default_lexicons, score_mimicry
+from parley.scoring import extract_agreement, extract_agreement_model
 from parley.session import run_session
 from parley.stats import (
     Design,
@@ -251,7 +251,7 @@ def test_criterion_06_session_determinism_and_resume(tmp_path):
 
 def test_criterion_07_linguistic_oracle(feature_transcript):
     with timed(1.0):
-        features = extract_features(feature_transcript)
+        features = extract_features(feature_transcript, load_default_lexicons())
         seller, buyer = features["seller"], features["buyer"]
         assert seller.mimicry == pytest.approx(0.05367891345971865, abs=1e-9)
         assert buyer.mimicry == pytest.approx(0.1507277566739416, abs=1e-9)
@@ -276,7 +276,8 @@ def test_criterion_07_linguistic_oracle(feature_transcript):
         transcript = run_session(
             chair, {"seller": "wall", "buyer": "echo"}, {"wall": wall, "echo": echo}, seed=2
         )
-        assert score_mimicry(transcript, "buyer") == pytest.approx(1.0, abs=1e-9)
+        tfidf = build_tfidf([u.text for u in transcript.utterances])
+        assert score_mimicry(transcript, "buyer", tfidf) == pytest.approx(1.0, abs=1e-9)
     report(7, "all eight features match the hand-computed oracle; mirror mimicry is 1.0")
 
 
@@ -394,13 +395,9 @@ def test_criterion_10_extractor_agreement(chair, rental, employment):
         scenario = scenarios[scenario_id]
         role_map = dict(zip(scenario.role_names, (first, second)))
         transcript = run_session(scenario, role_map, agents, seed=13)
-        marker = extract_agreement(transcript, scenario, extractor="marker")
-        model = extract_agreement(
-            transcript,
-            scenario,
-            extractor="model",
-            client=stub_client(reply),
-            binding=EXTRACTOR_BINDING,
+        marker = extract_agreement(transcript, scenario)
+        model = extract_agreement_model(
+            transcript, scenario, stub_client(reply), EXTRACTOR_BINDING
         )
         assert marker.impasse == model.impasse
         assert marker.chosen == model.chosen

@@ -49,8 +49,8 @@ def canned_response(text, finish_reason="stop"):
 
 def test_assembly_starts_with_clean_slate_preface(chair):
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    assert assembly.system_text.startswith(
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    assert system_text.startswith(
         "Pretend that you have never learned anything about negotiation—you are a clean slate."
     )
 
@@ -60,15 +60,11 @@ def test_assembly_order_and_byte_stability(chair):
     suffix = moderator_suffix(chair)
     first = assemble_system_prompt(agent, chair.role("seller"), suffix)
     second = assemble_system_prompt(agent, chair.role("seller"), suffix)
-    assert first.system_text == second.system_text
-    preface, role_text, prompt = first.parts
-    assert preface == CLEAN_SLATE_PREFACE
-    assert role_text.endswith(suffix)
-    assert prompt == agent.prompt_text
-    assert first.system_text == "\n\n".join(first.parts)
-    assert first.system_text.index(preface) < first.system_text.index(
-        "furniture store"
-    ) < first.system_text.index(prompt)
+    assert first == second
+    role_text = chair.role("seller").confidential_instructions.rstrip("\n") + "\n\n" + suffix
+    prompt = agent.prompt_text
+    assert first == CLEAN_SLATE_PREFACE + "\n\n" + role_text + "\n\n" + prompt
+    assert first.index(CLEAN_SLATE_PREFACE) < first.index("furniture store") < first.index(prompt)
 
 
 def test_assembly_empty_prompt_rejected_for_chat_model(chair):
@@ -79,8 +75,7 @@ def test_assembly_empty_prompt_rejected_for_chat_model(chair):
 
 def test_assembly_produced_for_scripted_agent(chair):
     agent = make_scripted_agent("stonewaller")
-    assembly = assemble_system_prompt(agent, chair.role("buyer"))
-    assert assembly.system_text.startswith(CLEAN_SLATE_PREFACE)
+    assert assemble_system_prompt(agent, chair.role("buyer")).startswith(CLEAN_SLATE_PREFACE)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +84,9 @@ def test_assembly_produced_for_scripted_agent(chair):
 
 def view_for(scenario, role_name, history=()):
     agent = make_scripted_agent("stonewaller")
-    assembly = assemble_system_prompt(agent, scenario.role(role_name))
+    system_text = assemble_system_prompt(agent, scenario.role(role_name))
     return SessionView(
-        scenario=scenario, role_name=role_name, assembly=assembly, history=tuple(history)
+        scenario=scenario, role_name=role_name, system_text=system_text, history=tuple(history)
     )
 
 
@@ -220,21 +215,22 @@ def test_chat_call_shape_and_role_mapping(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
     view = SessionView(
         scenario=chair,
         role_name="seller",
-        assembly=assembly,
+        system_text=system_text,
         history=(("seller", "my opener"), ("buyer", "their reply")),
     )
     next_message(agent, view, seed=9, client=client)
     assert len(captured) == 1  # exactly one completion request
     payload = captured[0]
     assert payload["temperature"] == pytest.approx(0.20)
+    assert payload["max_tokens"] == agent.backend.max_reply_tokens
     assert payload["seed"] == 9
     roles = [m["role"] for m in payload["messages"]]
     assert roles == ["system", "assistant", "user"]
-    assert payload["messages"][0]["content"] == assembly.system_text
+    assert payload["messages"][0]["content"] == system_text
 
 
 def test_counterpart_confidential_instructions_never_sent(chair):
@@ -246,10 +242,8 @@ def test_counterpart_confidential_instructions_never_sent(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(
-        scenario=chair, role_name="seller", assembly=assembly, history=()
-    )
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
     next_message(agent, view, seed=1, client=client)
     buyer_secret = "you will buy a used chair from the furniture store for $120"
     assert captured
@@ -268,8 +262,8 @@ def test_retry_then_success(chair):
 
     client = ChatModelClient(transport=flaky, max_retries=3, backoff_base=0.001)
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
     reply = next_message(agent, view, seed=1, client=client)
     assert reply.text == "finally"
     assert calls["n"] == 3
@@ -282,8 +276,8 @@ def test_abort_after_retry_budget(chair):
 
     client = ChatModelClient(transport=dead, max_retries=2, backoff_base=0.001)
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
     with pytest.raises(SessionAbortError, match="no route to host"):
         next_message(agent, view, seed=1, client=client)
 
@@ -304,8 +298,8 @@ def scripted_replies(*outcomes):
 
 def ask(client, chair):
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
     return next_message(agent, view, seed=1, client=client)
 
 
@@ -320,8 +314,9 @@ def sleeps(monkeypatch):
 def test_client_error_status_is_not_retried(chair, sleeps, status):
     transport, calls = scripted_replies(BackendStatusError(status), canned_response("late"))
     client = ChatModelClient(transport=transport, max_retries=3)
-    # a refused key is a configuration error, which ends a tournament
-    refused = status in (401, 403)
+    # a refused key, or a path or model the server does not know, is a
+    # configuration error, which ends a tournament
+    refused = status in (401, 403, 404)
     with pytest.raises(ConfigurationError if refused else SessionAbortError, match=f"HTTP {status}"):
         ask(client, chair)
     assert len(calls) == 1
@@ -389,8 +384,8 @@ def test_truncation_flag_from_finish_reason(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    assembly = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", assembly=assembly, history=())
+    system_text = assemble_system_prompt(agent, chair.role("seller"))
+    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
     assert next_message(agent, view, seed=1, client=client).truncated
 
 
@@ -408,21 +403,6 @@ def test_cache_off_by_default(chair):
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     client.complete(binding, "sys", [{"role": "user", "content": "q"}], seed=1)
     assert calls["n"] == 2
-
-
-def test_audit_log_mirrors_requests(tmp_path, chair):
-    def transport(endpoint, payload, api_key, timeout):
-        return canned_response("ok")
-
-    log = tmp_path / "audit.jsonl"
-    client = ChatModelClient(transport=transport, audit_log=log)
-    binding = chat_agent().backend
-    client.complete(binding, "sys", [{"role": "user", "content": "q"}])
-    lines = log.read_text().strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["request"]["model"] == "test-model"
-    assert record["response"]["choices"][0]["message"]["content"] == "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from parley.session import Transcript, Utterance
 
 from conftest import make_transcript
 
+BUILTIN_LEXICONS = load_default_lexicons()
+
 
 def two_sided(texts, scenario_id="chair"):
     roles = ["seller" if i % 2 == 0 else "buyer" for i in range(len(texts))]
@@ -35,6 +37,14 @@ def two_sided(texts, scenario_id="chair"):
     )
 
 
+def tfidf_of(transcript):
+    return build_tfidf([u.text for u in transcript.utterances])
+
+
+def lowered(transcript):
+    return [u.text.lower() for u in transcript.utterances]
+
+
 # ---------------------------------------------------------------------------
 # TF-IDF
 
@@ -42,7 +52,7 @@ def two_sided(texts, scenario_id="chair"):
 def test_single_utterance_vector_nonzero():
     result = build_tfidf(["hello negotiation world"])
     assert result.vectors[0]
-    assert not result.all_empty
+    assert result.norms[0] > 0
 
 
 def test_identical_utterances_identical_vectors():
@@ -61,8 +71,8 @@ def test_smoothed_idf_formula_at_n2():
 
 def test_all_empty_utterances_flagged():
     result = build_tfidf(["", "  "])
-    assert result.all_empty
     assert result.vectors == [{}, {}]
+    assert result.norms == [0.0, 0.0]
 
 
 def test_tokenize_strips_punctuation_and_case():
@@ -75,22 +85,24 @@ def test_tokenize_strips_punctuation_and_case():
 
 def test_mirror_mimicry_is_one():
     transcript = two_sided(["the exact same words", "the exact same words"])
-    assert score_mimicry(transcript, "buyer") == pytest.approx(1.0, abs=1e-9)
+    mimicry = score_mimicry(transcript, "buyer", tfidf_of(transcript))
+    assert mimicry == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disjoint_vocabulary_mimicry_zero():
     transcript = two_sided(["alpha beta gamma", "delta epsilon zeta"])
-    assert score_mimicry(transcript, "buyer") == 0.0
+    assert score_mimicry(transcript, "buyer", tfidf_of(transcript)) == 0.0
 
 
 def test_opener_without_replies_is_missing():
     transcript = two_sided(["only the seller speaks"])
-    assert score_mimicry(transcript, "seller") is None
+    assert score_mimicry(transcript, "seller", tfidf_of(transcript)) is None
 
 
 def test_mimicry_is_directional(feature_transcript):
-    seller = score_mimicry(feature_transcript, "seller")
-    buyer = score_mimicry(feature_transcript, "buyer")
+    tfidf = tfidf_of(feature_transcript)
+    seller = score_mimicry(feature_transcript, "seller", tfidf)
+    buyer = score_mimicry(feature_transcript, "buyer", tfidf)
     assert seller != buyer
 
 
@@ -149,10 +161,11 @@ def test_cosine_similarity_independent_of_string_hashing():
 
 def test_fixture_mimicry_matches_hand_computation(feature_transcript):
     # frozen from an independent explicit-loop TF-IDF/cosine computation
-    assert score_mimicry(feature_transcript, "seller") == pytest.approx(
+    tfidf = tfidf_of(feature_transcript)
+    assert score_mimicry(feature_transcript, "seller", tfidf) == pytest.approx(
         0.05367891345971865, abs=1e-9
     )
-    assert score_mimicry(feature_transcript, "buyer") == pytest.approx(
+    assert score_mimicry(feature_transcript, "buyer", tfidf) == pytest.approx(
         0.1507277566739416, abs=1e-9
     )
 
@@ -164,25 +177,25 @@ def test_fixture_mimicry_matches_hand_computation(feature_transcript):
 def test_gratitude_example():
     lexicon = Lexicon("gratitude", ("thank you", "i appreciate"))
     transcript = two_sided(["ignored", "Thank you, I appreciate it."])
-    assert count_lexicon(transcript, "buyer", lexicon) == 2.0
+    assert count_lexicon(transcript, "buyer", lexicon, lowered(transcript)) == 2.0
 
 
 def test_hedge_example():
     lexicon = Lexicon("hedges", ("i think", "maybe"))
     transcript = two_sided(["I think maybe yes."])
-    assert count_lexicon(transcript, "seller", lexicon) == 2.0
+    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 2.0
 
 
 def test_word_boundary_blocks_substring():
     lexicon = Lexicon("fpp", ("we", "our", "us"))
     transcript = two_sided(["We should trust our plan"])
-    assert count_lexicon(transcript, "seller", lexicon) == 2.0
+    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 2.0
 
 
 def test_overlapping_matches_count_once_per_position():
     lexicon = Lexicon("apologies", ("i'm sorry", "sorry"))
     transcript = two_sided(["I'm sorry about that."])
-    assert count_lexicon(transcript, "seller", lexicon) == 1.0
+    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 1.0
 
 
 def test_self_overlapping_phrase_counts_every_position():
@@ -214,7 +227,6 @@ def per_phrase_sweep(phrases, text):
     return taken
 
 
-BUILTIN_LEXICONS = load_default_lexicons()
 # whole phrases and their words, so texts hold both complete and partial
 # phrases next to each other
 VOCABULARY = sorted(
@@ -265,19 +277,20 @@ def sentiment_lexicon():
     )
 
 
+def seller_positivity(transcript):
+    return score_positivity(transcript, "seller", sentiment_lexicon(), lowered(transcript))
+
+
 def test_no_matches_scores_zero():
-    transcript = two_sided(["completely neutral statement"])
-    assert score_positivity(transcript, "seller", sentiment_lexicon()) == 0.0
+    assert seller_positivity(two_sided(["completely neutral statement"])) == 0.0
 
 
 def test_repeated_positive_term():
-    transcript = two_sided(["great great"])
-    assert score_positivity(transcript, "seller", sentiment_lexicon()) == pytest.approx(0.8)
+    assert seller_positivity(two_sided(["great great"])) == pytest.approx(0.8)
 
 
 def test_mixed_terms_cancel():
-    transcript = two_sided(["great terrible"])
-    assert score_positivity(transcript, "seller", sentiment_lexicon()) == pytest.approx(0.0)
+    assert seller_positivity(two_sided(["great terrible"])) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +301,7 @@ def test_questions_and_message_length():
     transcript = two_sided(
         ["Shall we? What price?", "w " * 9 + "w", "ten tokens here padding out to ten words yes ok".replace("  ", " ")]
     )
-    features = extract_features(transcript)
+    features = extract_features(transcript, BUILTIN_LEXICONS)
     assert features["seller"].questions == pytest.approx((2 + 0) / 2)
 
 
@@ -296,13 +309,13 @@ def test_message_length_mean():
     ten = " ".join(["word"] * 10)
     twenty = " ".join(["word"] * 20)
     transcript = two_sided([ten, "x", twenty])
-    features = extract_features(transcript)
+    features = extract_features(transcript, BUILTIN_LEXICONS)
     assert features["seller"].message_length == pytest.approx(15.0)
 
 
 def test_fixture_vector_matches_oracle(feature_transcript):
     """All eight features frozen from hand computation over the 6-utterance fixture."""
-    features = extract_features(feature_transcript)
+    features = extract_features(feature_transcript, BUILTIN_LEXICONS)
     seller, buyer = features["seller"], features["buyer"]
 
     assert seller.mimicry == pytest.approx(0.05367891345971865, abs=1e-9)
@@ -340,21 +353,21 @@ def test_features_invariant_under_recasing(feature_transcript):
         termination="cap_reached",
         seed=0,
     )
-    original = extract_features(feature_transcript)
-    recased = extract_features(upper)
+    original = extract_features(feature_transcript, BUILTIN_LEXICONS)
+    recased = extract_features(upper, BUILTIN_LEXICONS)
     for role in ("seller", "buyer"):
         assert asdict(original[role]) == pytest.approx(asdict(recased[role]))
 
 
 def test_extraction_deterministic(feature_transcript):
-    first = extract_features(feature_transcript)
-    second = extract_features(feature_transcript)
+    first = extract_features(feature_transcript, BUILTIN_LEXICONS)
+    second = extract_features(feature_transcript, BUILTIN_LEXICONS)
     for role in first:
         assert asdict(first[role]) == asdict(second[role])
 
 
 def test_feature_rows_keyed_like_outcome_table(feature_transcript):
-    rows = feature_rows(feature_transcript)
+    rows = feature_rows(feature_transcript, BUILTIN_LEXICONS)
     assert len(rows) == 2
     assert {row["role"] for row in rows} == {"seller", "buyer"}
     for row in rows:
@@ -368,7 +381,8 @@ def test_feature_rows_do_not_depend_on_role_map_order(feature_transcript):
     reversed_roles = dict(reversed(list(feature_transcript.role_map.items())))
     assert list(reversed_roles) != list(feature_transcript.role_map)
     copy = dataclasses.replace(feature_transcript, role_map=reversed_roles)
-    assert feature_rows(copy) == feature_rows(feature_transcript)
+    rows = feature_rows(feature_transcript, BUILTIN_LEXICONS)
+    assert feature_rows(copy, BUILTIN_LEXICONS) == rows
 
 
 def test_default_lexicons_load():
@@ -417,4 +431,4 @@ def test_unreadable_lexicon_file_is_a_schema_error(tmp_path, damage, message):
 def test_cosine_zero_vector_is_zero():
     # an utterance with no tokens is a zero vector: its similarity is 0.0
     t = two_sided(["I can do 150 for the chair.", ""])
-    assert score_mimicry(t, "buyer") == 0.0
+    assert score_mimicry(t, "buyer", tfidf_of(t)) == 0.0

@@ -1137,6 +1137,39 @@ def test_sentiment_lexicon_without_polarity_exits_before_reading_the_store(
     assert not (tmp_path / "out" / "features.csv").exists()
 
 
+def test_configured_lexicon_directory_reaches_features_csv(tmp_path):
+    # hedges.txt holds only "offer", which the fixed-concession policy says
+    # in every turn and no built-in hedge matches
+    import re
+    from importlib import resources
+
+    from parley.features import DEFAULT_LEXICONS, load_default_lexicons
+
+    lexicons = tmp_path / "lexicons"
+    lexicons.mkdir()
+    builtin = resources.files("parley.data.lexicons")
+    for name in DEFAULT_LEXICONS:
+        (lexicons / f"{name}.txt").write_text((builtin / f"{name}.txt").read_text())
+    (lexicons / "hedges.txt").write_text("offer\n")
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"lexicons": "lexicons"})
+    pipeline = Pipeline(load_config(path))
+    pipeline.run_stages(["run", "score", "features"])
+
+    builtin_hedges = load_default_lexicons()["hedges"]
+    _, *records = pipeline.transcripts_path.read_text().splitlines()
+    expected, builtin_value = {}, {}
+    for record in map(json.loads, records):
+        for role in record["role_map"]:
+            own = [u["text"].lower() for u in record["utterances"] if u["role_name"] == role]
+            key = record["negotiation_id"], role
+            expected[key] = sum(len(re.findall(r"\boffer\b", text)) for text in own) / len(own)
+            builtin_value[key] = sum(builtin_hedges.count(text) for text in own) / len(own)
+    _, rows = read_table(pipeline.features_path)
+    assert len(rows) == len(expected) == 8
+    assert {(row["negotiation_id"], row["role"]): float(row["hedges"]) for row in rows} == expected
+    assert expected != builtin_value
+
+
 def test_each_run_stages_call_reads_the_store_as_it_is_then(tmp_path):
     pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
     pipeline.run_stages(["run"])

@@ -10,6 +10,7 @@ from parley.scoring import (
     aggregate_outcomes,
     dyad_id,
     extract_agreement,
+    extract_agreement_model,
     score_outcome,
 )
 from parley.session import SviResponse, run_session
@@ -101,9 +102,7 @@ EXTRACTOR_BINDING = BackendBinding(
 def test_model_extractor_parses_deal(chair):
     client = stub_client('{"deal": true, "terms": {"price": 100}}')
     transcript = accepted_chair_transcript()
-    terms = extract_agreement(
-        transcript, chair, extractor="model", client=client, binding=EXTRACTOR_BINDING
-    )
+    terms = extract_agreement_model(transcript, chair, client, EXTRACTOR_BINDING)
     assert terms.agreed_price == 100
 
 
@@ -119,9 +118,7 @@ def test_model_extractor_enforces_all_issues(rental):
         roles=["landlord", "tenant"],
         termination="cap_reached",
     )
-    terms = extract_agreement(
-        transcript, rental, extractor="model", client=client, binding=EXTRACTOR_BINDING
-    )
+    terms = extract_agreement_model(transcript, rental, client, EXTRACTOR_BINDING)
     assert terms.impasse
 
 
@@ -464,13 +461,9 @@ def test_marker_and_model_extractors_agree_on_fixture_set(chair, rental, employm
         scenario = scenarios[scenario_id]
         role_map = dict(zip(scenario.role_names, (first, second)))
         transcript = run_session(scenario, role_map, agents, seed=13)
-        marker_terms = extract_agreement(transcript, scenario, extractor="marker")
-        model_terms = extract_agreement(
-            transcript,
-            scenario,
-            extractor="model",
-            client=stub_client(reply),
-            binding=EXTRACTOR_BINDING,
+        marker_terms = extract_agreement(transcript, scenario)
+        model_terms = extract_agreement_model(
+            transcript, scenario, stub_client(reply), EXTRACTOR_BINDING
         )
         assert marker_terms.impasse == model_terms.impasse, (scenario_id, first, second)
         if not marker_terms.impasse:

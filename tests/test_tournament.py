@@ -199,8 +199,9 @@ def test_failing_backend_is_isolated(tmp_path):
 
 def test_backend_abort_fails_its_pairing_once_with_its_cause(tmp_path):
     # a status no retry mends: the client gives up after one request. A
-    # refused key ends the run there; any other such status fails only its
-    # pairing, and the session is not run again
+    # refused key, or a path or model the server does not know, ends the run
+    # there; any other such status fails only its pairing, and the session
+    # is not run again
     binding = BackendBinding(kind="chat_model", model_name="m", endpoint="fake://chat")
     roster = [AgentSpec(a, a, "be brief", binding) for a in ("m1", "m2")]
 
@@ -220,12 +221,13 @@ def test_backend_abort_fails_its_pairing_once_with_its_cause(tmp_path):
         )
         return run, calls, store, state
 
-    run, calls, store, state = tournament(401)
-    with pytest.raises(ConfigurationError, match="'fake://chat' refused the credentials: HTTP 401"):
-        run()
-    assert len(calls) == 1
-    assert len(store) == 0
-    assert state.failed == []
+    for status, message in ((401, "refused the credentials"), (404, "knows no such path or model")):
+        run, calls, store, state = tournament(status)
+        with pytest.raises(ConfigurationError, match=f"'fake://chat' {message}: HTTP {status}"):
+            run()
+        assert len(calls) == 1
+        assert len(store) == 0
+        assert state.failed == []
 
     run, calls, store, state = tournament(400)
     report = run()
