@@ -11,7 +11,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -110,125 +110,86 @@ def assemble_system_prompt(agent: AgentSpec, role, protocol_suffix: str = "") ->
 
 
 # ---------------------------------------------------------------------------
-# Scripted policies
+# Scripted policies: each a pure function of the view and its parameters,
+# which the roster reader has checked and completed with their defaults
 
 
-class ScriptedPolicy:
-    """Deterministic message policy: pure function of (view, seed)."""
-
-    def __init__(self, params: dict):
-        self.params = dict(params)
-        self.svi_rating = int(self.params.get("svi_rating", 4))
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        raise NotImplementedError
-
-    def answer_questionnaire(self, items: list[str], seed: int) -> str:
-        return "\n".join(f"{i}: {self.svi_rating}" for i in range(1, len(items) + 1))
-
-    # helpers ---------------------------------------------------------------
-
-    def _own_best_assignment(self, view: SessionView) -> Assignment:
-        spec = view.scenario
-        chosen = {}
-        for issue in spec.issues:
-            best = max(issue.options, key=lambda opt: opt[2][view.role_name])
-            chosen[issue.issue_name] = best[0]
-        return Assignment(chosen=chosen)
-
-    def _parse_counterpart_offer(self, view: SessionView) -> Assignment | None:
-        text = view.last_counterpart_text()
-        if not text:
-            return None
-        for block in ("TERMS", "OFFER"):
-            terms = parse_block(text, block)
-            if terms is not None:
-                assignment = terms_to_assignment(view.scenario, terms)
-                if assignment is not None:
-                    return assignment
-        return None
-
-
-class ImmediateAcceptor(ScriptedPolicy):
+def immediate_acceptor(view: SessionView, params: dict) -> str:
     """Accepts the first complete offer it sees; otherwise invites one."""
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        offer = self._parse_counterpart_offer(view)
+    text = view.last_counterpart_text() or ""
+    for block in ("TERMS", "OFFER"):
+        terms = parse_block(text, block)
+        offer = None if terms is None else terms_to_assignment(view.scenario, terms)
         if offer is not None:
             return "That works for me. " + format_close(view.scenario, offer)
-        return "I'm open to your proposal. What terms do you have in mind?"
+    return "I'm open to your proposal. What terms do you have in mind?"
 
 
-class FixedConcession(ScriptedPolicy):
-    """Walks a fixed concession ladder, then holds at the final rung.
-
-    Distributive ladders are prices (params: ladder); integrative ladders are
-    uniform option labels applied to every issue (params: label_ladder).
-    """
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        spec = view.scenario
-        step = view.own_turns()
-        if spec.kind == "distributive":
-            ladder = [float(x) for x in self.params.get("ladder", [150.0, 130.0, 110.0])]
-            price = ladder[min(step, len(ladder) - 1)]
-            offer = Assignment(agreed_price=price)
-        else:
-            ladder = list(self.params.get("label_ladder", ["A", "B", "C"]))
-            label = ladder[min(step, len(ladder) - 1)]
-            offer = Assignment(
-                chosen={issue.issue_name: label for issue in spec.issues}
-            )
-        return "Here is my offer. " + format_offer(spec, offer)
+def fixed_concession(view: SessionView, params: dict) -> str:
+    """Walks a fixed concession ladder, then holds at the final rung:
+    prices (``ladder``) in a distributive scenario, option labels applied
+    to every issue (``label_ladder``) in an integrative one."""
+    spec = view.scenario
+    ladder = params["ladder" if spec.kind == "distributive" else "label_ladder"]
+    rung = ladder[min(view.own_turns(), len(ladder) - 1)]
+    if spec.kind == "distributive":
+        offer = Assignment(agreed_price=rung)
+    else:
+        offer = Assignment(chosen={issue.issue_name: rung for issue in spec.issues})
+    return "Here is my offer. " + format_offer(spec, offer)
 
 
-class Stonewaller(ScriptedPolicy):
-    """Restates its opening demand on every turn and never accepts."""
-
-    def _demand(self, view: SessionView) -> Assignment:
-        spec = view.scenario
-        if spec.kind == "integrative":
-            return self._own_best_assignment(view)
-        if "demand_price" in self.params:
-            price = float(self.params["demand_price"])
-        elif view.role_name == spec.role_names[0]:  # selling seat aims high
-            price = float(spec.price_frame.get("original_new_price", 0) or 0)
-        else:  # buying seat aims at zero
-            price = 0.0
-        return Assignment(agreed_price=price)
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        return "My position has not changed. " + format_offer(
-            view.scenario, self._demand(view)
-        )
+def stonewaller(view: SessionView, params: dict) -> str:
+    """Restates its opening demand on every turn and never accepts: its own
+    best option on every issue, or ``demand_price``, or else the original
+    new price from the selling seat and zero from the buying seat."""
+    spec = view.scenario
+    if spec.kind == "integrative":
+        demand = Assignment(chosen={
+            issue.issue_name: max(issue.options, key=lambda opt: opt[2][view.role_name])[0]
+            for issue in spec.issues
+        })
+    elif params["demand_price"] is not None:
+        demand = Assignment(agreed_price=params["demand_price"])
+    elif view.role_name == spec.role_names[0]:
+        demand = Assignment(agreed_price=spec.price_frame.get("original_new_price", 0))
+    else:
+        demand = Assignment(agreed_price=0.0)
+    return "My position has not changed. " + format_offer(spec, demand)
 
 
-class Mirror(ScriptedPolicy):
-    """Echoes the counterpart's last utterance verbatim."""
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        text = view.last_counterpart_text()
-        if text is None:
-            return str(self.params.get("opener", "Hello."))
-        return text
+def mirror(view: SessionView, params: dict) -> str:
+    """Echoes the counterpart's last utterance verbatim; opens with ``opener``."""
+    text = view.last_counterpart_text()
+    return params["opener"] if text is None else text
 
 
-class Silent(ScriptedPolicy):
-    """Says nothing, ever; exercises degenerate-input handling."""
-
-    def next_message(self, view: SessionView, seed: int) -> str:
-        return ""
-
-    def answer_questionnaire(self, items: list[str], seed: int) -> str:
-        return ""
+def silent(view: SessionView, params: dict) -> str:
+    """Says nothing and answers no questionnaire; exercises degenerate input."""
+    return ""
 
 
-SCRIPTED_POLICIES: dict[str, type[ScriptedPolicy]] = {
-    "immediate_acceptor": ImmediateAcceptor,
-    "fixed_concession": FixedConcession,
-    "stonewaller": Stonewaller,
-    "mirror": Mirror,
-    "silent": Silent,
+SCRIPTED_POLICIES: dict[str, Callable[[SessionView, dict], str]] = {
+    policy.__name__: policy
+    for policy in (immediate_acceptor, fixed_concession, stonewaller, mirror, silent)
+}
+
+
+# each policy's parameters as name: (default, kinds, bounds), checked by
+# ``typed``; a list default marks a non-empty list, checked item by item.
+# svi_rating is the rating a scripted agent gives every questionnaire item;
+# every policy takes one, silent too, though it answers none.
+_SVI_RATING = {"svi_rating": (4, int, (1, 7))}
+POLICY_PARAMS: dict[str, dict[str, tuple]] = {
+    "immediate_acceptor": _SVI_RATING,
+    "fixed_concession": {
+        **_SVI_RATING,
+        "ladder": ([150.0, 130.0, 110.0], (int, float), (0, None)),
+        "label_ladder": (["A", "B", "C"], str, None),
+    },
+    "stonewaller": {**_SVI_RATING, "demand_price": (None, (int, float), (0, None))},
+    "mirror": {**_SVI_RATING, "opener": ("Hello.", str, None)},
+    "silent": _SVI_RATING,
 }
 
 
@@ -236,9 +197,25 @@ def _unknown_policy(name: str) -> str:
     return f"unknown scripted policy {name!r}; registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
 
 
-def get_policy(binding: BackendBinding) -> ScriptedPolicy:
-    """The policy of a validated scripted binding."""
-    return SCRIPTED_POLICIES[binding.policy_name](binding.policy_params)
+def checked_policy_params(source, key: str, policy_name: str, params: dict) -> dict:
+    """Every parameter of a registered policy: ``params``' values, each
+    checked, and the defaults of those it leaves out. A key the policy does
+    not read, or a value it cannot use, raises SchemaError naming ``source``
+    and ``key``."""
+    table = POLICY_PARAMS[policy_name]
+    checked = {name: default for name, (default, _, _) in table.items()}
+    for name, value in params.items():
+        typed(source, f"{key} key", name, str, choices=list(table))
+        default, kinds, bounds = table[name]
+        if not isinstance(default, list):
+            typed(source, f"{key}.{name}", value, kinds, bounds=bounds)
+        elif not typed(source, f"{key}.{name}", value, list):
+            raise SchemaError(f"{source}: {key}.{name} must be a non-empty list, got []")
+        else:
+            for i, item in enumerate(value):
+                typed(source, f"{key}.{name}[{i}]", item, kinds, bounds=bounds)
+        checked[name] = value
+    return checked
 
 
 def make_scripted_agent(
@@ -247,13 +224,18 @@ def make_scripted_agent(
     agent_id: str | None = None,
     nickname: str | None = None,
 ) -> AgentSpec:
-    """Build a deterministic scripted agent; identical params give identical behavior."""
+    """Build a deterministic scripted agent; identical params give identical
+    behavior. A parameter the policy cannot use raises SchemaError."""
     if policy_name not in SCRIPTED_POLICIES:
         raise NotFoundError(_unknown_policy(policy_name))
-    binding = BackendBinding(
-        kind="scripted", policy_name=policy_name, policy_params=dict(params or {})
-    )
     agent_id = agent_id or policy_name
+    binding = BackendBinding(
+        kind="scripted",
+        policy_name=policy_name,
+        policy_params=checked_policy_params(
+            f"scripted agent {agent_id!r}", "policy_params", policy_name, params or {}
+        ),
+    )
     return AgentSpec(
         agent_id=agent_id,
         nickname=nickname or agent_id,
@@ -424,14 +406,15 @@ def next_message(
 ) -> Reply:
     """Produce the agent's next utterance.
 
-    Scripted backends are pure functions of (view, seed). Chat-model backends
+    Scripted backends are pure functions of the view and their parameters;
+    they do not read the seed. Chat-model backends
     issue exactly one completion request: the system prompt as system
     content, the agent's own past messages as assistant turns, the
     counterpart's as user turns.
     """
     binding = agent.backend
     if binding.kind == "scripted":
-        text = get_policy(binding).next_message(view, seed)
+        text = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
         tokens = text.split()
         if len(tokens) > binding.max_reply_tokens:
             return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
@@ -484,7 +467,7 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
             ),
             endpoint=setting("endpoint", "", str),
             policy_name=setting("policy_name", "", str),
-            policy_params=dict(setting("policy_params", {}, dict)),
+            policy_params=setting("policy_params", {}, dict),
         )
         # a chat model needs a model and an endpoint, a scripted agent a
         # registered policy; neither sets the other's keys
@@ -497,8 +480,12 @@ def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[
                 raise SchemaError(
                     f"{path}: {key}.{name} must be empty for a {binding.kind} backend, got {value!r}"
                 )
-        if not chat and binding.policy_name not in SCRIPTED_POLICIES:
-            raise SchemaError(f"{path}: {key}.policy_name: {_unknown_policy(binding.policy_name)}")
+        if not chat:
+            if binding.policy_name not in SCRIPTED_POLICIES:
+                raise SchemaError(f"{path}: {key}.policy_name: {_unknown_policy(binding.policy_name)}")
+            binding = replace(binding, policy_params=checked_policy_params(
+                path, f"{key}.policy_params", binding.policy_name, binding.policy_params
+            ))
         spec = AgentSpec(
             agent_id=agent_id,
             nickname=str(record.get("nickname", agent_id)),

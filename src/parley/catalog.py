@@ -9,7 +9,7 @@ different number of points to each role; an agreement must cover every issue.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -115,18 +115,16 @@ class Assignment:
         return cls(impasse=True)
 
 
-def _render_points_schedule(issues: list[dict], role_name: str) -> str:
-    """Render a role's option/points tables from the structured schedules."""
+def _render_points_schedule(issues: tuple[IssueSchedule, ...], role_name: str) -> str:
+    """Render a role's option/points tables from the checked schedules."""
     blocks = []
     for issue in issues:
         lines = [
-            f"{issue['issue_name'].upper()} - Option & Points"
+            f"{issue.issue_name.upper()} - Option & Points"
             " (you can only agree to these; no in-between or other options):"
         ]
-        for opt in issue["options"]:
-            lines.append(
-                f"  {opt['label']}. {opt['term']} = {opt['points'][role_name]} points"
-            )
+        for label, term, points in issue.options:
+            lines.append(f"  {label}. {term} = {points[role_name]} points")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
@@ -150,52 +148,61 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
             return None
         return typed(source, f"role {raw_role['role_name']!r} {key}", value, (int, float))
 
-    raw_issues = raw.get("issues", [])
     roles = []
-    for raw_role in raw_roles:
-        if "role_name" not in raw_role:
+    for i, raw_role in enumerate(raw_roles):
+        if "role_name" not in typed(source, f"roles[{i}]", raw_role, dict):
             raise SchemaError(f"{source}: role missing field 'role_name'")
         instructions = raw_role.get("confidential_instructions", "")
-        if "{points_schedule}" in instructions:
-            instructions = instructions.replace(
-                "{points_schedule}",
-                _render_points_schedule(raw_issues, raw_role["role_name"]),
-            )
         roles.append(
             RoleSpec(
                 role_name=raw_role["role_name"],
-                confidential_instructions=instructions,
+                confidential_instructions=typed(
+                    source, f"role {raw_role['role_name']!r} confidential_instructions", instructions, str
+                ),
                 batna_price=number(raw_role, "batna_price"),
                 impasse_points=number(raw_role, "impasse_points"),
             )
         )
 
     issues = []
-    for raw_issue in raw_issues:
-        if "issue_name" not in raw_issue:
+    for i, raw_issue in enumerate(typed(source, "issues", raw.get("issues", []), list)):
+        if "issue_name" not in typed(source, f"issues[{i}]", raw_issue, dict):
             raise SchemaError(f"{source}: issue missing field 'issue_name'")
+        name = typed(source, f"issues[{i}].issue_name", raw_issue["issue_name"], str)
         options = []
-        for opt in raw_issue.get("options", []):
+        for opt in typed(source, f"issue {name!r} options", raw_issue.get("options", []), list):
             for key in ("label", "term", "points"):
-                if key not in opt:
-                    raise SchemaError(
-                        f"{source}: issue {raw_issue['issue_name']!r} option missing field {key!r}"
-                    )
-            options.append((opt["label"], str(opt["term"]), dict(opt["points"])))
-        issues.append(IssueSchedule(raw_issue["issue_name"], tuple(options)))
+                if key not in typed(source, f"issue {name!r} option", opt, dict):
+                    raise SchemaError(f"{source}: issue {name!r} option missing field {key!r}")
+            where = f"issue {name!r} option {opt['label']!r} points"
+            points = typed(source, where, opt["points"], dict)
+            for role_name, value in points.items():
+                typed(source, f"{where}.{role_name}", value, int)
+            options.append((opt["label"], str(opt["term"]), dict(points)))
+        issues.append(IssueSchedule(name, tuple(options)))
 
+    price_frame = dict(typed(source, "price_frame", raw.get("price_frame", {}), dict))
+    if "original_new_price" in price_frame:  # the stonewaller's selling demand
+        price = price_frame["original_new_price"]
+        typed(source, "price_frame.original_new_price", price, (int, float), bounds=(0, None))
     spec = ScenarioSpec(
         scenario_id=scenario_id,
         kind=kind,
         roles=(roles[0], roles[1]),
         issues=tuple(issues),
-        price_frame=dict(raw.get("price_frame", {})),
+        price_frame=price_frame,
         max_exchanges=typed(source, "max_exchanges", raw.get("max_exchanges", 50), int),
     )
     report = validate_scenario(spec)
     if report:
         raise SchemaError(f"{source}: " + "; ".join(report))
-    return spec
+    # a briefing shows the schedules only once they have passed every check
+    return replace(spec, roles=tuple(
+        replace(role, confidential_instructions=role.confidential_instructions.replace(
+            "{points_schedule}", _render_points_schedule(spec.issues, role.role_name)
+        ))
+        for role in spec.roles
+    ))
 
 
 # libyaml's parser when PyYAML was built with it; a PyYAML without libyaml

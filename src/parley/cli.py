@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from .agents import ChatModelClient, load_roster
+from .agents import load_roster
 from .catalog import BUILTIN_SCENARIOS, load_catalog
 from .errors import (
     ArtifactMismatchError,
@@ -34,13 +34,6 @@ def _fail(exc: ParleyError) -> None:
     if isinstance(exc, ArtifactMismatchError):
         sys.exit(EXIT_VALIDATION)
     sys.exit(EXIT_RUNTIME)
-
-
-def _pipeline(config_path: str) -> Pipeline:
-    config = load_config(config_path)
-    # for chat-model agents and the model rater; a scripted run sends nothing
-    client = ChatModelClient(api_key=config.backend_defaults.get("api_key", ""))
-    return Pipeline(config, client=client)
 
 
 @click.group()
@@ -94,7 +87,7 @@ def roster_validate(path):
 def run(config_path, stages):
     """Execute pipeline stages in dependency order."""
     try:
-        pipeline = _pipeline(config_path)
+        pipeline = Pipeline(load_config(config_path))
         pipeline.run_stages([s.strip() for s in stages.split(",") if s.strip()])
     except ParleyError as exc:
         _fail(exc)
@@ -106,7 +99,7 @@ def run(config_path, stages):
 def resume(config_path):
     """Resume an interrupted tournament; the transcript store says what is done."""
     try:
-        report = _pipeline(config_path).run_stages(["run"])["run"]
+        report = Pipeline(load_config(config_path)).run_stages(["run"])["run"]
     except ParleyError as exc:
         _fail(exc)
     click.echo(

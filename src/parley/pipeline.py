@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from random import Random
 
 from .agents import (
     BACKEND_KINDS,
+    DEFAULT_TEMPERATURE,
     REPLY_TOKEN_BOUNDS,
     TEMPERATURE_BOUNDS,
     AgentSpec,
@@ -87,20 +88,20 @@ class RunConfig:
     scenario_set: list[str]
     output_dir: Path
     checkpoint_path: Path
-    base_seed: int = 7
-    concurrency_limit: int = 4
-    backend_defaults: dict = field(default_factory=dict)
-    style_mode: str = "synthetic"  # one of STYLE_MODES
-    style_seed: int = 11
-    style_rater: BackendBinding | None = None  # the model rater
-    standardize: bool = True
-    small_sample: bool = False
-    analysis_terms: list[str] = field(default_factory=lambda: ["main"])
-    heatmap_bins: int = 10
-    ranking_metric: str = "value_claimed"
-    svi_items_path: Path | None = None
-    lexicon_dir: Path | None = None
-    raw: dict = field(default_factory=dict)
+    base_seed: int
+    concurrency_limit: int
+    backend_defaults: dict
+    style_mode: str  # one of STYLE_MODES
+    style_seed: int
+    style_rater: BackendBinding  # the model rater
+    standardize: bool
+    small_sample: bool
+    analysis_terms: list[str]
+    heatmap_bins: int
+    ranking_metric: str
+    svi_items_path: Path | None
+    lexicon_dir: Path | None
+    raw: dict
 
     @property
     def config_hash(self) -> str:
@@ -139,8 +140,8 @@ def load_config(path: str | Path) -> RunConfig:
             if not getattr(style_rater, name):
                 raise SchemaError(f"{path}: style.rater.{name} must be set when style.mode is model")
     backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
-    temperature = typed(path, "backend.temperature", backend.get("temperature", 0.20), (int, float),
-                        bounds=TEMPERATURE_BOUNDS)
+    temperature = backend.get("temperature", DEFAULT_TEMPERATURE)
+    typed(path, "backend.temperature", temperature, (int, float), bounds=TEMPERATURE_BOUNDS)
     backend["temperature"] = float(temperature)
     if "max_reply_tokens" in backend:
         typed(path, "backend.max_reply_tokens", backend["max_reply_tokens"], int,
@@ -189,7 +190,8 @@ class Pipeline:
 
     def __init__(self, config: RunConfig, client: ChatModelClient | None = None):
         self.config = config
-        self.client = client
+        # a scripted run sends nothing; a caller may pass a client with its own transport
+        self.client = client or ChatModelClient(api_key=config.backend_defaults.get("api_key", ""))
         config.output_dir.mkdir(parents=True, exist_ok=True)
         self.transcripts_path = config.output_dir / "transcripts.jsonl"
         self.outcomes_path = config.output_dir / "outcomes.csv"
@@ -274,9 +276,8 @@ class Pipeline:
             f"skipped={report.skipped}",
             f"failed={report.failed}",
             f"wall_clock_seconds={report.wall_clock_seconds:.3f}",
+            f"token_usage={json.dumps(self.client.usage, sort_keys=True)}",
         ]
-        if self.client is not None:
-            lines.append(f"token_usage={json.dumps(self.client.usage, sort_keys=True)}")
         for pairing, cause in state.failed:
             lines.append(
                 f"failed_pairing={pairing.exercise}:{pairing.first_role_agent}"
@@ -305,8 +306,6 @@ class Pipeline:
                     )
                 )
         else:
-            if self.client is None:
-                raise ConfigurationError("style mode 'model' requires a chat client")
             for agent in self.roster:
                 scores.append(
                     score_prompt_style(

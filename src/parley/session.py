@@ -20,7 +20,6 @@ from .agents import (
     ChatModelClient,
     SessionView,
     assemble_system_prompt,
-    get_policy,
     next_message,
 )
 from .catalog import ScenarioSpec, read_yaml, typed
@@ -193,20 +192,22 @@ def administer_svi(
     items: list[dict],
     client: ChatModelClient | None = None,
 ) -> SviResponse | None:
-    """Ask one agent to fill in the questionnaire; None when unparseable."""
-    if agent.backend.kind == "scripted":
-        reply_text = get_policy(agent.backend).answer_questionnaire(
-            [it["text"] for it in items], seed
-        )
+    """Ask one agent to fill in the questionnaire; None when unparseable. A
+    scripted agent rates every item its ``svi_rating``; a silent one answers
+    nothing."""
+    binding = agent.backend
+    if binding.kind == "scripted":
+        if binding.policy_name == "silent":
+            return None
+        rating = binding.policy_params["svi_rating"]
+        reply_text = "\n".join(f"{i}: {rating}" for i in range(1, len(items) + 1))
     else:
         if client is None:
             raise ConfigurationError("chat_model backend requires a ChatModelClient")
         messages = view.chat_messages()
         messages.append({"role": "user", "content": questionnaire_text(items)})
         try:
-            reply_text = client.complete(
-                agent.backend, view.system_text, messages, seed=seed
-            ).text
+            reply_text = client.complete(binding, view.system_text, messages, seed=seed).text
         except SessionAbortError:
             return None
     return parse_svi_response(reply_text, items)

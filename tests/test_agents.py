@@ -156,6 +156,15 @@ def test_unknown_policy():
         make_scripted_agent("haggler")
 
 
+def test_scripted_params_are_checked_and_completed_when_bound():
+    agent = make_scripted_agent("fixed_concession", {"ladder": [150]})
+    assert agent.backend.policy_params == {
+        "svi_rating": 4, "ladder": [150], "label_ladder": ["A", "B", "C"]
+    }
+    with pytest.raises(SchemaError, match=r"'fixed_concession': policy_params.ladder\[0\] must be a number"):
+        make_scripted_agent("fixed_concession", {"ladder": ["high"]})
+
+
 def test_scripted_reply_truncated_at_token_cap(chair):
     agent = make_scripted_agent("mirror")
     agent = AgentSpec(
@@ -439,6 +448,7 @@ def test_load_roster_round_trip(tmp_path):
     assert [a.agent_id for a in agents] == ["alpha", "beta"]
     assert agents[0].nickname == "The Alpha"
     assert agents[1].backend.policy_name == "mirror"
+    assert agents[1].backend.policy_params == {"svi_rating": 4, "opener": "Hello."}
 
 
 def test_backend_defaults_apply_to_chat_models_only(tmp_path):

@@ -331,18 +331,35 @@ def test_read_yaml_names_the_file_that_is_not_yaml(tmp_path):
         read_yaml(path)
 
 
+def rent_option_a(raw):
+    return raw["issues"][0]["options"][0]["points"]
+
+
 @pytest.mark.parametrize(
-    "name, damage, key",
+    "name, damage, message",
     [
-        ("chair", lambda raw: raw.update(max_exchanges="many"), "max_exchanges"),
+        ("chair", lambda raw: raw.update(max_exchanges="many"), "max_exchanges must be"),
         ("chair", lambda raw: raw["roles"][1].update(batna_price="cheap"),
-         "role 'buyer' batna_price"),
+         "role 'buyer' batna_price must be"),
         ("rental", lambda raw: raw["roles"][0].update(impasse_points="none"),
-         "role 'landlord' impasse_points"),
+         "role 'landlord' impasse_points must be"),
+        ("chair", lambda raw: raw["roles"][0].update(confidential_instructions=5),
+         "role 'seller' confidential_instructions must be"),
+        ("rental", lambda raw: rent_option_a(raw).update(tenant="1250"),
+         "issue 'Rent Amount' option 'A' points.tenant must be an integer"),
+        ("rental", lambda raw: rent_option_a(raw).update(tenant=1250.5),
+         "issue 'Rent Amount' option 'A' points.tenant must be an integer"),
+        ("rental", lambda raw: rent_option_a(raw).pop("tenant"),
+         "issue 'Rent Amount' option 'A': no points for role 'tenant'"),
+        ("chair", lambda raw: raw["price_frame"].update(original_new_price=-5),
+         "price_frame.original_new_price must be"),
     ],
-    ids=["max_exchanges", "batna_price", "impasse_points"],
+    ids=[
+        "max_exchanges", "batna_price", "impasse_points", "confidential_instructions",
+        "points-string", "points-fraction", "points-missing", "original_new_price",
+    ],
 )
-def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, key):
+def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, message):
     import yaml
     from click.testing import CliRunner
     from importlib import resources
@@ -355,5 +372,5 @@ def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, dam
     path.write_text(yaml.safe_dump(raw))
     result = CliRunner().invoke(cli_main, ["catalog", str(path)])
     assert result.exit_code == 2, result.output
-    assert f"{path}: {key} must be" in result.output
+    assert f"{path}: {message}" in result.output
     assert "Traceback" not in result.output

@@ -182,20 +182,41 @@ def scripted_backend(**extra):
          "agent 'a' backend.kind"),
         ([{"agent_id": "a", "backend": scripted_backend(model_name="m")}],
          "agent 'a' backend.model_name"),
+        ([{"agent_id": "a", "backend": scripted_backend(policy_params={"svi_rating": 9})}],
+         "agent 'a' backend.policy_params.svi_rating"),
+        ([{"agent_id": "a", "backend": scripted_backend(policy_params={"svi_rating": "x"})}],
+         "agent 'a' backend.policy_params.svi_rating"),
+        ([{"agent_id": "a", "backend": scripted_backend(
+            policy_name="fixed_concession", policy_params={"ladder": []})}],
+         "agent 'a' backend.policy_params.ladder"),
+        ([{"agent_id": "a", "backend": scripted_backend(
+            policy_name="fixed_concession", policy_params={"ladder": ["a"]})}],
+         "agent 'a' backend.policy_params.ladder[0]"),
+        ([{"agent_id": "a", "backend": scripted_backend(
+            policy_name="stonewaller", policy_params={"demand_price": -1})}],
+         "agent 'a' backend.policy_params.demand_price"),
+        ([{"agent_id": "a", "backend": scripted_backend(
+            policy_name="mirror", policy_params={"opener": 3})}],
+         "agent 'a' backend.policy_params.opener"),
+        ([{"agent_id": "a", "backend": scripted_backend(policy_params={"svi_ratting": 6})}],
+         "agent 'a' backend.policy_params key"),
     ],
     ids=[
         "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
         "max_reply_tokens-zero", "policy_params", "kind", "model_name", "endpoint",
         "policy_name", "temperature-range", "chat-without-endpoint", "kind-unknown",
-        "scripted-with-model_name",
+        "scripted-with-model_name", "svi_rating-range", "svi_rating-string", "ladder-empty",
+        "ladder-string", "demand_price-negative", "opener-number", "policy_params-unknown-key",
     ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
     path = write_workspace(tmp_path, agents=agents)
-    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
-    assert result.exit_code == 2, result.output
-    assert f"{tmp_path / 'roster.yaml'}: {key} must be" in result.output
-    assert "Traceback" not in result.output
+    roster = tmp_path / "roster.yaml"
+    for args in (["run", "--config", str(path), "--stages", "run"], ["roster", "validate", str(roster)]):
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{roster}: {key} must be" in result.output
+        assert "Traceback" not in result.output
     assert not (tmp_path / "out" / "transcripts.jsonl").exists()
 
 
@@ -1304,7 +1325,9 @@ def test_scripted_pipeline_does_not_import_requests(tmp_path):
     path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
     stages = "run,score,features,style,analyze,report"
     assert run_probe(_PIPELINE_PROBE, path, stages, "requests") == "False"
-    assert (tmp_path / "out" / "run_report.txt").exists()
+    # the pipeline makes its own client, which a scripted run never uses
+    report = (tmp_path / "out" / "run_report.txt").read_text()
+    assert 'token_usage={"completion_tokens": 0, "prompt_tokens": 0, "requests": 0, "retries": 0}' in report
 
 
 def test_injected_transport_does_not_import_requests():
