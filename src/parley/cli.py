@@ -88,24 +88,25 @@ def run(config_path, stages):
     """Execute pipeline stages in dependency order."""
     try:
         pipeline = Pipeline(load_config(config_path))
-        pipeline.run_stages([s.strip() for s in stages.split(",") if s.strip()])
+        results = pipeline.run_stages([s.strip() for s in stages.split(",") if s.strip()])
     except ParleyError as exc:
         _fail(exc)
+    if "run" in results:
+        report = results["run"]
+        click.echo(
+            f"scheduled={report.scheduled} executed={report.executed} "
+            f"skipped={report.skipped} failed={report.failed}"
+        )
     click.echo("done")
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def resume(config_path):
-    """Resume an interrupted tournament; the transcript store says what is done."""
-    try:
-        report = Pipeline(load_config(config_path)).run_stages(["run"])["run"]
-    except ParleyError as exc:
-        _fail(exc)
-    click.echo(
-        f"scheduled={report.scheduled} executed={report.executed} "
-        f"skipped={report.skipped} failed={report.failed}"
-    )
+@click.pass_context
+def resume(ctx, config_path):
+    """Resume an interrupted tournament (``run --stages run``); the transcript
+    store says what is done."""
+    ctx.invoke(run, config_path=config_path, stages="run")
 
 
 @main.command()

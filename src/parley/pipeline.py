@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -40,10 +41,12 @@ from .features import (
 )
 from .scoring import (
     OUTCOME_TABLE_COLUMNS,
+    RANKING_COLUMNS,
     RANKING_METRICS,
     AgentSummary,
     aggregate_outcomes,
     extract_agreement,
+    ranking_rows,
     score_outcome,
 )
 from .session import load_svi_items
@@ -54,7 +57,6 @@ from .tournament import (
     TournamentState,
     TranscriptStore,
     build_schedule,
-    ranking_trajectory,
     read_checkpoint,
     run_tournament,
 )
@@ -372,12 +374,11 @@ class Pipeline:
             emit_fit(fit, self.analysis_dir / key, self.config.config_hash, title)
             results[key] = fit_result_payload(fit)
 
-        grid_metrics = ("value_claimed", "deal")
-        for metric in grid_metrics:
-            grid = heatmap_grid(out_rows, styles, metric, bins=self.config.heatmap_bins)
-            emit_heatmap_grid(
-                grid,
+        for metric in ("value_claimed", "deal"):
+            write_table(
                 self.analysis_dir / f"heatmap_{metric}.csv",
+                HEATMAP_COLUMNS,
+                heatmap_rows(out_rows, styles, metric, self.config.heatmap_bins),
                 self.config.config_hash,
             )
 
@@ -398,26 +399,10 @@ class Pipeline:
             [asdict(summary) for summary in summaries],
             self.config.config_hash,
         )
-
-        trajectory = ranking_trajectory(
-            rows, self.config.ranking_metric, self.config.base_seed
-        )
-        rank_rows = []
-        for agent_id in sorted(trajectory.ranks):
-            for k, rank in zip(trajectory.sample_counts, trajectory.ranks[agent_id]):
-                curve = trajectory.curves[agent_id]
-                rank_rows.append(
-                    {
-                        "agent_id": agent_id,
-                        "samples": k,
-                        "cumulative_mean": curve[min(k, len(curve)) - 1],
-                        "rank": rank,
-                    }
-                )
         write_table(
             self.config.output_dir / f"rankings_{self.config.ranking_metric}.csv",
-            ("agent_id", "samples", "cumulative_mean", "rank"),
-            rank_rows,
+            RANKING_COLUMNS,
+            ranking_rows(rows, self.config.ranking_metric, self.config.base_seed),
             self.config.config_hash,
         )
         return summaries
@@ -591,26 +576,19 @@ def emit_fit(fit: FitResult, stem: str | Path, config_hash: str, title: str = ""
     write_table(stem.parent / f"{stem.name}.csv", ("term", *TERM_STATS), rows, config_hash)
 
 
-@dataclass
-class HeatmapGrid:
-    metric: str
-    bins: int
-    cells: list[dict]  # warmth_bin, dominance_bin, mean, count
+HEATMAP_COLUMNS = ("warmth_bin", "dominance_bin", "warmth_low", "dominance_low", "mean", "count")
 
 
-def heatmap_grid(
+def heatmap_rows(
     outcome_table: list[dict],
     styles: dict[str, tuple[float, float]],
     metric: str,
-    bins: int = 10,
-) -> HeatmapGrid:
-    """Bin per-agent outcome means on the warmth x dominance plane.
-
-    Emits the pre-interpolation grid (bin means plus occupancy counts) for
-    external contour plotting.
-    """
-    import warnings
-
+    bins: int,
+) -> list[dict]:
+    """The heatmap table of ``metric``: per-agent outcome means binned on the
+    warmth x dominance plane, one row per occupied cell in bin order with
+    the mean of its agents' means and their count. This is the
+    pre-interpolation grid, for external contour plotting."""
     per_agent: dict[str, list[float]] = {}
     for record in outcome_table:
         raw = record.get(metric)
@@ -638,26 +616,9 @@ def heatmap_grid(
         warnings.warn(
             f"all agents fall in a single {metric} heatmap cell", stacklevel=2
         )
-    grid = HeatmapGrid(metric=metric, bins=bins, cells=[])
-    for (wb, db), means in sorted(cells.items()):
-        grid.cells.append(
-            {
-                "warmth_bin": wb,
-                "dominance_bin": db,
-                "warmth_low": wb * step,
-                "dominance_low": db * step,
-                "mean": sum(means) / len(means),
-                "count": len(means),
-            }
-        )
-    return grid
-
-
-def emit_heatmap_grid(grid: HeatmapGrid, path: str | Path, config_hash: str) -> Path:
-    write_table(
-        path,
-        ("warmth_bin", "dominance_bin", "warmth_low", "dominance_low", "mean", "count"),
-        grid.cells,
-        config_hash,
-    )
-    return Path(path)
+    return [
+        dict(zip(HEATMAP_COLUMNS, (
+            wb, db, wb * step, db * step, sum(means) / len(means), len(means)
+        )))
+        for (wb, db), means in sorted(cells.items())
+    ]

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from random import Random
 
 from .agents import BackendBinding, ChatModelClient
 from .catalog import Assignment, ScenarioSpec, evaluate_assignment
-from .errors import EvaluationError, ExtractionConflictError, ScoringError
+from .errors import EvaluationError, ExtractionConflictError, NotFoundError, ParleyError, ScoringError
 from .protocol import Terms, extraction_schema, parse_block, terms_to_assignment
 from .session import Transcript
+from .tournament import stable_seed
 
 
 def _latest_counterpart_terms(transcript: Transcript) -> dict[str, str] | None:
@@ -231,3 +234,45 @@ def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
             )
         )
     return summaries
+
+
+RANKING_COLUMNS = ("agent_id", "samples", "cumulative_mean", "rank")
+
+
+def ranking_rows(rows: list[dict], metric: str, order_seed: int) -> list[dict]:
+    """The rankings table of per-seat outcome rows, by agent and then sample
+    count k, from 1 to the most any agent has: the cumulative mean of the
+    agent's first k ``metric`` values in a shuffle seeded by ``order_seed``
+    and its id (None values skipped; an agent with fewer values keeps its
+    last mean), and its rank among all agents at k (higher mean = better
+    rank, ties broken by agent id)."""
+    if metric not in RANKING_METRICS:
+        raise NotFoundError(
+            f"unknown metric {metric!r}; valid metrics: {', '.join(RANKING_METRICS)}"
+        )
+    values: dict[str, list[float]] = {}
+    for row in rows:
+        if row[metric] is not None:
+            values.setdefault(row["agent_id"], []).append(float(row[metric]))
+    if not values:
+        raise ParleyError(f"no observations carry metric {metric!r}")
+
+    curves: dict[str, list[float]] = {}
+    for agent_id, agent_values in values.items():
+        Random(stable_seed(order_seed, agent_id)).shuffle(agent_values)
+        sums = accumulate(agent_values, initial=0.0)
+        curves[agent_id] = [total / k for k, total in enumerate(sums) if k]
+    samples = max(len(curve) for curve in curves.values())
+    for curve in curves.values():
+        curve.extend(curve[-1:] * (samples - len(curve)))
+
+    ranks: dict[tuple[str, int], int] = {}
+    for k in range(samples):
+        snapshot = sorted((-curve[k], agent_id) for agent_id, curve in curves.items())
+        for rank, (_, agent_id) in enumerate(snapshot, start=1):
+            ranks[agent_id, k] = rank
+    return [
+        dict(zip(RANKING_COLUMNS, (agent_id, k + 1, curves[agent_id][k], ranks[agent_id, k])))
+        for agent_id in sorted(curves)
+        for k in range(samples)
+    ]

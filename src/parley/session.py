@@ -30,7 +30,7 @@ TRANSCRIPT_SCHEMA_VERSION = 1
 
 SVI_FACETS = ("instrumental", "self", "process", "relationship")
 
-_RATING_LINE_RE = re.compile(r"^\s*(\d{1,2})\s*[:.)\-]\s*(\d+)\s*$", re.MULTILINE)
+_RATING_LINE_RE = re.compile(r"^\s*(\d+)\s*[:.)\-]\s*(\d+)\s*$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,22 @@ def detect_termination(utterances: list[Utterance], scenario: ScenarioSpec) -> s
 
 
 def load_svi_items(path=None) -> list[dict]:
-    """The questionnaire's items: 16 mappings with an integer ``id``, a
-    string ``text`` and a ``facet`` of ``SVI_FACETS``, every facet covered. A
-    file that breaks this raises SchemaError naming it and the key."""
+    """The questionnaire's items: 16 mappings with a distinct integer ``id``
+    of at least 0 (a reply's ``N: R`` lines name it), a string ``text`` and
+    a ``facet`` of ``SVI_FACETS``, every facet covered. A file that breaks
+    this raises SchemaError naming it and the key."""
     source = Path(path) if path is not None else resources.files("parley.data") / "svi_items.yaml"
     raw = typed(source, "top level", read_yaml(source), dict)
     items = typed(source, "items", raw.get("items"), list)
     for i, item in enumerate(items):
         typed(source, f"items[{i}]", item, dict)
-        typed(source, f"items[{i}].id", item.get("id"), int)
+        typed(source, f"items[{i}].id", item.get("id"), int, bounds=(0, None))
         typed(source, f"items[{i}].text", item.get("text"), str)
         typed(source, f"items[{i}].facet", item.get("facet"), str, choices=SVI_FACETS)
     if len(items) != 16 or {item["facet"] for item in items} != set(SVI_FACETS):
         raise SchemaError(f"{source}: items must be 16 items covering the four facets")
+    if len({item["id"] for item in items}) != len(items):
+        raise SchemaError(f"{source}: items must have distinct ids")
     return items
 
 
@@ -193,14 +196,14 @@ def administer_svi(
     client: ChatModelClient | None = None,
 ) -> SviResponse | None:
     """Ask one agent to fill in the questionnaire; None when unparseable. A
-    scripted agent rates every item its ``svi_rating``; a silent one answers
-    nothing."""
+    scripted agent rates every item, under the item's id, its ``svi_rating``;
+    a silent one answers nothing."""
     binding = agent.backend
     if binding.kind == "scripted":
         if binding.policy_name == "silent":
             return None
         rating = binding.policy_params["svi_rating"]
-        reply_text = "\n".join(f"{i}: {rating}" for i in range(1, len(items) + 1))
+        reply_text = "\n".join(f"{item['id']}: {rating}" for item in items)
     else:
         if client is None:
             raise ConfigurationError("chat_model backend requires a ChatModelClient")

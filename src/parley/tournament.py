@@ -24,12 +24,10 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from random import Random
 
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
-from .errors import ConfigurationError, NotFoundError, ParleyError, SchemaError, SessionAbortError
-from .scoring import RANKING_METRICS
+from .errors import ConfigurationError, ParleyError, SchemaError, SessionAbortError
 from .session import Transcript, Utterance, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
@@ -202,9 +200,6 @@ class TranscriptStore:
                 self._spans[neg_id] = span
                 if on_record is not None:
                     on_record(self._transcript(neg_id, record))
-
-    def __contains__(self, neg_id: str) -> bool:
-        return neg_id in self._spans
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -456,56 +451,3 @@ def run_tournament(
         wall_clock_seconds=time.monotonic() - start,
     )
 
-
-# ---------------------------------------------------------------------------
-# Ranking stability
-
-
-@dataclass
-class RankingTrajectory:
-    metric: str
-    sample_counts: list[int]
-    curves: dict[str, list[float]]  # agent -> cumulative mean at each count
-    ranks: dict[str, list[int]]  # agent -> rank (1 = best) at each count
-
-
-def ranking_trajectory(
-    rows: list[dict], metric: str, order_seed: int
-) -> RankingTrajectory:
-    """Cumulative-mean curves over a seeded shuffle of each agent's
-    ``metric`` values in per-seat outcome rows (None values skipped), plus
-    each agent's rank at every sample count (higher mean = better rank; ties
-    broken by agent id)."""
-    if metric not in RANKING_METRICS:
-        raise NotFoundError(
-            f"unknown metric {metric!r}; valid metrics: {', '.join(RANKING_METRICS)}"
-        )
-    values: dict[str, list[float]] = {}
-    for row in rows:
-        if row[metric] is not None:
-            values.setdefault(row["agent_id"], []).append(float(row[metric]))
-    if not values:
-        raise ParleyError(f"no observations carry metric {metric!r}")
-
-    curves: dict[str, list[float]] = {}
-    for agent_id, agent_values in sorted(values.items()):
-        shuffled = list(agent_values)
-        Random(stable_seed(order_seed, agent_id)).shuffle(shuffled)
-        running, curve = 0.0, []
-        for k, value in enumerate(shuffled, start=1):
-            running += value
-            curve.append(running / k)
-        curves[agent_id] = curve
-
-    max_n = max(len(c) for c in curves.values())
-    sample_counts = list(range(1, max_n + 1))
-    ranks: dict[str, list[int]] = {agent: [] for agent in curves}
-    for k in sample_counts:
-        snapshot = sorted(
-            ((-(curve[min(k, len(curve)) - 1]), agent) for agent, curve in curves.items())
-        )
-        for rank, (_, agent) in enumerate(snapshot, start=1):
-            ranks[agent].append(rank)
-    return RankingTrajectory(
-        metric=metric, sample_counts=sample_counts, curves=curves, ranks=ranks
-    )

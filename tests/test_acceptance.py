@@ -6,6 +6,7 @@ touches a network. Criterion 11 needs the published tournament data and
 reports itself skipped when the data directory is absent.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -529,6 +530,17 @@ def test_replication_machinery_recovers_planted_coefficients(tmp_path):
 # 12. End-to-end desk tournament
 
 
+CRITERION_12_MANIFEST = {
+    "transcripts.jsonl": "07e53bcbd4fa09f1aecd8e3ee45b91c1644cc00db532fc0bab0b7c32f0fc9180",
+    "features.csv": "f6d39db7e9bc7f7f4ca168af12af79de74bbdd12ec2f335c7755d312c36138f3",
+    "style.csv": "6cbe7c9a3d8f65d3c16908dba9d131cdb4c48c7ebed7dcc4530594dae36bde7c",
+    "analysis/heatmap_value_claimed.csv": (
+        "f3e94e367c25f8050e0ed140c635cf222b211d2f46041bc6ca868e46f57f44c7"
+    ),
+    "analysis/heatmap_deal.csv": "aabfd8e07f3393d1b263a5cec7df6597bad38ecf5bb80fd423acd42ccbf38f23",
+}
+
+
 def test_criterion_12_end_to_end_desk_tournament(tmp_path):
     from parley.pipeline import Pipeline, load_config
 
@@ -590,4 +602,10 @@ def test_criterion_12_end_to_end_desk_tournament(tmp_path):
         # outcomes and features carry two agent-observations per negotiation
         _, outcome_rows = read_table(pipeline.outcomes_path)
         assert len(outcome_rows) == 150
+
+        # golden manifest: a rerun of this roster writes these bytes; the fit
+        # tables under analysis/ are left out, as numpy's last bits decide them
+        for name, digest in CRITERION_12_MANIFEST.items():
+            data = (config.output_dir / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
     report(12, "five scripted agents ran the full 3-scenario pipeline with schema-valid artifacts")

@@ -11,11 +11,11 @@ from parley.agents import ChatModelClient
 from parley.cli import main as cli_main
 from parley.errors import ArtifactMismatchError, PrerequisiteError, SchemaError
 from parley.pipeline import (
+    HEATMAP_COLUMNS,
     Pipeline,
     build_observation_rows,
     emit_fit,
-    emit_heatmap_grid,
-    heatmap_grid,
+    heatmap_rows,
     load_config,
 )
 from parley.stats import ModelSpec, fit_with_clusters
@@ -578,10 +578,9 @@ def test_heatmap_two_corner_agents():
         {"agent_id": "cold", "value_claimed": None},
     ]
     styles = {"cold": (0.0, 0.0), "warm": (100.0, 100.0)}
-    grid = heatmap_grid(table, styles, "value_claimed", bins=10)
-    assert len(grid.cells) == 2
-    means = {(
-        c["warmth_bin"], c["dominance_bin"]): c["mean"] for c in grid.cells}
+    cells = heatmap_rows(table, styles, "value_claimed", bins=10)
+    assert len(cells) == 2
+    means = {(c["warmth_bin"], c["dominance_bin"]): c["mean"] for c in cells}
     assert means[(0, 0)] == 1.0
     assert means[(9, 9)] == 3.0
 
@@ -591,16 +590,16 @@ def test_heatmap_uniform_outcomes_constant():
         {"agent_id": f"a{i}", "value_claimed": "5.0"} for i in range(8)
     ]
     styles = {f"a{i}": (i * 12.0, 100 - i * 12.0) for i in range(8)}
-    grid = heatmap_grid(table, styles, "value_claimed", bins=4)
-    assert all(cell["mean"] == 5.0 for cell in grid.cells)
+    cells = heatmap_rows(table, styles, "value_claimed", bins=4)
+    assert all(cell["mean"] == 5.0 for cell in cells)
 
 
 def test_heatmap_single_cell_warns():
     table = [{"agent_id": "a", "value_claimed": "1"}, {"agent_id": "b", "value_claimed": "2"}]
     styles = {"a": (50.0, 50.0), "b": (51.0, 51.0)}
     with pytest.warns(UserWarning, match="single"):
-        grid = heatmap_grid(table, styles, "value_claimed", bins=2)
-    assert len(grid.cells) == 1
+        cells = heatmap_rows(table, styles, "value_claimed", bins=2)
+    assert len(cells) == 1
 
 
 def test_heatmap_fixture_matches_spreadsheet_oracle(tmp_path):
@@ -611,14 +610,14 @@ def test_heatmap_fixture_matches_spreadsheet_oracle(tmp_path):
         {"agent_id": "c", "deal": "0"},
     ]
     styles = {"a": (10.0, 10.0), "b": (15.0, 12.0), "c": (80.0, 90.0)}
-    grid = heatmap_grid(table, styles, "deal", bins=5)
+    rows = heatmap_rows(table, styles, "deal", bins=5)
     # bin width 20: a and b share cell (0,0): means 0.5 and 1.0 -> 0.75
-    cells = {(c["warmth_bin"], c["dominance_bin"]): c for c in grid.cells}
+    cells = {(c["warmth_bin"], c["dominance_bin"]): c for c in rows}
     assert cells[(0, 0)]["mean"] == pytest.approx(0.75)
     assert cells[(0, 0)]["count"] == 2
     assert cells[(4, 4)]["mean"] == 0.0
-    path = emit_heatmap_grid(grid, tmp_path / "g.csv", "h")
-    _, rows = read_table(path)
+    write_table(tmp_path / "g.csv", HEATMAP_COLUMNS, rows, "h")
+    _, rows = read_table(tmp_path / "g.csv")
     assert len(rows) == 2
 
 
@@ -1435,6 +1434,10 @@ def test_cli_run_status_and_resume(tmp_path):
     runner = CliRunner()
     result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run"])
     assert result.exit_code == 0, result.output
+    # a call that runs the run stage prints its counts before "done"
+    assert result.output.splitlines() == ["scheduled=4 executed=4 skipped=0 failed=0", "done"]
+    score = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "score"])
+    assert score.output.splitlines() == ["done"]
     status = runner.invoke(cli_main, ["status", "--config", str(path)])
     assert status.exit_code == 0
     assert "scheduled=4" in status.output

@@ -254,6 +254,18 @@ def test_questionnaire_file_is_checked_when_read(tmp_path):
     path.write_text(yaml.safe_dump({"items": items[:15]}))
     with pytest.raises(SchemaError, match=f"^{path}: items must be 16 items"):
         load_svi_items(path)
+    # a reply's "N: R" line cannot name a negative id
+    negative = [dict(item) for item in items]
+    negative[0]["id"] = -1
+    path.write_text(yaml.safe_dump({"items": negative}))
+    with pytest.raises(SchemaError, match=rf"^{path}: items\[0\]\.id must be at least 0, got -1$"):
+        load_svi_items(path)
+    # one reply line would rate both items that share an id
+    shared = [dict(item) for item in items]
+    shared[1]["id"] = shared[0]["id"]
+    path.write_text(yaml.safe_dump({"items": shared}))
+    with pytest.raises(SchemaError, match=f"^{path}: items must have distinct ids$"):
+        load_svi_items(path)
 
 
 def test_svi_all_sevens():
@@ -307,6 +319,19 @@ def test_svi_recorded_for_both_seats(chair):
     )
     assert transcript.svi["seller"].composite == 6.0
     assert transcript.svi["buyer"].composite == 2.0
+
+
+def test_scripted_agent_rates_each_item_under_its_id(chair):
+    # a questionnaire file need not number its items 1-16
+    items = [{**item, "id": item["id"] + 100} for item in load_svi_items()]
+    a = make_scripted_agent("stonewaller", {"svi_rating": 6}, agent_id="a")
+    b = make_scripted_agent("stonewaller", {"svi_rating": 2}, agent_id="b")
+    transcript = run_session(
+        chair, {"seller": "a", "buyer": "b"}, agents_for(a, b), seed=1, svi_items=items
+    )
+    assert transcript.svi["seller"].composite == 6.0
+    assert transcript.svi["buyer"].composite == 2.0
+    assert [item_id for item_id, _ in transcript.svi["seller"].items] == list(range(101, 117))
 
 
 def test_self_play_records_both_seats(chair):

@@ -10,12 +10,11 @@ import parley.tournament
 from parley.agents import AgentSpec, BackendBinding, ChatModelClient, make_scripted_agent
 from parley.catalog import load_builtin
 from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
+from parley.scoring import RANKING_METRICS, ranking_rows
 from parley.tournament import (
-    RANKING_METRICS,
     TournamentState,
     TranscriptStore,
     build_schedule,
-    ranking_trajectory,
     read_checkpoint,
     run_tournament,
     stable_seed,
@@ -510,13 +509,18 @@ def outcome_with(agent_id, value, idx, scenario_id="chair"):
     ]
 
 
+def column(table, agent_id, name):
+    """An agent's ``name`` values in a rankings table, by sample count."""
+    return [row[name] for row in table if row["agent_id"] == agent_id]
+
+
 def test_constant_outcomes_give_flat_curves_and_stable_ranks():
     rows = [row for i in range(5) for row in outcome_with("hi", 20.0, i)]
     rows += [row for i in range(5) for row in outcome_with("lo", 10.0, i + 100)]
-    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=3)
-    assert all(v == 20.0 for v in trajectory.curves["hi"])
-    assert all(r == 1 for r in trajectory.ranks["hi"])
-    assert all(r > 1 for r in trajectory.ranks["lo"])
+    table = ranking_rows(rows, "value_claimed", order_seed=3)
+    assert all(v == 20.0 for v in column(table, "hi", "cumulative_mean"))
+    assert all(r == 1 for r in column(table, "hi", "rank"))
+    assert all(r > 1 for r in column(table, "lo", "rank"))
 
 
 def test_disjoint_value_ranges_never_cross():
@@ -527,9 +531,9 @@ def test_disjoint_value_ranges_never_cross():
     rows += [
         row for i in range(30) for row in outcome_with("b", 5 + rng.random() * 5, i + 500)
     ]
-    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=9)
-    assert all(r == 1 for r in trajectory.ranks["a"])
-    assert all(r == 2 for r in trajectory.ranks["b"])
+    table = ranking_rows(rows, "value_claimed", order_seed=9)
+    assert all(r == 1 for r in column(table, "a", "rank"))
+    assert all(r == 2 for r in column(table, "b", "rank"))
 
 
 def mixed_rows():
@@ -576,17 +580,18 @@ MIXED_MEANS = {
 @pytest.mark.parametrize("metric", RANKING_METRICS)
 def test_ranking_trajectory_cumulative_mean_per_metric(metric):
     count, mean = MIXED_MEANS[metric]
-    trajectory = ranking_trajectory(mixed_rows(), metric, order_seed=5)
-    curve = trajectory.curves["a"]
+    table = ranking_rows(mixed_rows(), metric, order_seed=5)
+    curve = column(table, "a", "cumulative_mean")
     assert len(curve) == count
     assert curve[-1] == pytest.approx(mean)
-    assert trajectory.sample_counts == list(range(1, count + 1))
+    assert column(table, "a", "samples") == list(range(1, count + 1))
+    assert {row["samples"] for row in table} == set(range(1, count + 1))
 
 
 def test_unknown_metric_lists_valid_ones():
     rows = outcome_with("a", 1.0, 0)
     with pytest.raises(NotFoundError, match="value_claimed"):
-        ranking_trajectory(rows, "charisma", order_seed=1)
+        ranking_rows(rows, "charisma", order_seed=1)
 
 
 def test_noisy_rank_agreement_improves_with_samples():
@@ -602,7 +607,8 @@ def test_noisy_rank_agreement_improves_with_samples():
         for _ in range(80):
             rows += outcome_with(agent_id, rng.gauss(mean, 8.0), idx)
             idx += 1
-    trajectory = ranking_trajectory(rows, "value_claimed", order_seed=7)
+    table = ranking_rows(rows, "value_claimed", order_seed=7)
+    ranks = {agent_id: column(table, agent_id, "rank") for agent_id in agents}
 
     # direct recomputation of each curve from the same seeded shuffle
     from parley.tournament import stable_seed as seed_of
@@ -611,15 +617,16 @@ def test_noisy_rank_agreement_improves_with_samples():
         values = [row["value_claimed"] for row in rows if row["agent_id"] == agent_id]
         shuffled = list(values)
         random.Random(seed_of(7, agent_id)).shuffle(shuffled)
+        curve = column(table, agent_id, "cumulative_mean")
         running = 0.0
         for k, v in enumerate(shuffled, start=1):
             running += v
-            assert trajectory.curves[agent_id][k - 1] == pytest.approx(running / k)
+            assert curve[k - 1] == pytest.approx(running / k)
 
-    final_rank = {a: trajectory.ranks[a][-1] for a in agents}
+    final_rank = {a: ranks[a][-1] for a in agents}
 
     def agreement(k):
-        snapshot = {a: trajectory.ranks[a][k - 1] for a in agents}
+        snapshot = {a: ranks[a][k - 1] for a in agents}
         pairs = [(a, b) for a in agents for b in agents if a < b]
         concordant = sum(
             1
