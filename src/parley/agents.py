@@ -11,15 +11,14 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .catalog import Assignment, ScenarioSpec, read_yaml, typed
+from .catalog import Assignment, ScenarioSpec, read_yaml, typed, typed_mapping
 from .errors import (
     BackendStatusError,
     ConfigurationError,
-    NotFoundError,
     SchemaError,
     SessionAbortError,
 )
@@ -50,6 +49,11 @@ class BackendBinding:
     endpoint: str = ""
     policy_name: str = ""
     policy_params: dict = field(default_factory=dict)
+
+
+# the keys a roster record and its backend may set
+BACKEND_KEYS = tuple(f.name for f in fields(BackendBinding))
+RECORD_KEYS = ("agent_id", "nickname", "prompt", "backend")
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,6 @@ POLICY_PARAMS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _unknown_policy(name: str) -> str:
-    return f"unknown scripted policy {name!r}; registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
-
-
 def checked_policy_params(source, key: str, policy_name: str, params: dict) -> dict:
     """Every parameter of a registered policy: ``params``' values, each
     checked, and the defaults of those it leaves out. A key the policy does
@@ -204,8 +204,7 @@ def checked_policy_params(source, key: str, policy_name: str, params: dict) -> d
     and ``key``."""
     table = POLICY_PARAMS[policy_name]
     checked = {name: default for name, (default, _, _) in table.items()}
-    for name, value in params.items():
-        typed(source, f"{key} key", name, str, choices=list(table))
+    for name, value in typed_mapping(source, key, params, list(table)).items():
         default, kinds, bounds = table[name]
         if not isinstance(default, list):
             typed(source, f"{key}.{name}", value, kinds, bounds=bounds)
@@ -216,32 +215,6 @@ def checked_policy_params(source, key: str, policy_name: str, params: dict) -> d
                 typed(source, f"{key}.{name}[{i}]", item, kinds, bounds=bounds)
         checked[name] = value
     return checked
-
-
-def make_scripted_agent(
-    policy_name: str,
-    params: dict | None = None,
-    agent_id: str | None = None,
-    nickname: str | None = None,
-) -> AgentSpec:
-    """Build a deterministic scripted agent; identical params give identical
-    behavior. A parameter the policy cannot use raises SchemaError."""
-    if policy_name not in SCRIPTED_POLICIES:
-        raise NotFoundError(_unknown_policy(policy_name))
-    agent_id = agent_id or policy_name
-    binding = BackendBinding(
-        kind="scripted",
-        policy_name=policy_name,
-        policy_params=checked_policy_params(
-            f"scripted agent {agent_id!r}", "policy_params", policy_name, params or {}
-        ),
-    )
-    return AgentSpec(
-        agent_id=agent_id,
-        nickname=nickname or agent_id,
-        prompt_text=f"(scripted policy: {policy_name})",
-        backend=binding,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,70 +404,83 @@ def next_message(
 # Roster files
 
 
+def checked_backend(source, key: str, raw: dict) -> BackendBinding:
+    """The binding ``raw`` sets, each value checked and each unset one at its
+    default; errors name ``source`` and ``key``."""
+
+    def setting(name: str, default, kinds, **checks):
+        return typed(source, f"{key}.{name}", raw.get(name, default), kinds, **checks)
+
+    temperature = setting("temperature", DEFAULT_TEMPERATURE, (int, float), bounds=TEMPERATURE_BOUNDS)
+    return BackendBinding(
+        kind=setting("kind", "chat_model", str, choices=BACKEND_KINDS),
+        model_name=setting("model_name", "", str),
+        temperature=float(temperature),
+        max_reply_tokens=setting(
+            "max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS, int, bounds=REPLY_TOKEN_BOUNDS
+        ),
+        endpoint=setting("endpoint", "", str),
+        policy_name=setting("policy_name", "", str),
+        policy_params=setting("policy_params", {}, dict),
+    )
+
+
 def load_roster(path: str | Path, backend_defaults: dict | None = None) -> list[AgentSpec]:
     """Read an agent roster: one record per agent with optional backend overrides."""
     path = Path(path)
     raw = typed(path, "top level", read_yaml(path), dict)
-
-    defaults = dict(backend_defaults or {})
     agents = []
     seen_ids = set()
     for i, record in enumerate(typed(path, "agents", raw.get("agents"), list)):
-        if "agent_id" not in typed(path, f"agents[{i}]", record, dict):
-            raise SchemaError(f"{path}: agent record missing field 'agent_id'")
-        agent_id = str(record["agent_id"])
-        if agent_id in seen_ids:
-            raise SchemaError(f"{path}: duplicate agent_id {agent_id!r}")
-        seen_ids.add(agent_id)
-
-        key = f"agent {agent_id!r} backend"
-        backend_raw = dict(typed(path, key, record.get("backend", {}), dict))
-        # config-level defaults configure chat models only, so scripted
-        # baselines can share a roster with them
-        if backend_raw.get("kind", "chat_model") == "chat_model":
-            backend_raw = {**defaults, **backend_raw}
-
-        def setting(name: str, default, kinds, **checks):
-            return typed(path, f"{key}.{name}", backend_raw.get(name, default), kinds, **checks)
-
-        temperature = setting("temperature", DEFAULT_TEMPERATURE, (int, float), bounds=TEMPERATURE_BOUNDS)
-        binding = BackendBinding(
-            kind=setting("kind", "chat_model", str, choices=BACKEND_KINDS),
-            model_name=setting("model_name", "", str),
-            temperature=float(temperature),
-            max_reply_tokens=setting(
-                "max_reply_tokens", DEFAULT_MAX_REPLY_TOKENS, int, bounds=REPLY_TOKEN_BOUNDS
-            ),
-            endpoint=setting("endpoint", "", str),
-            policy_name=setting("policy_name", "", str),
-            policy_params=setting("policy_params", {}, dict),
-        )
-        # a chat model needs a model and an endpoint, a scripted agent a
-        # registered policy; neither sets the other's keys
-        chat = binding.kind == "chat_model"
-        for name, wanted in (("model_name", chat), ("endpoint", chat), ("policy_name", not chat)):
-            value = getattr(binding, name)
-            if wanted and not value:
-                raise SchemaError(f"{path}: {key}.{name} must be set for a {binding.kind} backend")
-            if value and not wanted:
-                raise SchemaError(
-                    f"{path}: {key}.{name} must be empty for a {binding.kind} backend, got {value!r}"
-                )
-        if not chat:
-            if binding.policy_name not in SCRIPTED_POLICIES:
-                raise SchemaError(f"{path}: {key}.policy_name: {_unknown_policy(binding.policy_name)}")
-            binding = replace(binding, policy_params=checked_policy_params(
-                path, f"{key}.policy_params", binding.policy_name, binding.policy_params
-            ))
-        spec = AgentSpec(
-            agent_id=agent_id,
-            nickname=str(record.get("nickname", agent_id)),
-            prompt_text=str(record.get("prompt", "")),
-            backend=binding,
-        )
-        if binding.kind == "chat_model" and not spec.prompt_text.strip():
-            raise SchemaError(
-                f"{path}: agent {agent_id!r} has a chat_model backend but no prompt"
-            )
+        spec = agent_from_record(path, typed(path, f"agents[{i}]", record, dict), backend_defaults)
+        if spec.agent_id in seen_ids:
+            raise SchemaError(f"{path}: duplicate agent_id {spec.agent_id!r}")
+        seen_ids.add(spec.agent_id)
         agents.append(spec)
     return agents
+
+
+def agent_from_record(path, record: dict, backend_defaults: dict | None = None) -> AgentSpec:
+    """One roster record as an agent, every key and value checked; errors
+    name ``path``. ``backend_defaults`` (the config's ``backend``) fill in a
+    chat model's unset backend keys."""
+    if "agent_id" not in record:
+        raise SchemaError(f"{path}: agent record missing field 'agent_id'")
+    agent_id = str(record["agent_id"])
+    typed_mapping(path, f"agent {agent_id!r}", record, RECORD_KEYS)
+    key = f"agent {agent_id!r} backend"
+    backend_raw = typed_mapping(path, key, record.get("backend", {}), BACKEND_KEYS)
+    # config-level defaults configure chat models only, so scripted
+    # baselines can share a roster with them
+    if backend_raw.get("kind", "chat_model") == "chat_model":
+        backend_raw = {**(backend_defaults or {}), **backend_raw}
+    binding = checked_backend(path, key, backend_raw)
+    # a chat model needs a model and an endpoint, a scripted agent a
+    # registered policy; neither sets the other's keys
+    chat = binding.kind == "chat_model"
+    for name, wanted in (("model_name", chat), ("endpoint", chat), ("policy_name", not chat)):
+        value = getattr(binding, name)
+        if wanted and not value:
+            raise SchemaError(f"{path}: {key}.{name} must be set for a {binding.kind} backend")
+        if value and not wanted:
+            raise SchemaError(
+                f"{path}: {key}.{name} must be empty for a {binding.kind} backend, got {value!r}"
+            )
+    if not chat:
+        if binding.policy_name not in SCRIPTED_POLICIES:
+            raise SchemaError(
+                f"{path}: {key}.policy_name: unknown scripted policy {binding.policy_name!r}; "
+                f"registered: {', '.join(sorted(SCRIPTED_POLICIES))}"
+            )
+        binding = replace(binding, policy_params=checked_policy_params(
+            path, f"{key}.policy_params", binding.policy_name, binding.policy_params
+        ))
+    spec = AgentSpec(
+        agent_id=agent_id,
+        nickname=str(record.get("nickname", agent_id)),
+        prompt_text=str(record.get("prompt", "")),
+        backend=binding,
+    )
+    if chat and not spec.prompt_text.strip():
+        raise SchemaError(f"{path}: agent {agent_id!r} has a chat_model backend but no prompt")
+    return spec

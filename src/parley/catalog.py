@@ -8,21 +8,15 @@ different number of points to each role; an agreement must cover every issue.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from .errors import EvaluationError, NotFoundError, SchemaError, UnsupportedKindError
+from .errors import EvaluationError, NotFoundError, SchemaError
 
 BUILTIN_SCENARIOS = ("lamp", "table", "chair", "rental", "employment")
-
-OPTION_LABELS = ("A", "B", "C", "D", "E")
-
-# Marker used by the Assignment type to denote a failed negotiation.
-IMPASSE = "impasse"
 
 
 def issue_key(issue_name: str) -> str:
@@ -248,6 +242,15 @@ def typed(source, key: str, value, kinds, *, choices=None, bounds=None):
     raise SchemaError(f"{source}: {key} must be {must}, got {value!r}")
 
 
+def typed_mapping(source, key: str, value, names) -> dict:
+    """``value`` when it is a mapping that sets only keys of ``names``; else a
+    SchemaError naming ``source`` and ``key``, so a misspelt key is refused
+    rather than ignored."""
+    for name in typed(source, key, value, dict):
+        typed(source, f"{key} key", name, str, choices=names)
+    return value
+
+
 def load_scenario_file(path: str | Path) -> ScenarioSpec:
     path = Path(path)
     return _parse_scenario(typed(path, "top level", read_yaml(path), dict), str(path))
@@ -371,42 +374,3 @@ def evaluate_assignment(
         for role_name in (first, second):
             values[role_name] += issue.points_for(label, role_name)
     return values, sum(values.values())
-
-
-def enumerate_frontier(
-    spec: ScenarioSpec,
-) -> tuple[float, list[tuple[Assignment, dict[str, float]]]]:
-    """Brute-force the joint-value maximum and the Pareto-nondominated set.
-
-    Enumerates all 5^k option combinations, so only suitable for integrative
-    scenarios with at most 6 issues.
-    """
-    if spec.kind != "integrative":
-        raise UnsupportedKindError("frontier enumeration applies to integrative scenarios only")
-    if len(spec.issues) > 6:
-        raise UnsupportedKindError(
-            f"frontier enumeration supports at most 6 issues, got {len(spec.issues)}"
-        )
-    first, second = spec.role_names
-    scored: list[tuple[Assignment, dict[str, float], float]] = []
-    label_sets = [issue.labels() for issue in spec.issues]
-    for combo in itertools.product(*label_sets):
-        chosen = {
-            issue.issue_name: label for issue, label in zip(spec.issues, combo)
-        }
-        assignment = Assignment(chosen=chosen)
-        values, joint = evaluate_assignment(spec, assignment)
-        scored.append((assignment, values, joint))
-
-    max_joint = max(joint for _, _, joint in scored)
-    nondominated = []
-    for assignment, values, _ in scored:
-        dominated = any(
-            other[first] >= values[first]
-            and other[second] >= values[second]
-            and (other[first] > values[first] or other[second] > values[second])
-            for _, other, _ in scored
-        )
-        if not dominated:
-            nondominated.append((assignment, values))
-    return max_joint, nondominated

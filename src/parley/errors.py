@@ -21,10 +21,6 @@ class EvaluationError(ParleyError):
     """An assignment references terms that the scenario does not define."""
 
 
-class UnsupportedKindError(ParleyError):
-    """Operation applied to the wrong scenario kind."""
-
-
 class SessionAbortError(ParleyError):
     """A chat backend request failed and the client gave up; carries the cause."""
 

@@ -17,16 +17,14 @@ from pathlib import Path
 from random import Random
 
 from .agents import (
-    BACKEND_KINDS,
-    DEFAULT_TEMPERATURE,
-    REPLY_TOKEN_BOUNDS,
-    TEMPERATURE_BOUNDS,
+    BACKEND_KEYS,
     AgentSpec,
     BackendBinding,
     ChatModelClient,
+    checked_backend,
     load_roster,
 )
-from .catalog import ScenarioSpec, load_catalog, read_yaml, typed
+from .catalog import ScenarioSpec, load_catalog, read_yaml, typed, typed_mapping
 from .errors import (
     ConfigurationError,
     ParleyError,
@@ -66,6 +64,14 @@ STAGES = ("run", "score", "features", "style", "analyze", "report")
 # over the store, then each one the call's run stage stores as it stores it
 READING_STAGES = ("score", "features", "report")
 STYLE_MODES = ("synthetic", "model")
+# the keys a config, its style section and the style rater may set
+CONFIG_KEYS = (
+    "roster", "scenarios", "output_dir", "checkpoint", "base_seed", "concurrency_limit",
+    "backend", "style", "standardize", "small_sample", "analysis_terms", "heatmap_bins",
+    "ranking_metric", "svi_items", "lexicons",
+)
+STYLE_KEYS = ("mode", "seed", "rater")
+RATER_KEYS = ("model_name", "endpoint", "temperature")
 
 # regression outcomes per scenario kind: (column, family)
 ANALYSIS_MODELS = {
@@ -113,7 +119,7 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    raw = typed(path, "top level", read_yaml(path), dict)
+    raw = typed_mapping(path, "top level", read_yaml(path), CONFIG_KEYS)
     for key in ("roster", "scenarios", "output_dir"):
         if key not in raw:
             raise SchemaError(f"{path}: missing config key {key!r}")
@@ -126,40 +132,30 @@ def load_config(path: str | Path) -> RunConfig:
         return p if p.is_absolute() else path.parent / p
 
     output_dir = resolve("output_dir")
-    style = typed(path, "style", raw.get("style", {}), dict)
+    style = typed_mapping(path, "style", raw.get("style", {}), STYLE_KEYS)
     style_mode = typed(path, "style.mode", style.get("mode", "synthetic"), str, choices=STYLE_MODES)
-    rater = typed(path, "style.rater", style.get("rater", {}), dict)
-    style_rater = BackendBinding(
-        kind="chat_model",
-        model_name=typed(path, "style.rater.model_name", rater.get("model_name", ""), str),
-        endpoint=typed(path, "style.rater.endpoint", rater.get("endpoint", ""), str),
-        temperature=float(typed(path, "style.rater.temperature", rater.get("temperature", 0.0),
-                                (int, float), bounds=TEMPERATURE_BOUNDS)),
-    )
+    rater = typed_mapping(path, "style.rater", style.get("rater", {}), RATER_KEYS)
+    style_rater = checked_backend(path, "style.rater", {"temperature": 0.0, **rater})
     if style_mode == "model":
         # refused now, not once every negotiation has been played
         for name in ("model_name", "endpoint"):
             if not getattr(style_rater, name):
                 raise SchemaError(f"{path}: style.rater.{name} must be set when style.mode is model")
-    backend = dict(typed(path, "backend", raw.get("backend", {}), dict))
-    temperature = backend.get("temperature", DEFAULT_TEMPERATURE)
-    typed(path, "backend.temperature", temperature, (int, float), bounds=TEMPERATURE_BOUNDS)
-    backend["temperature"] = float(temperature)
-    if "max_reply_tokens" in backend:
-        typed(path, "backend.max_reply_tokens", backend["max_reply_tokens"], int,
-              bounds=REPLY_TOKEN_BOUNDS)
-    if "kind" in backend:
-        typed(path, "backend.kind", backend["kind"], str, choices=BACKEND_KINDS)
-    for name in ("model_name", "endpoint", "policy_name", "api_key"):
-        if name in backend:
-            typed(path, f"backend.{name}", backend[name], str)
+    # the config's api_key goes to the chat client; the rest are defaults
+    # for each chat model's backend, checked here even when no agent takes them
+    backend = typed_mapping(path, "backend", raw.get("backend", {}), (*BACKEND_KEYS, "api_key"))
+    checked_backend(path, "backend", backend)
+    typed(path, "backend.api_key", backend.get("api_key", ""), str)
     analysis_terms = list(typed(path, "analysis_terms", raw.get("analysis_terms", ["main"]), list))
     for i, terms in enumerate(analysis_terms):
         typed(path, f"analysis_terms[{i}]", terms, str, choices=MODEL_TERMS)
 
     config = RunConfig(
         roster_path=resolve("roster"),
-        scenario_set=list(typed(path, "scenarios", raw["scenarios"], list)),
+        scenario_set=[
+            typed(path, f"scenarios[{i}]", entry, str)
+            for i, entry in enumerate(typed(path, "scenarios", raw["scenarios"], list))
+        ],
         output_dir=output_dir,
         checkpoint_path=resolve("checkpoint") or output_dir / "checkpoint.json",
         base_seed=typed(path, "base_seed", raw.get("base_seed", 7), int),
@@ -417,8 +413,9 @@ class _Call:
     call wrote.
 
     Making one reads every input the call needs before any stage runs: the
-    lexicons, then for a run stage the roster, scenarios and questionnaire,
-    then the store. The scan that opens the store hands every transcript
+    lexicons, then for a model-rated style stage the roster, which must give
+    every agent a prompt, then for a run stage the roster, scenarios and
+    questionnaire, then the store. The scan that opens the store hands every transcript
     stored before the call to the steps, in file order; the run stage hands
     over each one it stores after. A bad input file, a damaged record or a
     step that raises on a stored record fails here, before anything is
@@ -428,6 +425,13 @@ class _Call:
         config = pipeline.config
         self.config_hash = config.config_hash
         lexicons = load_default_lexicons(config.lexicon_dir) if "features" in stages else None
+        if "style" in stages and config.style_mode == "model":
+            for agent in pipeline.roster:
+                if not agent.prompt_text:
+                    raise SchemaError(
+                        f"{config.roster_path}: agent {agent.agent_id!r} prompt must be set "
+                        "when style.mode is model"
+                    )
         steps = {
             "score": pipeline._outcome,
             "features": lambda t: feature_rows(t, lexicons),

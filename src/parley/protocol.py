@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .catalog import Assignment, ScenarioSpec, issue_key
+from .catalog import Assignment, ScenarioSpec
 
 ACCEPT_MARKER = "[ACCEPT]"
 WALKAWAY_MARKER = "[WALKAWAY]"
@@ -152,19 +152,3 @@ def extraction_schema(spec: ScenarioSpec) -> str:
         f"{shape}. If any required term was never explicitly agreed, report "
         '"deal": false with "terms": null.'
     )
-
-
-__all__ = [
-    "ACCEPT_MARKER",
-    "WALKAWAY_MARKER",
-    "Terms",
-    "parse_block",
-    "has_accept",
-    "has_walkaway",
-    "terms_to_assignment",
-    "format_offer",
-    "format_close",
-    "moderator_suffix",
-    "extraction_schema",
-    "issue_key",
-]

@@ -1,8 +1,8 @@
 """Interpersonal-style scoring of agent prompts, plus rater-agreement checks.
 
 A model-backed rater scores each prompt for warmth and dominance on 0-100
-scales. ICC(3,1) validates the rater against an independent ratings grid and
-Pearson correlation backs the questionnaire-validation path.
+scales. ICC(3,1) validates the rater against an independent ratings grid, and
+Pearson correlation compares two series of ratings.
 """
 
 from __future__ import annotations

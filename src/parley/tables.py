@@ -85,5 +85,11 @@ def read_table(
             raise SchemaError(f"{path}: missing provenance line")
         meta = parse_provenance(path, first, expect_config_hash)
         reader = csv.DictReader(fh)
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            # a row with fewer cells than the header, or more, is torn
+            if None in row or None in row.values():
+                raise SchemaError(f"{path}: line {reader.line_num + 1} does not have "
+                                  f"the header's {len(reader.fieldnames)} fields")
+            rows.append(row)
     return meta, rows

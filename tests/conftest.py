@@ -1,6 +1,6 @@
 import pytest
 
-from parley.agents import make_scripted_agent
+from parley.agents import agent_from_record
 from parley.catalog import load_builtin
 from parley.session import Transcript, Utterance
 
@@ -18,6 +18,13 @@ def rental():
 @pytest.fixture(scope="session")
 def employment():
     return load_builtin("employment")
+
+
+def make_scripted_agent(policy_name, params=None, agent_id=None):
+    """A scripted agent, built from the roster record that would declare it,
+    through the roster reader's own checks."""
+    backend = {"kind": "scripted", "policy_name": policy_name, "policy_params": params or {}}
+    return agent_from_record("test roster", {"agent_id": agent_id or policy_name, "backend": backend})
 
 
 def scripted_agents():

@@ -10,17 +10,17 @@ from parley.agents import (
     SessionView,
     assemble_system_prompt,
     load_roster,
-    make_scripted_agent,
     next_message,
 )
 from parley.errors import (
     BackendStatusError,
     ConfigurationError,
-    NotFoundError,
     SchemaError,
     SessionAbortError,
 )
 from parley.protocol import moderator_suffix, parse_block
+
+from conftest import make_scripted_agent
 
 
 def chat_agent(agent_id="m1", prompt="Negotiate hard but stay kind."):
@@ -151,18 +151,23 @@ def test_scripted_referential_transparency(rental):
     )
 
 
-def test_unknown_policy():
-    with pytest.raises(NotFoundError):
-        make_scripted_agent("haggler")
+def test_unknown_policy(tmp_path):
+    assert refused_roster_message(tmp_path, {"kind": "scripted", "policy_name": "haggler"}) == (
+        "policy_name: unknown scripted policy 'haggler'; registered: "
+        "fixed_concession, immediate_acceptor, mirror, silent, stonewaller"
+    )
 
 
-def test_scripted_params_are_checked_and_completed_when_bound():
-    agent = make_scripted_agent("fixed_concession", {"ladder": [150]})
+def test_scripted_params_are_checked_and_completed_when_bound(tmp_path):
+    backend = {"kind": "scripted", "policy_name": "fixed_concession", "policy_params": {"ladder": [150]}}
+    (agent,) = load_roster(roster_file(tmp_path, backend))
     assert agent.backend.policy_params == {
         "svi_rating": 4, "ladder": [150], "label_ladder": ["A", "B", "C"]
     }
-    with pytest.raises(SchemaError, match=r"'fixed_concession': policy_params.ladder\[0\] must be a number"):
-        make_scripted_agent("fixed_concession", {"ladder": ["high"]})
+    backend["policy_params"] = {"ladder": ["high"]}
+    assert refused_roster_message(tmp_path, backend) == (
+        "policy_params.ladder[0] must be a number, got 'high'"
+    )
 
 
 def test_scripted_reply_truncated_at_token_cap(chair):
@@ -185,11 +190,17 @@ def test_scripted_reply_truncated_at_token_cap(chair):
 # Backend binding validation
 
 
-def refused_roster_message(tmp_path, backend):
+def roster_file(tmp_path, backend):
+    """A roster of one agent, 'a', with a prompt and ``backend``."""
     import yaml
 
     path = tmp_path / "roster.yaml"
     path.write_text(yaml.safe_dump({"agents": [{"agent_id": "a", "prompt": "p", "backend": backend}]}))
+    return path
+
+
+def refused_roster_message(tmp_path, backend):
+    path = roster_file(tmp_path, backend)
     with pytest.raises(SchemaError) as refused:
         load_roster(path)
     return str(refused.value).removeprefix(f"{path}: agent 'a' backend.")

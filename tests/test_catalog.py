@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,19 +7,13 @@ from parley.catalog import (
     IssueSchedule,
     RoleSpec,
     ScenarioSpec,
-    enumerate_frontier,
     evaluate_assignment,
     load_builtin,
     load_catalog,
     load_scenario_file,
     validate_scenario,
 )
-from parley.errors import (
-    EvaluationError,
-    NotFoundError,
-    SchemaError,
-    UnsupportedKindError,
-)
+from parley.errors import EvaluationError, NotFoundError, SchemaError
 
 
 def test_load_catalog_builtins():
@@ -221,58 +213,6 @@ def test_joint_equals_sum_of_roles(labels):
 
 # ---------------------------------------------------------------------------
 # Frontier
-
-
-def brute_force_max_joint(spec):
-    best = None
-    for combo in itertools.product("ABCDE", repeat=len(spec.issues)):
-        total = 0
-        for issue, label in zip(spec.issues, combo):
-            for role in spec.role_names:
-                total += issue.points_for(label, role)
-        best = total if best is None else max(best, total)
-    return best
-
-
-def test_frontier_rental(rental):
-    max_joint, nondominated = enumerate_frontier(rental)
-    assert max_joint == 6200
-    assert max_joint == brute_force_max_joint(rental)
-    assert all(
-        sum(values.values()) <= max_joint for _, values in nondominated
-    )
-
-
-def test_frontier_employment(employment):
-    max_joint, _ = enumerate_frontier(employment)
-    assert max_joint == 4800
-    assert max_joint == brute_force_max_joint(employment)
-
-
-def test_frontier_distributive_unsupported(chair):
-    with pytest.raises(UnsupportedKindError):
-        enumerate_frontier(chair)
-
-
-def test_frontier_single_compatible_issue(rental):
-    # both roles prefer the same option: the frontier collapses to it
-    issue = IssueSchedule(
-        issue_name="Shared",
-        options=tuple(
-            (label, f"opt {label}", {"landlord": pts, "tenant": pts})
-            for label, pts in zip("ABCDE", (10, 20, 30, 40, 50))
-        ),
-    )
-    spec = ScenarioSpec(
-        scenario_id="single",
-        kind="integrative",
-        roles=rental.roles,
-        issues=(issue,),
-    )
-    max_joint, nondominated = enumerate_frontier(spec)
-    assert max_joint == 100
-    assert len(nondominated) == 1
-    assert nondominated[0][0].chosen == {"Shared": "E"}
 
 
 def test_load_catalog_from_directory(tmp_path):

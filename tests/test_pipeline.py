@@ -132,6 +132,13 @@ def test_default_temperature_is_020(tmp_path):
         ({"style": {"mode": "synthetc"}}, "style.mode"),
         ({"style": {"mode": "model", "rater": {"temperature": 0.0}}}, "style.rater.model_name"),
         ({"style": {"mode": "model", "rater": {"model_name": "r"}}}, "style.rater.endpoint"),
+        # a key the reader does not read is refused, not ignored
+        ({"concurency_limit": 8}, "top level key"),
+        ({"backend": {"temprature": 1.5}}, "backend key"),
+        ({"style": {"mod": "model"}}, "style key"),
+        ({"style": {"rater": {"temprature": 0.5}}}, "style.rater key"),
+        # each scenario entry is a name or a path
+        ({"scenarios": [5]}, "scenarios[0]"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_file_and_key(tmp_path, extra, key):
@@ -200,6 +207,14 @@ def scripted_backend(**extra):
          "agent 'a' backend.policy_params.opener"),
         ([{"agent_id": "a", "backend": scripted_backend(policy_params={"svi_ratting": 6})}],
          "agent 'a' backend.policy_params key"),
+        ([{"agent_id": "a", "prompt": "p", "backend": {
+            "kind": "chat_model", "model_name": "m", "endpoint": "http://e", "temprature": 1.5}}],
+         "agent 'a' backend key"),
+        ([{"agent_id": "a", "prompt": "p", "backend": {
+            "kind": "chat_model", "model_name": "m", "endpoint": "http://e", "max_reply_token": 5}}],
+         "agent 'a' backend key"),
+        ([{"agent_id": "a", "backend": scripted_backend(api_key="k")}], "agent 'a' backend key"),
+        ([{"agent_id": "a", "promt": "p", "backend": scripted_backend()}], "agent 'a' key"),
     ],
     ids=[
         "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
@@ -207,6 +222,8 @@ def scripted_backend(**extra):
         "policy_name", "temperature-range", "chat-without-endpoint", "kind-unknown",
         "scripted-with-model_name", "svi_rating-range", "svi_rating-string", "ladder-empty",
         "ladder-string", "demand_price-negative", "opener-number", "policy_params-unknown-key",
+        "backend-unknown-key", "backend-unknown-key-max_reply_token", "backend-api_key",
+        "record-unknown-key",
     ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):
@@ -276,6 +293,28 @@ def test_chat_agent_with_its_own_endpoint_gets_a_chat_client(tmp_path, monkeypat
     assert result.exit_code == 0, result.output
     assert "executed=4 skipped=0 failed=0" in result.output
     assert set(asked) == {"https://own.invalid/v1"}
+
+
+def test_config_api_key_reaches_the_client_and_not_the_agents(tmp_path):
+    # the per-agent key check refuses an agent's own api_key, but not the
+    # config's, which the chat models' defaults carry with them
+    model = {"agent_id": "model", "prompt": "Negotiate."}
+    backend = {"model_name": "m", "endpoint": "https://own.invalid/v1", "api_key": "k"}
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=[model], extra={"backend": backend})))
+    (agent,) = pipeline.roster
+    assert (agent.backend.model_name, agent.backend.endpoint) == ("m", "https://own.invalid/v1")
+    assert pipeline.client.api_key == "k"
+
+
+def test_model_rated_style_refuses_an_agent_without_a_prompt_before_the_run(tmp_path):
+    style = {"mode": "model", "rater": {"model_name": "r", "endpoint": "https://rater.invalid/v1"}}
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:2], extra={"style": style})
+    result = CliRunner().invoke(cli_main, ["run", "--config", str(path), "--stages", ",".join(SIX_STAGES)])
+    assert result.exit_code == 2, result.output
+    roster = tmp_path / "roster.yaml"
+    assert f"{roster}: agent 'acceptor' prompt must be set when style.mode is model" in result.output
+    assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+    assert not (tmp_path / "out" / "outcomes.csv").exists()
 
 
 def test_relative_config_path_resolves_checkpoint_once(tmp_path, monkeypatch):
@@ -700,6 +739,32 @@ def test_entirely_empty_column_omitted_with_note(tmp_path):
     # None is a blank cell: the same table, byte for byte
     write_table(tmp_path / "n.csv", ("a", "points"), [{"a": "1", "points": None}, {"a": "2"}], "h")
     assert (tmp_path / "n.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("tail", ["4,\n", "4,5,6,7\n"], ids=["cut", "extra-field"])
+def test_torn_table_row_is_refused_naming_file_and_line(tmp_path, tail):
+    path = tmp_path / "t.csv"
+    write_table(path, ("a", "b", "c"), [{"a": "1", "b": "2", "c": "3"}], "h")
+    with open(path, "a", newline="") as fh:
+        fh.write(tail)
+    with pytest.raises(SchemaError, match=f"{path}: line 4 does not have the header's 3 fields"):
+        read_table(path)
+
+
+def test_half_cut_outcome_table_exits_2_naming_file_and_line(tmp_path):
+    path = write_workspace(tmp_path, agents=ROSTER["agents"][:3])
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "run,score,style"]).exit_code == 0
+    outcomes = tmp_path / "out" / "outcomes.csv"
+    data = outcomes.read_bytes()
+    # cut a row from the middle of the table just after its first field
+    cut = data.index(b",", data.index(b"\n", len(data) // 2)) + 1
+    outcomes.write_bytes(data[:cut])
+    line = data[:cut].count(b"\n") + 1
+    result = runner.invoke(cli_main, ["run", "--config", str(path), "--stages", "analyze"])
+    assert result.exit_code == 2, result.output
+    assert f"{outcomes}: line {line} does not have the header's" in result.output
+    assert not (tmp_path / "out" / "analysis" / "analysis_results.json").exists()
 
 
 def test_transcript_store_refuses_foreign_config(tmp_path):

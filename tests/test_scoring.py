@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from parley.agents import BackendBinding, ChatModelClient, make_scripted_agent
+from parley.agents import BackendBinding, ChatModelClient
 from parley.catalog import Assignment, IssueSchedule
 from parley.errors import EvaluationError, ExtractionConflictError
 from parley.scoring import (
@@ -15,7 +15,7 @@ from parley.scoring import (
 )
 from parley.session import SviResponse, run_session
 
-from conftest import make_transcript
+from conftest import make_scripted_agent, make_transcript
 
 
 def svi(composite):

@@ -1,6 +1,5 @@
 import pytest
 
-from parley.agents import make_scripted_agent
 from parley.catalog import Assignment
 from parley.errors import BackendStatusError, ConfigurationError, SchemaError, SessionAbortError
 from parley.protocol import format_close, format_offer, moderator_suffix
@@ -13,6 +12,8 @@ from parley.session import (
     run_session,
 )
 from parley.tournament import TranscriptStore
+
+from conftest import make_scripted_agent
 
 def agents_for(*specs):
     return {a.agent_id: a for a in specs}

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 import parley.tournament
-from parley.agents import AgentSpec, BackendBinding, ChatModelClient, make_scripted_agent
+from parley.agents import AgentSpec, BackendBinding, ChatModelClient
 from parley.catalog import load_builtin
 from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
 from parley.scoring import RANKING_METRICS, ranking_rows
@@ -21,7 +21,7 @@ from parley.tournament import (
     write_checkpoint,
 )
 
-from conftest import scripted_agents
+from conftest import make_scripted_agent, scripted_agents
 
 
 # ---------------------------------------------------------------------------
