@@ -8,7 +8,7 @@ different number of points to each role; an agreement must cover every issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -123,7 +123,16 @@ def _render_points_schedule(issues: tuple[IssueSchedule, ...], role_name: str) -
     return "\n\n".join(blocks)
 
 
-def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
+# the keys a scenario file may set at each level; ``price_frame`` is free-form
+SCENARIO_KEYS = (*(f.name for f in fields(ScenarioSpec)), "schema_version")
+ROLE_KEYS = tuple(f.name for f in fields(RoleSpec))
+ISSUE_KEYS = tuple(f.name for f in fields(IssueSchedule))
+OPTION_KEYS = ("label", "term", "points")
+
+
+def _parse_scenario(raw, source: str) -> ScenarioSpec:
+    typed_mapping(source, "top level", raw, SCENARIO_KEYS)
+
     def require(key: str):
         if key not in raw:
             raise SchemaError(f"{source}: missing field {key!r}")
@@ -144,7 +153,7 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
 
     roles = []
     for i, raw_role in enumerate(raw_roles):
-        if "role_name" not in typed(source, f"roles[{i}]", raw_role, dict):
+        if "role_name" not in typed_mapping(source, f"roles[{i}]", raw_role, ROLE_KEYS):
             raise SchemaError(f"{source}: role missing field 'role_name'")
         instructions = raw_role.get("confidential_instructions", "")
         roles.append(
@@ -160,13 +169,14 @@ def _parse_scenario(raw: dict, source: str) -> ScenarioSpec:
 
     issues = []
     for i, raw_issue in enumerate(typed(source, "issues", raw.get("issues", []), list)):
-        if "issue_name" not in typed(source, f"issues[{i}]", raw_issue, dict):
+        if "issue_name" not in typed_mapping(source, f"issues[{i}]", raw_issue, ISSUE_KEYS):
             raise SchemaError(f"{source}: issue missing field 'issue_name'")
         name = typed(source, f"issues[{i}].issue_name", raw_issue["issue_name"], str)
         options = []
         for opt in typed(source, f"issue {name!r} options", raw_issue.get("options", []), list):
-            for key in ("label", "term", "points"):
-                if key not in typed(source, f"issue {name!r} option", opt, dict):
+            typed_mapping(source, f"issue {name!r} option", opt, OPTION_KEYS)
+            for key in OPTION_KEYS:
+                if key not in opt:
                     raise SchemaError(f"{source}: issue {name!r} option missing field {key!r}")
             where = f"issue {name!r} option {opt['label']!r} points"
             points = typed(source, where, opt["points"], dict)
@@ -253,7 +263,7 @@ def typed_mapping(source, key: str, value, names) -> dict:
 
 def load_scenario_file(path: str | Path) -> ScenarioSpec:
     path = Path(path)
-    return _parse_scenario(typed(path, "top level", read_yaml(path), dict), str(path))
+    return _parse_scenario(read_yaml(path), str(path))
 
 
 def load_builtin(scenario_id: str) -> ScenarioSpec:

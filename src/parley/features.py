@@ -13,6 +13,7 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import SchemaError
@@ -134,25 +135,26 @@ class TfidfResult:
 
 def build_tfidf(utterance_texts: list[str]) -> TfidfResult:
     """Term-weight vectors with each utterance as a document in the
-    conversation: weight = tf * (ln((1+N)/(1+df)) + 1)."""
+    conversation: weight = tf * (ln((1+N)/(1+df)) + 1). Each distinct text
+    is tokenized and weighted once; its utterances share its vector."""
     if not utterance_texts:
         raise SchemaError("conversation has no utterances")
-    docs = [tokenize(text) for text in utterance_texts]
-    n_docs = len(docs)
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(doc))
+    counts = {text: Counter(tokenize(text)) for text in dict.fromkeys(utterance_texts)}
+    n_docs = len(utterance_texts)
+    # each utterance's terms once, so df counts the utterances holding a term
+    df = Counter(chain.from_iterable(map(counts.__getitem__, utterance_texts)))
     idf = {
         term: math.log((1 + n_docs) / (1 + count)) + 1.0 for term, count in df.items()
     }
-    vectors = [
-        {term: count * idf[term] for term, count in Counter(doc).items()} for doc in docs
-    ]
-    return TfidfResult(vectors=vectors, norms=[_norm(vector) for vector in vectors])
-
-
-def _norm(u: dict[str, float]) -> float:
-    return math.sqrt(sum(x * x for x in u.values()))
+    vectors = {
+        text: {term: count * idf[term] for term, count in tf.items()}
+        for text, tf in counts.items()
+    }
+    norms = {text: math.sqrt(sum(x * x for x in v.values())) for text, v in vectors.items()}
+    return TfidfResult(
+        vectors=[vectors[text] for text in utterance_texts],
+        norms=[norms[text] for text in utterance_texts],
+    )
 
 
 def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: float) -> float:
@@ -189,47 +191,6 @@ def score_mimicry(
 
 
 # ---------------------------------------------------------------------------
-# Lexicon rates and positivity
-
-
-def count_lexicon(
-    transcript: Transcript, role_name: str, lexicon: Lexicon, lowered: list[str]
-) -> float | None:
-    """Matches per utterance, averaged over the seat's utterances.
-    ``lowered`` is the utterances' texts lowercased, in order."""
-    counts = [
-        lexicon.count(text)
-        for u, text in zip(transcript.utterances, lowered)
-        if u.role_name == role_name
-    ]
-    if not counts:
-        return None
-    return sum(counts) / len(counts)
-
-
-def score_positivity(
-    transcript: Transcript, role_name: str, lexicon: Lexicon, lowered: list[str]
-) -> float | None:
-    """Mean polarity of matched terms per utterance (0 when none match),
-    averaged over the seat's utterances. ``lexicon`` carries polarity scores
-    (``load_default_lexicons`` refuses a sentiment file without them);
-    ``lowered`` is as in ``count_lexicon``."""
-    per_utterance = []
-    for utterance, text in zip(transcript.utterances, lowered):
-        if utterance.role_name != role_name:
-            continue
-        matched = [
-            lexicon.polarity[phrase]
-            for _, _, phrase in lexicon.matches(text)
-            if phrase in lexicon.polarity
-        ]
-        per_utterance.append(sum(matched) / len(matched) if matched else 0.0)
-    if not per_utterance:
-        return None
-    return sum(per_utterance) / len(per_utterance)
-
-
-# ---------------------------------------------------------------------------
 # Full feature vector
 
 
@@ -246,6 +207,37 @@ class FeatureVector:
 
 
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+# the features that are a seat's mean of one value per utterance, in
+# ``text_measures`` order
+AVERAGED = (*RATE_LEXICONS, "message_length", "questions", "positivity")
+
+
+def text_measures(texts: list[str], lexicons: dict[str, Lexicon]) -> dict[str, tuple]:
+    """Each distinct text of ``texts`` mapped to its values of the
+    ``AVERAGED`` features: the four rate-lexicon match counts, words,
+    question marks, and the mean polarity of its sentiment matches (0.0 when
+    none match). ``lexicons`` is ``load_default_lexicons``'s mapping."""
+    distinct = list(dict.fromkeys(texts))
+    lowered = [text.lower() for text in distinct]
+    sentiment = lexicons["sentiment"]
+    positivity = []
+    for text in lowered:
+        matched = [
+            sentiment.polarity[phrase]
+            for _, _, phrase in sentiment.matches(text)
+            if phrase in sentiment.polarity
+        ]
+        positivity.append(sum(matched) / len(matched) if matched else 0.0)
+    # one lexicon scans every text before the next lexicon starts: taking
+    # each text through all five in turn was about 5 % slower on texts that
+    # are all distinct
+    columns = (
+        *([lexicons[name].count(text) for text in lowered] for name in RATE_LEXICONS),
+        [len(text.split()) for text in distinct],
+        [text.count("?") for text in distinct],
+        positivity,
+    )
+    return dict(zip(distinct, zip(*columns)))
 
 
 def extract_features(
@@ -253,31 +245,20 @@ def extract_features(
 ) -> dict[str, FeatureVector]:
     """All eight features for both role seats; None where undefined.
     ``lexicons`` is ``load_default_lexicons``'s mapping."""
-    # each text is lowercased once, and that copy feeds the TF-IDF tokens and
-    # all five lexicon scans; one TF-IDF build serves both seats' mimicry
-    lowered = [u.text.lower() for u in transcript.utterances]
-    tfidf = build_tfidf(lowered) if lowered else None
+    # scripted seats repeat their lines, so each distinct text is measured
+    # once and its utterances share the result; a seat's means still sum
+    # its utterances' values in order. One TF-IDF build serves both seats.
+    texts = [u.text for u in transcript.utterances]
+    measures = text_measures(texts, lexicons)
+    tfidf = build_tfidf(texts) if texts else None
     features = {}
     for role_name in transcript.role_map:
-        own = [u.text for u in transcript.utterances if u.role_name == role_name]
+        own = [measures[u.text] for u in transcript.utterances if u.role_name == role_name]
+        means = dict.fromkeys(AVERAGED)
         if own:
-            message_length = sum(len(t.split()) for t in own) / len(own)
-            questions = sum(t.count("?") for t in own) / len(own)
-        else:
-            message_length = None
-            questions = None
-        rates = {
-            name: count_lexicon(transcript, role_name, lexicons[name], lowered)
-            for name in RATE_LEXICONS
-        }
+            means = {name: sum(values) / len(own) for name, values in zip(AVERAGED, zip(*own))}
         features[role_name] = FeatureVector(
-            mimicry=score_mimicry(transcript, role_name, tfidf),
-            **rates,
-            message_length=message_length,
-            questions=questions,
-            positivity=score_positivity(
-                transcript, role_name, lexicons["sentiment"], lowered
-            ),
+            mimicry=score_mimicry(transcript, role_name, tfidf), **means
         )
     return features
 

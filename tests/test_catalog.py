@@ -314,3 +314,53 @@ def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, dam
     assert result.exit_code == 2, result.output
     assert f"{path}: {message}" in result.output
     assert "Traceback" not in result.output
+
+
+def misspell(mapping, key, typo, value):
+    del mapping[key]
+    mapping[typo] = value
+
+
+@pytest.mark.parametrize(
+    "name, damage, where, typo",
+    [
+        ("chair", lambda raw: misspell(raw, "max_exchanges", "max_exchange", 3),
+         "top level key", "max_exchange"),
+        ("chair", lambda raw: misspell(raw["roles"][1], "batna_price", "batna", 150),
+         "roles[1] key", "batna"),
+        ("rental", lambda raw: misspell(raw["issues"][1], "options", "option", []),
+         "issues[1] key", "option"),
+        ("rental", lambda raw: raw["issues"][0]["options"][0].update(note="cheapest"),
+         "issue 'Rent Amount' option key", "note"),
+    ],
+    ids=["top-level", "role", "issue", "option"],
+)
+def test_misspelt_scenario_key_exits_2_naming_file_and_key(tmp_path, name, damage, where, typo):
+    # a misspelt key would otherwise leave its setting at the default: the
+    # chair copy with "max_exchange: 3" ran at 50 exchanges
+    import yaml
+    from click.testing import CliRunner
+    from importlib import resources
+
+    from parley.cli import main as cli_main
+
+    raw = yaml.safe_load((resources.files("parley.data.scenarios") / f"{name}.yaml").read_text())
+    damage(raw)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    result = CliRunner().invoke(cli_main, ["catalog", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"{path}: {where} must be one of " in result.output
+    assert f"got {typo!r}" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_price_frame_keys_are_free_form(tmp_path):
+    import yaml
+    from importlib import resources
+
+    raw = yaml.safe_load((resources.files("parley.data.scenarios") / "chair.yaml").read_text())
+    raw["price_frame"]["colour"] = "oak"
+    path = tmp_path / "chair.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert load_scenario_file(path).price_frame["colour"] == "oak"

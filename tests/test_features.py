@@ -1,22 +1,24 @@
 import math
 import re
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parley.errors import SchemaError
 from parley.features import (
+    FeatureVector,
     Lexicon,
+    TfidfResult,
     build_tfidf,
-    count_lexicon,
     extract_features,
     feature_rows,
     load_default_lexicons,
     load_lexicon,
     score_mimicry,
-    score_positivity,
+    text_measures,
     tokenize,
 )
 from parley.session import Transcript, Utterance
@@ -41,8 +43,11 @@ def tfidf_of(transcript):
     return build_tfidf([u.text for u in transcript.utterances])
 
 
-def lowered(transcript):
-    return [u.text.lower() for u in transcript.utterances]
+def seat_feature(transcript, role_name, slot, lexicon):
+    """The seat's feature from ``lexicon`` put in the built-in lexicons'
+    ``slot`` (the sentiment lexicon's feature is positivity)."""
+    features = extract_features(transcript, {**BUILTIN_LEXICONS, slot: lexicon})
+    return getattr(features[role_name], "positivity" if slot == "sentiment" else slot)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +182,25 @@ def test_fixture_mimicry_matches_hand_computation(feature_transcript):
 def test_gratitude_example():
     lexicon = Lexicon("gratitude", ("thank you", "i appreciate"))
     transcript = two_sided(["ignored", "Thank you, I appreciate it."])
-    assert count_lexicon(transcript, "buyer", lexicon, lowered(transcript)) == 2.0
+    assert seat_feature(transcript, "buyer", "gratitude", lexicon) == 2.0
 
 
 def test_hedge_example():
     lexicon = Lexicon("hedges", ("i think", "maybe"))
     transcript = two_sided(["I think maybe yes."])
-    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 2.0
+    assert seat_feature(transcript, "seller", "hedges", lexicon) == 2.0
 
 
 def test_word_boundary_blocks_substring():
     lexicon = Lexicon("fpp", ("we", "our", "us"))
     transcript = two_sided(["We should trust our plan"])
-    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 2.0
+    assert seat_feature(transcript, "seller", "first_person_plural", lexicon) == 2.0
 
 
 def test_overlapping_matches_count_once_per_position():
     lexicon = Lexicon("apologies", ("i'm sorry", "sorry"))
     transcript = two_sided(["I'm sorry about that."])
-    assert count_lexicon(transcript, "seller", lexicon, lowered(transcript)) == 1.0
+    assert seat_feature(transcript, "seller", "apologies", lexicon) == 1.0
 
 
 def test_self_overlapping_phrase_counts_every_position():
@@ -278,7 +283,7 @@ def sentiment_lexicon():
 
 
 def seller_positivity(transcript):
-    return score_positivity(transcript, "seller", sentiment_lexicon(), lowered(transcript))
+    return seat_feature(transcript, "seller", "sentiment", sentiment_lexicon())
 
 
 def test_no_matches_scores_zero():
@@ -357,6 +362,130 @@ def test_features_invariant_under_recasing(feature_transcript):
     recased = extract_features(upper, BUILTIN_LEXICONS)
     for role in ("seller", "buyer"):
         assert asdict(original[role]) == pytest.approx(asdict(recased[role]))
+
+
+def per_utterance_tfidf(utterance_texts):
+    """The TF-IDF build the per-text cache replaced, kept as an oracle:
+    every utterance is tokenized and weighted on its own."""
+    docs = [tokenize(text) for text in utterance_texts]
+    df = Counter()
+    for doc in docs:
+        df.update(set(doc))
+    idf = {term: math.log((1 + len(docs)) / (1 + count)) + 1.0 for term, count in df.items()}
+    vectors = [{term: count * idf[term] for term, count in Counter(doc).items()} for doc in docs]
+    return TfidfResult(
+        vectors=vectors, norms=[math.sqrt(sum(x * x for x in v.values())) for v in vectors]
+    )
+
+
+def per_utterance_extraction(transcript, lexicons):
+    """The extraction the per-text cache replaced, kept as an oracle: every
+    utterance is lowercased, scanned and counted on its own, and each seat
+    mean sums its utterances' values in order."""
+    lowered = [u.text.lower() for u in transcript.utterances]
+    tfidf = per_utterance_tfidf(lowered) if lowered else None
+    sentiment = lexicons["sentiment"]
+
+    def mean(values):
+        return sum(values) / len(values) if values else None
+
+    features = {}
+    for role_name in transcript.role_map:
+        own = [u.text for u in transcript.utterances if u.role_name == role_name]
+        own_lowered = [
+            text for u, text in zip(transcript.utterances, lowered) if u.role_name == role_name
+        ]
+        per_utterance = []
+        for text in own_lowered:
+            matched = [
+                sentiment.polarity[phrase]
+                for _, _, phrase in sentiment.matches(text)
+                if phrase in sentiment.polarity
+            ]
+            per_utterance.append(sum(matched) / len(matched) if matched else 0.0)
+        features[role_name] = FeatureVector(
+            mimicry=score_mimicry(transcript, role_name, tfidf),
+            **{
+                name: mean([lexicons[name].count(text) for text in own_lowered])
+                for name in ("hedges", "apologies", "gratitude", "first_person_plural")
+            },
+            message_length=mean([len(text.split()) for text in own]),
+            questions=mean([text.count("?") for text in own]),
+            positivity=mean(per_utterance),
+        )
+    return features
+
+
+# a standalone "-" or "?" is a word to str.split but no token to tokenize
+line_text = st.lists(
+    st.tuples(recased_word, st.sampled_from((" ", ", ", "'", ". ", "? ", " - ", " ? "))),
+    min_size=1,
+    max_size=12,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+# each turns a line into one that differs from it only in case or only in
+# punctuation
+LINE_VARIANTS = (
+    lambda text: text,
+    str.lower,
+    str.upper,
+    str.title,
+    lambda text: text + "?",
+    lambda text: text.replace(",", ""),
+    lambda text: text.replace(" ", " - "),
+)
+
+
+@st.composite
+def repeating_transcripts(draw):
+    """Up to 16 utterances drawn from at most four lines and their
+    variants, so texts repeat exactly, in case only or in punctuation only;
+    seats alternate, the seller only opens, or seats are drawn."""
+    lines = draw(st.lists(line_text, min_size=1, max_size=4))
+    picks = draw(
+        st.lists(st.tuples(st.sampled_from(lines), st.sampled_from(LINE_VARIANTS)), max_size=16)
+    )
+    texts = [variant(line) for line, variant in picks]
+    turns = draw(st.sampled_from(("alternate", "seller_only_opens", "drawn")))
+    if turns == "alternate":
+        roles = ["seller" if i % 2 == 0 else "buyer" for i in range(len(texts))]
+    elif turns == "seller_only_opens":
+        roles = ["seller"] + ["buyer"] * (len(texts) - 1)
+    else:
+        roles = draw(st.lists(st.sampled_from(("seller", "buyer")), min_size=len(texts), max_size=len(texts)))
+    return make_transcript(
+        "chair", {"seller": "s1", "buyer": "b1"}, texts, roles=roles, termination="cap_reached"
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(repeating_transcripts())
+@example(two_sided([]))
+@example(two_sided(["Thanks", "thanks", "Thanks?", "thanks", "Thanks", "thanks !"]))
+def test_extraction_equals_the_per_utterance_oracle(transcript):
+    # exact equality: each value comes from the same function of the same
+    # text, and each mean sums the same values in the same order
+    assert extract_features(transcript, BUILTIN_LEXICONS) == per_utterance_extraction(
+        transcript, BUILTIN_LEXICONS
+    )
+    texts = [u.text for u in transcript.utterances]
+    if texts:
+        assert build_tfidf(texts) == per_utterance_tfidf([text.lower() for text in texts])
+
+
+def test_text_measures_once_per_distinct_text():
+    lexicons = {**BUILTIN_LEXICONS, "sentiment": sentiment_lexicon()}
+    text = "Great, thank you - maybe we can? Terrible great!"
+    # hedges, apologies, gratitude, first-person plural, words, question
+    # marks, positivity
+    values = (1, 0, 1, 1, 9, 1, (0.8 + -0.8 + 0.8) / 3)
+    assert text_measures([text], lexicons) == {text: values}
+    # a repeat shares its text's entry; a text that differs only in case or
+    # punctuation has its own
+    assert text_measures([text, text.lower(), text, text + "?"], lexicons) == {
+        text: values,
+        text.lower(): values,
+        text + "?": (*values[:5], 2, values[6]),
+    }
 
 
 def test_extraction_deterministic(feature_transcript):
