@@ -451,7 +451,8 @@ def repeating_transcripts(draw):
     elif turns == "seller_only_opens":
         roles = ["seller"] + ["buyer"] * (len(texts) - 1)
     else:
-        roles = draw(st.lists(st.sampled_from(("seller", "buyer")), min_size=len(texts), max_size=len(texts)))
+        seats = st.sampled_from(("seller", "buyer"))
+        roles = draw(st.lists(seats, min_size=len(texts), max_size=len(texts)))
     return make_transcript(
         "chair", {"seller": "s1", "buyer": "b1"}, texts, roles=roles, termination="cap_reached"
     )
