@@ -11,7 +11,7 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -191,25 +191,13 @@ def score_mimicry(
 
 
 # ---------------------------------------------------------------------------
-# Full feature vector
+# All eight features
 
 
-@dataclass
-class FeatureVector:
-    mimicry: float | None
-    hedges: float | None
-    apologies: float | None
-    gratitude: float | None
-    first_person_plural: float | None
-    message_length: float | None
-    questions: float | None
-    positivity: float | None
-
-
-FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 # the features that are a seat's mean of one value per utterance, in
 # ``text_measures`` order
 AVERAGED = (*RATE_LEXICONS, "message_length", "questions", "positivity")
+FEATURE_NAMES = ("mimicry", *AVERAGED)
 
 
 def text_measures(texts: list[str], lexicons: dict[str, Lexicon]) -> dict[str, tuple]:
@@ -242,9 +230,9 @@ def text_measures(texts: list[str], lexicons: dict[str, Lexicon]) -> dict[str, t
 
 def extract_features(
     transcript: Transcript, lexicons: dict[str, Lexicon]
-) -> dict[str, FeatureVector]:
-    """All eight features for both role seats; None where undefined.
-    ``lexicons`` is ``load_default_lexicons``'s mapping."""
+) -> dict[str, dict]:
+    """Each role seat's ``FEATURE_NAMES`` values, by feature name; None
+    where undefined. ``lexicons`` is ``load_default_lexicons``'s mapping."""
     # scripted seats repeat their lines, so each distinct text is measured
     # once and its utterances share the result; a seat's means still sum
     # its utterances' values in order. One TF-IDF build serves both seats.
@@ -254,12 +242,9 @@ def extract_features(
     features = {}
     for role_name in transcript.role_map:
         own = [measures[u.text] for u in transcript.utterances if u.role_name == role_name]
-        means = dict.fromkeys(AVERAGED)
-        if own:
-            means = {name: sum(values) / len(own) for name, values in zip(AVERAGED, zip(*own))}
-        features[role_name] = FeatureVector(
-            mimicry=score_mimicry(transcript, role_name, tfidf), **means
-        )
+        means = [sum(values) / len(own) for values in zip(*own)] or [None] * len(AVERAGED)
+        mimicry = score_mimicry(transcript, role_name, tfidf)
+        features[role_name] = dict(zip(FEATURE_NAMES, (mimicry, *means)))
     return features
 
 
@@ -267,10 +252,12 @@ FEATURE_TABLE_COLUMNS = (*KEY_COLUMNS, *FEATURE_NAMES, *CLUSTER_COLUMNS)
 
 
 def feature_rows(transcript: Transcript, lexicons: dict[str, Lexicon]) -> list[dict]:
-    """Two agent-observation rows per negotiation, keyed like the outcome
-    table, in role-name order."""
+    """The negotiation's two feature rows, with the outcome table's key and
+    cluster columns. They come in sorted role-name order, which is not
+    always the scenario's role order that ``score_outcome`` follows (chair:
+    buyer before seller here, seller before buyer there)."""
     features = extract_features(transcript, lexicons)
     return [
-        {**observation_keys(transcript, role_name), **asdict(features[role_name])}
+        {**observation_keys(transcript, role_name), **features[role_name]}
         for role_name in sorted(transcript.role_map)
     ]

@@ -12,7 +12,7 @@ import hashlib
 import json
 import warnings
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -41,7 +41,7 @@ from .scoring import (
     OUTCOME_TABLE_COLUMNS,
     RANKING_COLUMNS,
     RANKING_METRICS,
-    AgentSummary,
+    SUMMARY_COLUMNS,
     aggregate_outcomes,
     extract_agreement,
     ranking_rows,
@@ -49,7 +49,7 @@ from .scoring import (
 )
 from .session import load_svi_items
 from .stats import MODEL_TERMS, FitResult, ModelSpec, ObservationRow, fit_with_clusters, summarize_fit
-from .style import STYLE_TABLE_COLUMNS, StyleScores, score_prompt_style
+from .style import STYLE_TABLE_COLUMNS, score_prompt_style
 from .tables import is_blank, provenance_line, read_table, write_table
 from .tournament import (
     TournamentState,
@@ -291,27 +291,18 @@ class Pipeline:
         return call.write(self.features_path, FEATURE_TABLE_COLUMNS, call.take("features"))
 
     def stage_style(self, call: _Call):
-        scores: list[StyleScores] = []
-        if self.config.style_mode == "synthetic":
-            for agent in self.roster:
-                rng = Random(f"{self.config.style_seed}:{agent.agent_id}")
-                scores.append(
-                    StyleScores(
-                        agent_id=agent.agent_id,
-                        warmth=rng.randint(0, 100),
-                        dominance=rng.randint(0, 100),
-                        rater=f"synthetic@{self.config.style_seed}",
-                    )
-                )
-        else:
-            for agent in self.roster:
-                scores.append(
-                    score_prompt_style(
-                        agent.prompt_text, self.client, self.config.style_rater,
-                        agent_id=agent.agent_id,
-                    )
-                )
-        rows = sorted((asdict(s) for s in scores), key=lambda r: r["agent_id"])
+        seed = self.config.style_seed
+        rows = []
+        for agent in self.roster:
+            if self.config.style_mode == "synthetic":
+                rng = Random(f"{seed}:{agent.agent_id}")
+                scores = (rng.randint(0, 100), rng.randint(0, 100), f"synthetic@{seed}")
+                rows.append(dict(zip(STYLE_TABLE_COLUMNS, (agent.agent_id, *scores))))
+            else:
+                rows.append(score_prompt_style(
+                    agent.prompt_text, self.client, self.config.style_rater, agent.agent_id
+                ))
+        rows.sort(key=lambda r: r["agent_id"])
         return call.write(self.style_path, STYLE_TABLE_COLUMNS, rows)
 
     # analysis ----------------------------------------------------------------
@@ -391,8 +382,8 @@ class Pipeline:
         summaries = aggregate_outcomes(rows)
         write_table(
             self.config.output_dir / "summary.csv",
-            tuple(f.name for f in fields(AgentSummary)),
-            [asdict(summary) for summary in summaries],
+            SUMMARY_COLUMNS,
+            summaries,
             self.config.config_hash,
         )
         write_table(

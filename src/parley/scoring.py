@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 
@@ -193,24 +192,27 @@ def score_outcome(
     return rows
 
 
-@dataclass
-class AgentSummary:
-    agent_id: str
-    exercise: str
-    n: int
-    deal_rate: float
-    mean_value_claimed: float
-    mean_points: float | None
-    mean_value_created: float
-    mean_proportion_of_pie: float | None
-    mean_counterpart_sv: float | None
-    mean_efficiency: float
+# the summary table's columns: an agent's exercise, its seat count, its deal
+# rate and the mean of every other ``RANKING_METRICS`` column
+SUMMARY_COLUMNS = (
+    "agent_id",
+    "exercise",
+    "n",
+    "deal_rate",
+    "mean_value_claimed",
+    "mean_points",
+    "mean_value_created",
+    "mean_proportion_of_pie",
+    "mean_counterpart_sv",
+    "mean_efficiency",
+)
 
 
-def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
-    """Per-agent, per-exercise means and deal rates of outcome rows (one per
-    seat, as ``score_outcome`` makes them), ordered by agent and exercise; a
-    metric a seat lacks (None) is left out of its mean."""
+def aggregate_outcomes(rows: list[dict]) -> list[dict]:
+    """The summary table of outcome rows (one per seat, as ``score_outcome``
+    makes them): per-agent, per-exercise means and deal rates, ordered by
+    agent and exercise; a metric a seat lacks (None) is left out of its
+    mean."""
     if not rows:
         raise EvaluationError("no outcomes to aggregate")
     buckets: dict[tuple[str, str], list[dict]] = {}
@@ -223,16 +225,11 @@ def aggregate_outcomes(rows: list[dict]) -> list[AgentSummary]:
 
     summaries = []
     for (agent_id, exercise), seats in sorted(buckets.items()):
-        means = {metric: mean(seat[metric] for seat in seats) for metric in RANKING_METRICS}
-        summaries.append(
-            AgentSummary(
-                agent_id=agent_id,
-                exercise=exercise,
-                n=len(seats),
-                deal_rate=means.pop("deal"),
-                **{f"mean_{metric}": value for metric, value in means.items()},
-            )
-        )
+        values = {"agent_id": agent_id, "exercise": exercise, "n": len(seats)}
+        for metric in RANKING_METRICS:
+            values[f"mean_{metric}"] = mean(seat[metric] for seat in seats)
+        values["deal_rate"] = values["mean_deal"]
+        summaries.append({column: values[column] for column in SUMMARY_COLUMNS})
     return summaries
 
 

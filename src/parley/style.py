@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,13 +38,8 @@ Warmth is related to acting friendly, sympathetic, or sociable, and demonstratin
 
 _JSON_RE = re.compile(r"\{.*\}", re.DOTALL)
 
-
-@dataclass(frozen=True)
-class StyleScores:
-    agent_id: str
-    warmth: int
-    dominance: int
-    rater: str
+# the style table's columns: one row per agent, rated by ``rater``
+STYLE_TABLE_COLUMNS = ("agent_id", "warmth", "dominance", "rater")
 
 
 def _parse_style_reply(text: str) -> tuple[int, int] | None:
@@ -67,9 +61,10 @@ def score_prompt_style(
     prompt_text: str,
     client: ChatModelClient,
     binding: BackendBinding,
-    agent_id: str = "",
-) -> StyleScores:
-    """Rate one prompt; re-queries once on a bad reply, then errors.
+    agent_id: str,
+) -> dict:
+    """Rate one agent's prompt into its style row; re-queries once on a bad
+    reply, then errors.
 
     The prompt is interpolated into the instruction unmodified (no trimming,
     no truncation).
@@ -85,13 +80,7 @@ def score_prompt_style(
         last_reply = reply.text
         parsed = _parse_style_reply(reply.text)
         if parsed is not None:
-            warmth, dominance = parsed
-            return StyleScores(
-                agent_id=agent_id,
-                warmth=warmth,
-                dominance=dominance,
-                rater=binding.model_name,
-            )
+            return dict(zip(STYLE_TABLE_COLUMNS, (agent_id, *parsed, binding.model_name)))
     raise ScoringError(
         f"style rater returned no usable scores for agent {agent_id!r}",
         raw_reply=last_reply,
@@ -150,10 +139,3 @@ def pearson_r(x, y) -> float:
     if denom == 0.0:
         raise UndefinedStatisticError("correlation undefined: a series has zero variance")
     return float((dx * dy).sum() / denom)
-
-
-# ---------------------------------------------------------------------------
-# Files
-
-
-STYLE_TABLE_COLUMNS = tuple(f.name for f in fields(StyleScores))

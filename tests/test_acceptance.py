@@ -253,22 +253,22 @@ def test_criterion_07_linguistic_oracle(feature_transcript):
     with timed(1.0):
         features = extract_features(feature_transcript, load_default_lexicons())
         seller, buyer = features["seller"], features["buyer"]
-        assert seller.mimicry == pytest.approx(0.05367891345971865, abs=1e-9)
-        assert buyer.mimicry == pytest.approx(0.1507277566739416, abs=1e-9)
-        assert seller.hedges == pytest.approx(2 / 3)
-        assert buyer.hedges == pytest.approx(1 / 3)
-        assert seller.apologies == 0.0
-        assert buyer.apologies == pytest.approx(1 / 3)
-        assert seller.gratitude == 0.0
-        assert buyer.gratitude == pytest.approx(2 / 3)
-        assert seller.first_person_plural == pytest.approx(1 / 3)
-        assert buyer.first_person_plural == pytest.approx(1.0)
-        assert seller.message_length == pytest.approx(23 / 3)
-        assert buyer.message_length == pytest.approx(25 / 3)
-        assert seller.questions == 0.0
-        assert buyer.questions == pytest.approx(2 / 3)
-        assert seller.positivity == pytest.approx(0.45)
-        assert buyer.positivity == pytest.approx(-0.8 / 3)
+        assert seller["mimicry"] == pytest.approx(0.05367891345971865, abs=1e-9)
+        assert buyer["mimicry"] == pytest.approx(0.1507277566739416, abs=1e-9)
+        assert seller["hedges"] == pytest.approx(2 / 3)
+        assert buyer["hedges"] == pytest.approx(1 / 3)
+        assert seller["apologies"] == 0.0
+        assert buyer["apologies"] == pytest.approx(1 / 3)
+        assert seller["gratitude"] == 0.0
+        assert buyer["gratitude"] == pytest.approx(2 / 3)
+        assert seller["first_person_plural"] == pytest.approx(1 / 3)
+        assert buyer["first_person_plural"] == pytest.approx(1.0)
+        assert seller["message_length"] == pytest.approx(23 / 3)
+        assert buyer["message_length"] == pytest.approx(25 / 3)
+        assert seller["questions"] == 0.0
+        assert buyer["questions"] == pytest.approx(2 / 3)
+        assert seller["positivity"] == pytest.approx(0.45)
+        assert buyer["positivity"] == pytest.approx(-0.8 / 3)
 
         chair = load_builtin("chair")
         wall = make_scripted_agent("stonewaller", agent_id="wall")

@@ -1,7 +1,6 @@
 import math
 import re
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from parley.errors import SchemaError
 from parley.features import (
-    FeatureVector,
     Lexicon,
     TfidfResult,
     build_tfidf,
@@ -47,7 +45,7 @@ def seat_feature(transcript, role_name, slot, lexicon):
     """The seat's feature from ``lexicon`` put in the built-in lexicons'
     ``slot`` (the sentiment lexicon's feature is positivity)."""
     features = extract_features(transcript, {**BUILTIN_LEXICONS, slot: lexicon})
-    return getattr(features[role_name], "positivity" if slot == "sentiment" else slot)
+    return features[role_name]["positivity" if slot == "sentiment" else slot]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def test_questions_and_message_length():
         ["Shall we? What price?", "w " * 9 + "w", "ten tokens here padding out to ten words yes ok".replace("  ", " ")]
     )
     features = extract_features(transcript, BUILTIN_LEXICONS)
-    assert features["seller"].questions == pytest.approx((2 + 0) / 2)
+    assert features["seller"]["questions"] == pytest.approx((2 + 0) / 2)
 
 
 def test_message_length_mean():
@@ -315,7 +313,7 @@ def test_message_length_mean():
     twenty = " ".join(["word"] * 20)
     transcript = two_sided([ten, "x", twenty])
     features = extract_features(transcript, BUILTIN_LEXICONS)
-    assert features["seller"].message_length == pytest.approx(15.0)
+    assert features["seller"]["message_length"] == pytest.approx(15.0)
 
 
 def test_fixture_vector_matches_oracle(feature_transcript):
@@ -323,22 +321,22 @@ def test_fixture_vector_matches_oracle(feature_transcript):
     features = extract_features(feature_transcript, BUILTIN_LEXICONS)
     seller, buyer = features["seller"], features["buyer"]
 
-    assert seller.mimicry == pytest.approx(0.05367891345971865, abs=1e-9)
-    assert buyer.mimicry == pytest.approx(0.1507277566739416, abs=1e-9)
-    assert seller.hedges == pytest.approx(2 / 3)
-    assert buyer.hedges == pytest.approx(1 / 3)
-    assert seller.apologies == 0.0
-    assert buyer.apologies == pytest.approx(1 / 3)
-    assert seller.gratitude == 0.0
-    assert buyer.gratitude == pytest.approx(2 / 3)
-    assert seller.first_person_plural == pytest.approx(1 / 3)
-    assert buyer.first_person_plural == pytest.approx(1.0)
-    assert seller.message_length == pytest.approx(23 / 3)
-    assert buyer.message_length == pytest.approx(25 / 3)
-    assert seller.questions == 0.0
-    assert buyer.questions == pytest.approx(2 / 3)
-    assert seller.positivity == pytest.approx(0.45)
-    assert buyer.positivity == pytest.approx(-0.8 / 3)
+    assert seller["mimicry"] == pytest.approx(0.05367891345971865, abs=1e-9)
+    assert buyer["mimicry"] == pytest.approx(0.1507277566739416, abs=1e-9)
+    assert seller["hedges"] == pytest.approx(2 / 3)
+    assert buyer["hedges"] == pytest.approx(1 / 3)
+    assert seller["apologies"] == 0.0
+    assert buyer["apologies"] == pytest.approx(1 / 3)
+    assert seller["gratitude"] == 0.0
+    assert buyer["gratitude"] == pytest.approx(2 / 3)
+    assert seller["first_person_plural"] == pytest.approx(1 / 3)
+    assert buyer["first_person_plural"] == pytest.approx(1.0)
+    assert seller["message_length"] == pytest.approx(23 / 3)
+    assert buyer["message_length"] == pytest.approx(25 / 3)
+    assert seller["questions"] == 0.0
+    assert buyer["questions"] == pytest.approx(2 / 3)
+    assert seller["positivity"] == pytest.approx(0.45)
+    assert buyer["positivity"] == pytest.approx(-0.8 / 3)
 
 
 def test_features_invariant_under_recasing(feature_transcript):
@@ -361,7 +359,7 @@ def test_features_invariant_under_recasing(feature_transcript):
     original = extract_features(feature_transcript, BUILTIN_LEXICONS)
     recased = extract_features(upper, BUILTIN_LEXICONS)
     for role in ("seller", "buyer"):
-        assert asdict(original[role]) == pytest.approx(asdict(recased[role]))
+        assert original[role] == pytest.approx(recased[role])
 
 
 def per_utterance_tfidf(utterance_texts):
@@ -403,16 +401,16 @@ def per_utterance_extraction(transcript, lexicons):
                 if phrase in sentiment.polarity
             ]
             per_utterance.append(sum(matched) / len(matched) if matched else 0.0)
-        features[role_name] = FeatureVector(
-            mimicry=score_mimicry(transcript, role_name, tfidf),
+        features[role_name] = {
+            "mimicry": score_mimicry(transcript, role_name, tfidf),
             **{
                 name: mean([lexicons[name].count(text) for text in own_lowered])
                 for name in ("hedges", "apologies", "gratitude", "first_person_plural")
             },
-            message_length=mean([len(text.split()) for text in own]),
-            questions=mean([text.count("?") for text in own]),
-            positivity=mean(per_utterance),
-        )
+            "message_length": mean([len(text.split()) for text in own]),
+            "questions": mean([text.count("?") for text in own]),
+            "positivity": mean(per_utterance),
+        }
     return features
 
 
@@ -493,7 +491,7 @@ def test_extraction_deterministic(feature_transcript):
     first = extract_features(feature_transcript, BUILTIN_LEXICONS)
     second = extract_features(feature_transcript, BUILTIN_LEXICONS)
     for role in first:
-        assert asdict(first[role]) == asdict(second[role])
+        assert first[role] == second[role]
 
 
 def test_feature_rows_keyed_like_outcome_table(feature_transcript):

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -10,6 +12,7 @@ from click.testing import CliRunner
 from parley.agents import ChatModelClient
 from parley.cli import main as cli_main
 from parley.errors import ArtifactMismatchError, PrerequisiteError, SchemaError
+from parley.features import FEATURE_TABLE_COLUMNS, feature_rows, load_default_lexicons
 from parley.pipeline import (
     HEATMAP_COLUMNS,
     Pipeline,
@@ -18,8 +21,19 @@ from parley.pipeline import (
     heatmap_rows,
     load_config,
 )
+from parley.scoring import (
+    OUTCOME_TABLE_COLUMNS,
+    RANKING_COLUMNS,
+    SUMMARY_COLUMNS,
+    aggregate_outcomes,
+    extract_agreement,
+    ranking_rows,
+    score_outcome,
+)
 from parley.stats import ModelSpec, fit_with_clusters
+from parley.style import STYLE_TABLE_COLUMNS
 from parley.tables import read_table, write_table
+from parley.tournament import TranscriptStore
 
 from conftest import make_transcript
 
@@ -405,6 +419,16 @@ def test_score_and_feature_tables_have_two_rows_per_negotiation(tmp_path):
     _, feature_rows = read_table(pipeline.features_path)
     assert len(outcome_rows) == 18
     assert len(feature_rows) == 18
+    # the same seats, in negotiation-id order in both tables; within a
+    # negotiation, outcomes follow chair's role order and features sorted
+    # role names
+    outcome_seats = [(r["negotiation_id"], r["role"]) for r in outcome_rows]
+    feature_seats = [(r["negotiation_id"], r["role"]) for r in feature_rows]
+    assert sorted(outcome_seats) == sorted(feature_seats)
+    assert len(set(outcome_seats)) == 18
+    assert [n for n, _ in outcome_seats] == [n for n, _ in feature_seats]
+    assert [role for _, role in outcome_seats] == ["seller", "buyer"] * 9
+    assert [role for _, role in feature_seats] == ["buyer", "seller"] * 9
 
 
 def test_artifacts_stamped_and_mismatch_refused(tmp_path):
@@ -538,6 +562,28 @@ def test_skipped_model_removes_a_stale_fit_table(tmp_path):
     pipeline.run_stages(["run", "score", "style", "analyze"])
     assert (pipeline.analysis_dir / "chair_counterpart_sv.txt").exists()
     assert not stale.exists()
+
+
+def test_failed_analyze_leaves_no_analysis_results(tmp_path, monkeypatch):
+    # analysis_results.json is written last, so it lists the models of the
+    # last analyze that completed
+    import parley.pipeline
+
+    pipeline = Pipeline(load_config(write_workspace(tmp_path, agents=ROSTER["agents"][:3])))
+    pipeline.run_stages(["run", "score", "features", "style", "analyze"])
+    results = pipeline.analysis_dir / "analysis_results.json"
+    assert "chair_value_claimed" in json.loads(results.read_text())["models"]
+    results.unlink()
+    error = PrerequisiteError("no heatmap")
+
+    def failing_heatmap_rows(*args):
+        raise error
+
+    monkeypatch.setattr(parley.pipeline, "heatmap_rows", failing_heatmap_rows)
+    with pytest.raises(PrerequisiteError) as raised:
+        pipeline.run_stages(["analyze"])
+    assert raised.value is error
+    assert not results.exists()
 
 
 def test_analysis_terms_fit_quadratic_and_interaction_variants(tmp_path):
@@ -712,6 +758,76 @@ def test_blank_response_rows_are_dropped():
     )
     assert len(rows) == 1
     assert rows[0].y == 5.5
+
+
+# ---------------------------------------------------------------------------
+# Table rows
+
+
+def fixed_rater():
+    def transport(endpoint, payload, api_key, timeout):
+        reply = '{"warmth_score": 60, "dominance_score": 40}'
+        return {"choices": [{"message": {"content": reply}, "finish_reason": "stop"}]}
+
+    return ChatModelClient(transport=transport)
+
+
+@pytest.fixture(scope="module")
+def played(tmp_path_factory):
+    """A three-agent chair and rental run with a model rater: its config,
+    transcripts and outcome rows."""
+    tmp_path = tmp_path_factory.mktemp("played")
+    agents = [dict(a, prompt=f"Play as {a['agent_id']}.") for a in ROSTER["agents"][:3]]
+    style = {"mode": "model", "rater": {"model_name": "r", "endpoint": "https://rater.invalid/v1"}}
+    config = load_config(write_workspace(
+        tmp_path, scenarios=("chair", "rental"), agents=agents, extra={"style": style}
+    ))
+    pipeline = Pipeline(config)
+    pipeline.run_stages(["run"])
+    transcripts = []
+    TranscriptStore(pipeline.transcripts_path, config.config_hash, transcripts.append)
+    outcomes = []
+    for transcript in transcripts:
+        scenario = pipeline.scenarios[transcript.scenario_id]
+        outcomes += score_outcome(transcript, scenario, extract_agreement(transcript, scenario))
+    return SimpleNamespace(config=config, transcripts=transcripts, outcomes=outcomes)
+
+
+def style_rows(config, mode):
+    client = fixed_rater() if mode == "model" else None
+    return Pipeline(replace(config, style_mode=mode), client).run_stages(["style"])["style"]
+
+
+def style_plane(config):
+    rows = style_rows(config, "synthetic")
+    return {r["agent_id"]: (float(r["warmth"]), float(r["dominance"])) for r in rows}
+
+
+# each builder's rows from the played run, and its table's columns
+TABLE_BUILDERS = {
+    "score_outcome": (OUTCOME_TABLE_COLUMNS, lambda run: run.outcomes),
+    "feature_rows": (FEATURE_TABLE_COLUMNS, lambda run: [
+        row for t in run.transcripts for row in feature_rows(t, load_default_lexicons())
+    ]),
+    "aggregate_outcomes": (SUMMARY_COLUMNS, lambda run: aggregate_outcomes(run.outcomes)),
+    "ranking_rows": (RANKING_COLUMNS, lambda run: ranking_rows(run.outcomes, "value_claimed", 7)),
+    "heatmap_rows": (HEATMAP_COLUMNS, lambda run: heatmap_rows(
+        run.outcomes, style_plane(run.config), "value_claimed", 10
+    )),
+    "style_synthetic": (STYLE_TABLE_COLUMNS, lambda run: style_rows(run.config, "synthetic")),
+    "style_model": (STYLE_TABLE_COLUMNS, lambda run: style_rows(run.config, "model")),
+}
+
+
+@pytest.mark.parametrize("builder", TABLE_BUILDERS)
+def test_every_row_a_builder_yields_has_its_tables_columns(played, builder):
+    # write_table would write a misspelt key's column as blank cells, and
+    # leave the column out once it is blank in every row
+    columns, build = TABLE_BUILDERS[builder]
+    rows = build(played)
+    assert rows
+    for row in rows:
+        assert set(row) == set(columns)
 
 
 # ---------------------------------------------------------------------------

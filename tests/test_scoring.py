@@ -331,9 +331,9 @@ def test_deal_rate_half(chair):
         *score_outcome(impasse, chair, Assignment.impasse_marker()),
     ]
     summaries = aggregate_outcomes(rows)
-    by_agent = {(s.agent_id, s.exercise): s for s in summaries}
-    assert by_agent[("s1", "chair")].deal_rate == 0.5
-    assert by_agent[("s1", "chair")].n == 2
+    by_agent = {(s["agent_id"], s["exercise"]): s for s in summaries}
+    assert by_agent[("s1", "chair")]["deal_rate"] == 0.5
+    assert by_agent[("s1", "chair")]["n"] == 2
 
 
 def test_fixture_means_match_hand_computation(chair):
@@ -349,12 +349,12 @@ def test_fixture_means_match_hand_computation(chair):
             seed=i,
         )
         rows += score_outcome(transcript, chair, Assignment(agreed_price=price))
-    summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
+    summaries = {s["agent_id"]: s for s in aggregate_outcomes(rows)}
     # spreadsheet oracle: seller surpluses 10..60 mean 35; buyer 70..20 mean 45
-    assert summaries["s1"].mean_value_claimed == pytest.approx(35.0)
-    assert summaries["b1"].mean_value_claimed == pytest.approx(45.0)
-    assert summaries["s1"].deal_rate == 1.0
-    assert summaries["s1"].mean_efficiency == 2.0
+    assert summaries["s1"]["mean_value_claimed"] == pytest.approx(35.0)
+    assert summaries["b1"]["mean_value_claimed"] == pytest.approx(45.0)
+    assert summaries["s1"]["deal_rate"] == 1.0
+    assert summaries["s1"]["mean_efficiency"] == 2.0
 
 
 def test_all_identical_outcomes(chair):
@@ -372,8 +372,8 @@ def test_all_identical_outcomes(chair):
     rows = [
         row for t in transcripts for row in score_outcome(t, chair, Assignment(agreed_price=90))
     ]
-    summaries = {s.agent_id: s for s in aggregate_outcomes(rows)}
-    assert summaries["s1"].mean_value_claimed == 50.0
+    summaries = {s["agent_id"]: s for s in aggregate_outcomes(rows)}
+    assert summaries["s1"]["mean_value_claimed"] == 50.0
 
 
 # ---------------------------------------------------------------------------

@@ -36,25 +36,25 @@ def stub_client(replies):
 
 def test_stubbed_rater_exact_passthrough():
     client = stub_client(['{"warmth_score": 42, "dominance_score": 17}'])
-    scores = score_prompt_style("win kindly", client, RATER, agent_id="a1")
-    assert scores.warmth == 42
-    assert scores.dominance == 17
-    assert scores.rater == "rater-model"
+    scores = score_prompt_style("win kindly", client, RATER, "a1")
+    assert scores["warmth"] == 42
+    assert scores["dominance"] == 17
+    assert scores["rater"] == "rater-model"
 
 
 def test_requery_once_then_succeed():
     client = stub_client(
         ["that is not JSON", '{"warmth_score": 80, "dominance_score": 20}']
     )
-    scores = score_prompt_style("be gentle", client, RATER)
-    assert scores.warmth == 80
+    scores = score_prompt_style("be gentle", client, RATER, "a1")
+    assert scores["warmth"] == 80
     assert len(client.calls) == 2
 
 
 def test_persistent_parse_failure_carries_raw_reply():
     client = stub_client(["gibberish one", "gibberish two"])
     with pytest.raises(ScoringError) as excinfo:
-        score_prompt_style("whatever", client, RATER)
+        score_prompt_style("whatever", client, RATER, "a1")
     assert excinfo.value.raw_reply == "gibberish two"
     assert len(client.calls) == 2
 
@@ -66,8 +66,8 @@ def test_out_of_range_scores_rejected():
             '{"warmth_score": 90, "dominance_score": 20}',
         ]
     )
-    scores = score_prompt_style("p", client, RATER)
-    assert scores.warmth == 90
+    scores = score_prompt_style("p", client, RATER, "a1")
+    assert scores["warmth"] == 90
 
 
 def test_prompt_interpolated_unmodified():
@@ -75,7 +75,7 @@ def test_prompt_interpolated_unmodified():
     # instruction text wrapped around it
     prompt = "  Spaces kept.  {braces} & unicode — intact\n\nTwo lines.  "
     client = stub_client(['{"warmth_score": 1, "dominance_score": 1}'])
-    score_prompt_style(prompt, client, RATER)
+    score_prompt_style(prompt, client, RATER, "a1")
     sent = client.calls[0]["messages"][1]["content"]
     assert prompt in sent
     assert sent == STYLE_RATER_INSTRUCTION.replace("{prompt_text}", prompt)
@@ -84,7 +84,7 @@ def test_prompt_interpolated_unmodified():
 def test_empty_prompt_rejected():
     client = stub_client(['{"warmth_score": 1, "dominance_score": 1}'])
     with pytest.raises(ScoringError):
-        score_prompt_style("", client, RATER)
+        score_prompt_style("", client, RATER, "a1")
 
 
 # ---------------------------------------------------------------------------
