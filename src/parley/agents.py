@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .catalog import Assignment, ScenarioSpec, read_yaml, typed, typed_mapping
 from .errors import (
@@ -71,10 +71,12 @@ class SessionView:
     scenario: ScenarioSpec
     role_name: str
     system_text: str  # assemble_system_prompt's, for this seat
-    history: tuple[tuple[str, str], ...]  # (role_name, text) in order
+    # (role_name, text) in order; a session's views share its growing list,
+    # so a reader must not keep it past its call
+    history: Sequence[tuple[str, str]]
 
     def own_turns(self) -> int:
-        return sum(1 for role, _ in self.history if role == self.role_name)
+        return [role for role, _ in self.history].count(self.role_name)
 
     def last_counterpart_text(self) -> str | None:
         for role, text in reversed(self.history):
@@ -388,9 +390,11 @@ def next_message(
     binding = agent.backend
     if binding.kind == "scripted":
         text = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
-        tokens = text.split()
-        if len(tokens) > binding.max_reply_tokens:
-            return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
+        # a text of n characters holds at most n tokens
+        if len(text) > binding.max_reply_tokens:
+            tokens = text.split()
+            if len(tokens) > binding.max_reply_tokens:
+                return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
         return Reply(text)
 
     if client is None:

@@ -9,6 +9,7 @@ different number of points to each role; an agreement must cover every issue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +33,7 @@ class IssueSchedule:
     # ordered (label, term, {role: points}) triples
     options: tuple[tuple[str, str, dict[str, int]], ...]
 
-    @property
+    @cached_property
     def key(self) -> str:
         return issue_key(self.issue_name)
 

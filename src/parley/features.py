@@ -175,6 +175,9 @@ def score_mimicry(
     ``build_tfidf``, None only for a conversation without utterances."""
     if not transcript.utterances:
         return None
+    # equal texts share their vector, so each (text, previous text) pair is
+    # compared once; the sum still takes the seat's utterances in order
+    cosines: dict[tuple[str, str], float] = {}
     similarities = []
     for i, utterance in enumerate(transcript.utterances):
         if utterance.role_name != role_name or i == 0:
@@ -182,9 +185,12 @@ def score_mimicry(
         prev = transcript.utterances[i - 1]
         if prev.role_name == role_name:
             continue
-        similarities.append(
-            _cosine(tfidf.vectors[i], tfidf.norms[i], tfidf.vectors[i - 1], tfidf.norms[i - 1])
-        )
+        pair = (utterance.text, prev.text)
+        if pair not in cosines:
+            cosines[pair] = _cosine(
+                tfidf.vectors[i], tfidf.norms[i], tfidf.vectors[i - 1], tfidf.norms[i - 1]
+            )
+        similarities.append(cosines[pair])
     if not similarities:
         return None
     return sum(similarities) / len(similarities)

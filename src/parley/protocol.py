@@ -57,14 +57,6 @@ def parse_block(text: str, block: str) -> Terms | None:
     return Terms(pairs)
 
 
-def has_accept(text: str) -> bool:
-    return ACCEPT_MARKER in text.upper()
-
-
-def has_walkaway(text: str) -> bool:
-    return WALKAWAY_MARKER in text.upper()
-
-
 def terms_to_assignment(spec: ScenarioSpec, terms: Terms) -> Assignment | None:
     """Convert parsed terms into a complete Assignment, or None if incomplete.
 

@@ -24,7 +24,13 @@ from .agents import (
 )
 from .catalog import ScenarioSpec, read_yaml, typed
 from .errors import ConfigurationError, SchemaError, SessionAbortError
-from .protocol import has_accept, has_walkaway, moderator_suffix, parse_block, terms_to_assignment
+from .protocol import (
+    ACCEPT_MARKER,
+    WALKAWAY_MARKER,
+    moderator_suffix,
+    parse_block,
+    terms_to_assignment,
+)
 
 TRANSCRIPT_SCHEMA_VERSION = 1
 
@@ -119,9 +125,10 @@ def detect_termination(utterances: list[Utterance], scenario: ScenarioSpec) -> s
     if not utterances:
         return "continue"
     text = utterances[-1].text
-    if has_walkaway(text):
+    upper = text.upper()
+    if WALKAWAY_MARKER in upper:
         return "walkaway"
-    if has_accept(text):
+    if ACCEPT_MARKER in upper:
         terms = parse_block(text, "TERMS")
         if terms is not None and terms_to_assignment(scenario, terms) is not None:
             return "accepted"
@@ -247,28 +254,26 @@ def run_session(
         raise ConfigurationError(f"first_mover {first_mover!r} is not a role")
 
     suffix = moderator_suffix(scenario)
-    system_texts = {
-        role_name: assemble_system_prompt(
-            agents[role_map[role_name]], scenario.role(role_name), protocol_suffix=suffix
+    history: list[tuple[str, str]] = []
+    # each seat's agent and its view, which reads the one history list that
+    # the session appends to
+    seats = {}
+    for role_name in role_names:
+        agent = agents[role_map[role_name]]
+        system_text = assemble_system_prompt(
+            agent, scenario.role(role_name), protocol_suffix=suffix
         )
-        for role_name in role_names
-    }
+        seats[role_name] = agent, SessionView(scenario, role_name, system_text, history)
+    counterpart = dict(zip(role_names, reversed(role_names)))
 
     neg_id = negotiation_id(scenario.scenario_id, role_map, seed)
     utterances: list[Utterance] = []
-    history: list[tuple[str, str]] = []
     cap = 2 * scenario.max_exchanges
     current = first_mover
     termination = "cap_reached"
 
     while len(utterances) < cap:
-        agent = agents[role_map[current]]
-        view = SessionView(
-            scenario=scenario,
-            role_name=current,
-            system_text=system_texts[current],
-            history=tuple(history),
-        )
+        agent, view = seats[current]
         reply = next_message(agent, view, seed, client=client)
         utterances.append(
             Utterance(
@@ -284,7 +289,7 @@ def run_session(
         if status != "continue":
             termination = status
             break
-        current = scenario.counterpart_role(current)
+        current = counterpart[current]
 
     transcript = Transcript(
         negotiation_id=neg_id,
@@ -296,15 +301,6 @@ def run_session(
     )
 
     items = svi_items if svi_items is not None else load_svi_items()
-    for role_name in role_names:
-        agent = agents[role_map[role_name]]
-        view = SessionView(
-            scenario=scenario,
-            role_name=role_name,
-            system_text=system_texts[role_name],
-            history=tuple(history),
-        )
-        transcript.svi[role_name] = administer_svi(
-            agent, view, seed, items, client=client
-        )
+    for role_name, (agent, view) in seats.items():
+        transcript.svi[role_name] = administer_svi(agent, view, seed, items, client=client)
     return transcript

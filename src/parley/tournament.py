@@ -2,10 +2,11 @@
 
 The schedule covers every ordered pair of agents (including self-play) once
 per exercise, so each agent occupies both role seats against every opponent.
-Execution runs under a bounded worker pool through a window of at most
-``WINDOW_PER_WORKER × concurrency_limit`` sessions, stores each finished
-session in schedule order, flushes a checkpoint after each, and skips the
-pairings the transcript store already holds on resume. So the store's bytes
+Execution plays sessions on the calling thread at a concurrency limit of 1,
+and above it under a bounded worker pool through a window of at most
+``WINDOW_PER_WORKER × concurrency_limit`` sessions. Either way it stores each
+finished session in schedule order, flushes a checkpoint after each, and
+skips the pairings the transcript store already holds on resume. So the store's bytes
 depend on neither the concurrency nor the timing of a run, and a resumed
 store equals an uninterrupted one.
 """
@@ -360,8 +361,10 @@ def run_tournament(
     """Execute every pending pairing at most ``concurrency_limit`` (at least
     1, as ``load_config`` requires) at a time.
 
-    At most ``WINDOW_PER_WORKER × concurrency_limit`` sessions are in flight
-    or finished but not yet stored. Results are taken oldest first, so
+    At a limit of 1 each session plays on this thread, and no thread is
+    started. Above it, sessions play on a worker pool, and at most
+    ``WINDOW_PER_WORKER × concurrency_limit`` of them are in flight or
+    finished but not yet stored. Either way results are taken oldest first, so
     transcripts are stored and failures recorded in schedule order, and the
     next pairing is submitted as each is taken. The checkpoint is flushed
     after each result; a rerun skips the pairings the store holds, making the
@@ -390,7 +393,6 @@ def run_tournament(
     pending = state.pending(scenarios, store.ids)
     skipped = len(state.schedule) - len(pending)
     start = time.monotonic()
-    executed = 0
     # set by the first ParleyError, so no later session starts; their results
     # are never taken, as that error's session is ahead of them in the window
     stopped = threading.Event()
@@ -422,26 +424,34 @@ def run_tournament(
             return pairing, None, f"{type(exc).__name__}: {exc}"
         return pairing, transcript, ""
 
-    with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-        submitted = (pool.submit(execute, pairing) for pairing in pending)
-        window = deque(islice(submitted, WINDOW_PER_WORKER * concurrency_limit))
-        try:
-            while window:
-                # the oldest session first, so the store follows the schedule
-                pairing, transcript, cause = window.popleft().result()
-                if transcript is None:
-                    state.failed.append((pairing, cause))
-                else:
-                    if store.append(transcript) and on_stored is not None:
-                        on_stored(transcript)
-                    executed += 1
-                write_checkpoint(checkpoint_path, state, store.ids)
-                window.extend(islice(submitted, 1))
-        except BaseException:
-            # a ParleyError or an interrupt ends the run: queued sessions
-            # must not start
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+    def store_in_order(results: Iterable[tuple[Pairing, Transcript | None, str]]) -> int:
+        """Store or record each result; the number of sessions played."""
+        executed = 0
+        for pairing, transcript, cause in results:
+            if transcript is None:
+                state.failed.append((pairing, cause))
+            else:
+                if store.append(transcript) and on_stored is not None:
+                    on_stored(transcript)
+                executed += 1
+            write_checkpoint(checkpoint_path, state, store.ids)
+        return executed
+
+    if concurrency_limit == 1:
+        # one session at a time: a worker thread would only make this thread
+        # wait for the GIL at each store and checkpoint write
+        executed = store_in_order(map(execute, pending))
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
+            try:
+                executed = store_in_order(
+                    _oldest_first(pool, execute, pending, WINDOW_PER_WORKER * concurrency_limit)
+                )
+            except BaseException:
+                # a ParleyError or an interrupt ends the run: queued sessions
+                # must not start
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
 
     return RunReport(
         scheduled=len(state.schedule),
@@ -451,3 +461,15 @@ def run_tournament(
         wall_clock_seconds=time.monotonic() - start,
     )
 
+
+
+def _oldest_first(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, window: int) -> Iterator:
+    """``fn`` of each item, run on ``pool`` with at most ``window`` items
+    submitted and not yet taken, yielded in ``items``' order. The next item
+    is submitted when the caller asks for the next result, so a result being
+    stored still counts against the window."""
+    submitted = (pool.submit(fn, item) for item in items)
+    in_flight = deque(islice(submitted, window))
+    while in_flight:
+        yield in_flight.popleft().result()
+        in_flight.extend(islice(submitted, 1))

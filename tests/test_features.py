@@ -376,6 +376,25 @@ def per_utterance_tfidf(utterance_texts):
     )
 
 
+def per_reply_mimicry(transcript, role_name, tfidf):
+    """The mimicry the per-pair cache replaced, kept as an oracle: every
+    reply of the seat is compared with the counterpart utterance before it,
+    and the dot product sums in the reply's term order."""
+    if not transcript.utterances:
+        return None
+    similarities = []
+    for i in range(1, len(transcript.utterances)):
+        if transcript.utterances[i].role_name != role_name:
+            continue
+        if transcript.utterances[i - 1].role_name == role_name:
+            continue
+        u, v = tfidf.vectors[i], tfidf.vectors[i - 1]
+        norms = tfidf.norms[i] * tfidf.norms[i - 1]
+        dot = sum(x * v[t] for t, x in u.items() if t in v)
+        similarities.append(dot / norms if norms else 0.0)
+    return sum(similarities) / len(similarities) if similarities else None
+
+
 def per_utterance_extraction(transcript, lexicons):
     """The extraction the per-text cache replaced, kept as an oracle: every
     utterance is lowercased, scanned and counted on its own, and each seat
@@ -402,7 +421,7 @@ def per_utterance_extraction(transcript, lexicons):
             ]
             per_utterance.append(sum(matched) / len(matched) if matched else 0.0)
         features[role_name] = {
-            "mimicry": score_mimicry(transcript, role_name, tfidf),
+            "mimicry": per_reply_mimicry(transcript, role_name, tfidf),
             **{
                 name: mean([lexicons[name].count(text) for text in own_lowered])
                 for name in ("hedges", "apologies", "gratitude", "first_person_plural")

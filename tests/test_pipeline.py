@@ -1627,3 +1627,45 @@ def test_cli_run_status_and_resume(tmp_path):
     assert resume.exit_code == 0
     assert "executed=0" in resume.output
     assert "skipped=4" in resume.output
+
+
+# Run in a fresh process: prints OPENBLAS_NUM_THREADS after the import,
+# whether numpy is loaded, and the process's thread count where /proc lists
+# it (None elsewhere).
+_BLAS_THREADS_PROBE = """
+import os
+import sys
+import parley.pipeline
+tasks = "/proc/self/task"
+print(
+    os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy" in sys.modules,
+    len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+)
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_numpy_blas_runs_on_one_thread_unless_the_environment_says(preset, expected):
+    import os
+    import subprocess
+    import sys
+
+    import parley
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(parley.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    value, numpy_loaded, tasks = result.stdout.split()
+    assert (value, numpy_loaded) == (expected, "True")
+    if preset is None and tasks != "None":
+        # no helper thread was started with numpy
+        assert tasks == "1"

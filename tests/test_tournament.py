@@ -158,9 +158,80 @@ def test_on_stored_gets_each_transcript_as_the_store_loads_it(tmp_path, roster):
 
 
 def test_concurrency_does_not_change_outcomes(tmp_path, roster):
-    _, serial, _ = run_full(tmp_path, roster, ["chair"], concurrency=1, tag="c1")
-    _, parallel, _ = run_full(tmp_path, roster, ["chair"], concurrency=16, tag="c16")
+    # limit 1 plays on the calling thread, limit 16 on the pool: the two
+    # paths store the same bytes
+    exercises = ["chair", "rental"]
+    _, serial, _ = run_full(tmp_path, roster, exercises, concurrency=1, tag="c1")
+    _, parallel, _ = run_full(tmp_path, roster, exercises, concurrency=16, tag="c16")
+    assert len(serial) == 50
     assert serial.path.read_bytes() == parallel.path.read_bytes()
+
+
+def session_threads(monkeypatch):
+    """Record the thread each session runs on and each thread started."""
+    import threading
+
+    ran_on, started = [], []
+    run_session = parley.tournament.run_session
+    start = threading.Thread.start
+
+    def recorded(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        return run_session(*args, **kwargs)
+
+    def counted_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(parley.tournament, "run_session", recorded)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return ran_on, started
+
+
+def test_serial_run_plays_on_the_calling_thread(tmp_path, roster, monkeypatch):
+    import threading
+
+    ran_on, started = session_threads(monkeypatch)
+    _, store, report = run_full(tmp_path, roster, ["chair"], concurrency=1)
+    assert report.executed == len(store) == 25
+    assert ran_on == [threading.main_thread()] * 25
+    assert started == []
+
+
+def test_pooled_run_plays_on_worker_threads(tmp_path, roster, monkeypatch):
+    import threading
+
+    ran_on, started = session_threads(monkeypatch)
+    _, store, report = run_full(tmp_path, roster, ["chair"], concurrency=2)
+    assert report.executed == len(store) == 25
+    assert threading.main_thread() not in ran_on
+    assert 1 <= len(started) <= 2
+
+
+def test_interrupt_in_a_serial_run_ends_it_at_once(tmp_path, roster, monkeypatch):
+    # an interrupt is not a pairing's failure: it propagates from the
+    # session that got it, no later session starts, and the store holds the
+    # pairings finished before it
+    started = []
+    run_session = parley.tournament.run_session
+
+    def interrupted(*args, **kwargs):
+        started.append(args[3])
+        if len(started) == 3:
+            raise KeyboardInterrupt
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(parley.tournament, "run_session", interrupted)
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    with pytest.raises(KeyboardInterrupt):
+        run_full(tmp_path, roster, ["chair"], concurrency=1)
+    assert started == [p.seed for p in schedule[:3]]
+    chair = load_builtin("chair")
+    store = TranscriptStore(tmp_path / "store_a.jsonl")
+    assert store.ids == {p.negotiation_id(chair) for p in schedule[:2]}
+    checkpoint = json.loads((tmp_path / "ckpt_a.json").read_text())
+    assert checkpoint["failed"] == []
+    assert len(checkpoint["completed"]) == 2
 
 
 def test_failing_backend_is_isolated(tmp_path):
@@ -267,6 +338,36 @@ def test_engine_error_cancels_queued_sessions(tmp_path, roster, monkeypatch):
         run_full(tmp_path, roster, ["chair"], concurrency=1)
     # the sessions still queued when the error arrived never start
     assert len(started) < 25
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_engine_error_leaves_the_sessions_behind_it_unstored(
+    tmp_path, roster, monkeypatch, concurrency
+):
+    # the third pairing's engine error ends the run on either path: the two
+    # ahead of it are stored, no session behind it is, and at most a window
+    # of them started
+    started = []
+    run_session = parley.tournament.run_session
+
+    def third_broken(*args, **kwargs):
+        started.append(args[3])
+        if args[3] == schedule[2].seed:
+            raise SchemaError("broken scenario")
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(parley.tournament, "run_session", third_broken)
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    with pytest.raises(SchemaError, match="broken scenario"):
+        run_full(tmp_path, roster, ["chair"], concurrency=concurrency)
+    chair = load_builtin("chair")
+    assert TranscriptStore(tmp_path / "store_a.jsonl").ids == {
+        p.negotiation_id(chair) for p in schedule[:2]
+    }
+    if concurrency == 1:
+        assert started == [p.seed for p in schedule[:3]]
+    else:
+        assert len(started) <= 2 + parley.tournament.WINDOW_PER_WORKER * concurrency
 
 
 def test_stored_transcripts_are_released_during_the_run(tmp_path, roster):
