@@ -462,7 +462,6 @@ def run_tournament(
     )
 
 
-
 def _oldest_first(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, window: int) -> Iterator:
     """``fn`` of each item, run on ``pool`` with at most ``window`` items
     submitted and not yet taken, yielded in ``items``' order. The next item

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 import time
 import weakref
 from functools import partial
@@ -133,8 +134,6 @@ def test_kill_and_resume_reproduces_uninterrupted_run(tmp_path, roster):
 def test_on_stored_gets_each_transcript_as_the_store_loads_it(tmp_path, roster):
     # equal field by field; the order of role_map, svi and each facets may
     # differ from the sorted-key order that load() gives them
-    import threading
-
     handed, threads = [], set()
 
     def on_stored(transcript):
@@ -169,8 +168,6 @@ def test_concurrency_does_not_change_outcomes(tmp_path, roster):
 
 def session_threads(monkeypatch):
     """Record the thread each session runs on and each thread started."""
-    import threading
-
     ran_on, started = [], []
     run_session = parley.tournament.run_session
     start = threading.Thread.start
@@ -189,8 +186,6 @@ def session_threads(monkeypatch):
 
 
 def test_serial_run_plays_on_the_calling_thread(tmp_path, roster, monkeypatch):
-    import threading
-
     ran_on, started = session_threads(monkeypatch)
     _, store, report = run_full(tmp_path, roster, ["chair"], concurrency=1)
     assert report.executed == len(store) == 25
@@ -199,8 +194,6 @@ def test_serial_run_plays_on_the_calling_thread(tmp_path, roster, monkeypatch):
 
 
 def test_pooled_run_plays_on_worker_threads(tmp_path, roster, monkeypatch):
-    import threading
-
     ran_on, started = session_threads(monkeypatch)
     _, store, report = run_full(tmp_path, roster, ["chair"], concurrency=2)
     assert report.executed == len(store) == 25
