@@ -12,6 +12,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cache, partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -72,7 +74,7 @@ class SessionView:
     role_name: str
     system_text: str  # assemble_system_prompt's, for this seat
     # (role_name, text) in order; a session's views share its growing list,
-    # so a reader must not keep it past its call
+    # which a bound seat reads as it stands at each call
     history: Sequence[tuple[str, str]]
 
     def own_turns(self) -> int:
@@ -116,36 +118,41 @@ def assemble_system_prompt(agent: AgentSpec, role, protocol_suffix: str = "") ->
 
 
 # ---------------------------------------------------------------------------
-# Scripted policies: each a pure function of the view and its parameters,
-# which the roster reader has checked and completed with their defaults
+# Scripted policies: each binds a seat once per session. Given the seat's view
+# and its parameters, checked and completed by the roster reader, it returns
+# the seat's speak function, called once per own turn for the next text.
 
 
-def immediate_acceptor(view: SessionView, params: dict) -> str:
+def immediate_acceptor(view: SessionView, params: dict) -> Callable[[], str]:
     """Accepts the first complete offer it sees; otherwise invites one."""
-    text = view.last_counterpart_text() or ""
-    for block in ("TERMS", "OFFER"):
-        terms = parse_block(text, block)
-        offer = None if terms is None else terms_to_assignment(view.scenario, terms)
-        if offer is not None:
-            return "That works for me. " + format_close(view.scenario, offer)
-    return "I'm open to your proposal. What terms do you have in mind?"
+    @cache
+    def reply_to(text: str) -> str:
+        for block in ("TERMS", "OFFER"):
+            terms = parse_block(text, block)
+            offer = None if terms is None else terms_to_assignment(view.scenario, terms)
+            if offer is not None:
+                return "That works for me. " + format_close(view.scenario, offer)
+        return "I'm open to your proposal. What terms do you have in mind?"
+
+    return lambda: reply_to(view.last_counterpart_text() or "")
 
 
-def fixed_concession(view: SessionView, params: dict) -> str:
+def fixed_concession(view: SessionView, params: dict) -> Callable[[], str]:
     """Walks a fixed concession ladder, then holds at the final rung:
     prices (``ladder``) in a distributive scenario, option labels applied
     to every issue (``label_ladder``) in an integrative one."""
     spec = view.scenario
-    ladder = params["ladder" if spec.kind == "distributive" else "label_ladder"]
-    rung = ladder[min(view.own_turns(), len(ladder) - 1)]
     if spec.kind == "distributive":
-        offer = Assignment(agreed_price=rung)
+        offers = [Assignment(agreed_price=rung) for rung in params["ladder"]]
     else:
-        offer = Assignment(chosen={issue.issue_name: rung for issue in spec.issues})
-    return "Here is my offer. " + format_offer(spec, offer)
+        names = [issue.issue_name for issue in spec.issues]
+        offers = [Assignment(chosen=dict.fromkeys(names, rung)) for rung in params["label_ladder"]]
+    texts = ["Here is my offer. " + format_offer(spec, offer) for offer in offers]
+    # the rung of each own turn from this one on
+    return partial(next, chain(texts[view.own_turns():], repeat(texts[-1])))
 
 
-def stonewaller(view: SessionView, params: dict) -> str:
+def stonewaller(view: SessionView, params: dict) -> Callable[[], str]:
     """Restates its opening demand on every turn and never accepts: its own
     best option on every issue, or ``demand_price``, or else the original
     new price from the selling seat and zero from the buying seat."""
@@ -161,21 +168,24 @@ def stonewaller(view: SessionView, params: dict) -> str:
         demand = Assignment(agreed_price=spec.price_frame.get("original_new_price", 0))
     else:
         demand = Assignment(agreed_price=0.0)
-    return "My position has not changed. " + format_offer(spec, demand)
+    return partial(next, repeat("My position has not changed. " + format_offer(spec, demand)))
 
 
-def mirror(view: SessionView, params: dict) -> str:
+def mirror(view: SessionView, params: dict) -> Callable[[], str]:
     """Echoes the counterpart's last utterance verbatim; opens with ``opener``."""
-    text = view.last_counterpart_text()
-    return params["opener"] if text is None else text
+    def speak() -> str:
+        text = view.last_counterpart_text()
+        return params["opener"] if text is None else text
+
+    return speak
 
 
-def silent(view: SessionView, params: dict) -> str:
+def silent(view: SessionView, params: dict) -> Callable[[], str]:
     """Says nothing and answers no questionnaire; exercises degenerate input."""
-    return ""
+    return lambda: ""
 
 
-SCRIPTED_POLICIES: dict[str, Callable[[SessionView, dict], str]] = {
+SCRIPTED_POLICIES: dict[str, Callable[[SessionView, dict], Callable[[], str]]] = {
     policy.__name__: policy
     for policy in (immediate_acceptor, fixed_concession, stonewaller, mirror, silent)
 }
@@ -373,35 +383,39 @@ class ChatModelClient:
             self.usage["completion_tokens"] += int(usage.get("completion_tokens", 0))
 
 
-def next_message(
-    agent: AgentSpec,
-    view: SessionView,
-    seed: int,
-    client: ChatModelClient | None = None,
-) -> Reply:
-    """Produce the agent's next utterance.
-
-    Scripted backends are pure functions of the view and their parameters;
-    they do not read the seed. Chat-model backends
-    issue exactly one completion request: the system prompt as system
-    content, the agent's own past messages as assistant turns, the
-    counterpart's as user turns.
-    """
+def bind_seat(
+    agent: AgentSpec, view: SessionView, seed: int, client: ChatModelClient | None = None
+) -> Callable[[], Reply]:
+    """The seat's speak function for one session: each call gives the
+    agent's next reply to ``view``'s history as it then stands. A scripted
+    seat does not read the seed, and cuts each distinct text to
+    ``max_reply_tokens`` once. A chat-model seat issues one completion
+    request per call: the system prompt as system content, the agent's own
+    past messages as assistant turns, the counterpart's as user turns."""
     binding = agent.backend
     if binding.kind == "scripted":
-        text = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
-        # a text of n characters holds at most n tokens
-        if len(text) > binding.max_reply_tokens:
-            tokens = text.split()
-            if len(tokens) > binding.max_reply_tokens:
-                return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
-        return Reply(text)
+        @cache
+        def reply(text: str) -> Reply:
+            # a text of n characters holds at most n tokens
+            if len(text) > binding.max_reply_tokens:
+                tokens = text.split()
+                if len(tokens) > binding.max_reply_tokens:
+                    return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
+            return Reply(text)
+
+        speak = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
+        return lambda: reply(speak())
 
     if client is None:
         raise ConfigurationError("chat_model backend requires a ChatModelClient")
-    return client.complete(
-        binding, view.system_text, view.chat_messages(), seed=seed
-    )
+    return lambda: client.complete(binding, view.system_text, view.chat_messages(), seed=seed)
+
+
+def next_message(
+    agent: AgentSpec, view: SessionView, seed: int, client: ChatModelClient | None = None
+) -> Reply:
+    """The agent's next reply to ``view``'s history: the seat bound, then spoken once."""
+    return bind_seat(agent, view, seed, client)()
 
 
 # ---------------------------------------------------------------------------

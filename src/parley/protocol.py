@@ -84,7 +84,9 @@ def terms_to_assignment(spec: ScenarioSpec, terms: Terms) -> Assignment | None:
 def _terms(spec: ScenarioSpec, assignment: Assignment) -> str:
     """The body of an ``[OFFER …]`` or ``[TERMS …]`` block."""
     if spec.kind == "distributive":
-        return f"price={assignment.agreed_price:g}"
+        # every digit: an integer as one, any other price as its repr
+        price = float(assignment.agreed_price)
+        return f"price={int(price) if price.is_integer() else price!r}"
     return "; ".join(
         f"{issue.key}={assignment.chosen[issue.issue_name]}" for issue in spec.issues
     )

@@ -38,12 +38,13 @@ def _latest_counterpart_terms(transcript: Transcript) -> dict[str, str] | None:
     return None
 
 
-def _normalize(key: str, value: str) -> str:
+def _normalize(key: str, value: str) -> str | float:
+    """A price as a number where it reads as one; any other value as upper-case text."""
     value = value.strip().upper()
     if key == "price":
         value = value.replace("$", "").replace(",", "")
         try:
-            return f"{float(value):g}"
+            return float(value)
         except ValueError:
             return value
     return value

@@ -20,7 +20,7 @@ from .agents import (
     ChatModelClient,
     SessionView,
     assemble_system_prompt,
-    next_message,
+    bind_seat,
 )
 from .catalog import ScenarioSpec, read_yaml, typed
 from .errors import ConfigurationError, SchemaError, SessionAbortError
@@ -39,7 +39,7 @@ SVI_FACETS = ("instrumental", "self", "process", "relationship")
 _RATING_LINE_RE = re.compile(r"^\s*(\d+)\s*[:.)\-]\s*(\d+)\s*$", re.MULTILINE)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Utterance:
     index: int
     speaker_agent_id: str
@@ -74,6 +74,21 @@ class Transcript:
     def counterpart_role(self, role_name: str) -> str:
         first, second = self.roles()
         return second if role_name == first else first
+
+    def to_record(self) -> dict:
+        """The record the store writes and ``from_record`` reads: the fields
+        by name, with an utterance's ``truncated`` left out when false, the
+        value ``from_record`` assumes for a missing key."""
+        return {
+            **vars(self),
+            "utterances": [
+                vars(u) if u.truncated
+                else {"index": u.index, "role_name": u.role_name, "text": u.text,
+                      "speaker_agent_id": u.speaker_agent_id}
+                for u in self.utterances
+            ],
+            "svi": {role: None if resp is None else vars(resp) for role, resp in self.svi.items()},
+        }
 
     @classmethod
     def from_record(cls, record: dict) -> "Transcript":
@@ -255,15 +270,16 @@ def run_session(
 
     suffix = moderator_suffix(scenario)
     history: list[tuple[str, str]] = []
-    # each seat's agent and its view, which reads the one history list that
-    # the session appends to
+    # each seat's agent, its view, which reads the one history list that the
+    # session appends to, and its speak function, bound to that view
     seats = {}
     for role_name in role_names:
         agent = agents[role_map[role_name]]
         system_text = assemble_system_prompt(
             agent, scenario.role(role_name), protocol_suffix=suffix
         )
-        seats[role_name] = agent, SessionView(scenario, role_name, system_text, history)
+        view = SessionView(scenario, role_name, system_text, history)
+        seats[role_name] = agent, view, bind_seat(agent, view, seed, client)
     counterpart = dict(zip(role_names, reversed(role_names)))
 
     neg_id = negotiation_id(scenario.scenario_id, role_map, seed)
@@ -273,16 +289,10 @@ def run_session(
     termination = "cap_reached"
 
     while len(utterances) < cap:
-        agent, view = seats[current]
-        reply = next_message(agent, view, seed, client=client)
+        agent, _, speak = seats[current]
+        reply = speak()
         utterances.append(
-            Utterance(
-                index=len(utterances),
-                speaker_agent_id=agent.agent_id,
-                role_name=current,
-                text=reply.text,
-                truncated=reply.truncated,
-            )
+            Utterance(len(utterances), agent.agent_id, current, reply.text, reply.truncated)
         )
         history.append((current, reply.text))
         status = detect_termination(utterances, scenario)
@@ -301,6 +311,6 @@ def run_session(
     )
 
     items = svi_items if svi_items is not None else load_svi_items()
-    for role_name, (agent, view) in seats.items():
+    for role_name, (agent, view, _) in seats.items():
         transcript.svi[role_name] = administer_svi(agent, view, seed, items, client=client)
     return transcript

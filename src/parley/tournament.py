@@ -29,7 +29,7 @@ from pathlib import Path
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
 from .errors import ConfigurationError, ParleyError, SchemaError, SessionAbortError
-from .session import Transcript, Utterance, negotiation_id, run_session
+from .session import Transcript, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -125,9 +125,9 @@ def build_schedule(
 class TranscriptStore:
     """Append-only, line-delimited transcript records, one negotiation per line.
 
-    The store alone decides the line format (a transcript's fields as one
-    compact UTF-8 JSON object with sorted keys, an utterance's ``truncated``
-    left out when false) and the read order (negotiation-id order). Lines
+    The store alone decides the line format (``Transcript.to_record`` as one
+    compact UTF-8 JSON object with sorted keys) and the read order
+    (negotiation-id order). Lines
     written with other separators, with ``\\uXXXX`` escapes, or with
     ``"truncated": false``, read the same, so a store resumed from an older
     version may hold several forms.
@@ -210,13 +210,7 @@ class TranscriptStore:
         return frozenset(self._spans)
 
     def append(self, transcript: Transcript) -> bool:
-        dump = partial(
-            json.dumps,
-            transcript,
-            default=_record_fields,
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        dump = partial(json.dumps, transcript.to_record(), sort_keys=True, separators=(",", ":"))
         try:
             line = dump(ensure_ascii=False).encode() + b"\n"
         except UnicodeEncodeError:
@@ -258,18 +252,6 @@ class TranscriptStore:
                 offset, length = self._spans[neg_id]
                 fh.seek(offset)
                 yield self._transcript(neg_id, json.loads(fh.read(length)))
-
-
-def _record_fields(part) -> dict:
-    """The fields a transcript part stores. ``truncated`` is left out when
-    false, the value ``Transcript.from_record`` assumes for a missing key;
-    ``schema_version`` is always kept, because a missing one would read as
-    whatever version the reader is at."""
-    record = vars(part)
-    if isinstance(part, Utterance) and not part.truncated:
-        record = dict(record)
-        del record["truncated"]
-    return record
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from parley.agents import agent_from_record
 from parley.catalog import load_builtin
@@ -49,6 +50,39 @@ def scripted_agents():
 @pytest.fixture
 def roster():
     return scripted_agents()
+
+
+def write_desk_tournament(directory):
+    """The config and roster of criterion 12's desk tournament, written to
+    ``directory``: five scripted agents over three scenarios; the config's
+    path."""
+    roster = {
+        "agents": [
+            {"agent_id": "acceptor", "backend": {"kind": "scripted", "policy_name": "immediate_acceptor", "policy_params": {"svi_rating": 6}}},
+            {
+                "agent_id": "ladder",
+                "backend": {
+                    "kind": "scripted",
+                    "policy_name": "fixed_concession",
+                    "policy_params": {"ladder": [150, 130, 110], "label_ladder": ["B", "C"], "svi_rating": 5},
+                },
+            },
+            {"agent_id": "wall", "backend": {"kind": "scripted", "policy_name": "stonewaller", "policy_params": {"svi_rating": 2}}},
+            {"agent_id": "echo", "backend": {"kind": "scripted", "policy_name": "mirror"}},
+            {"agent_id": "mute", "backend": {"kind": "scripted", "policy_name": "silent"}},
+        ]
+    }
+    (directory / "roster.yaml").write_text(yaml.safe_dump(roster))
+    config = {
+        "roster": "roster.yaml",
+        "scenarios": ["chair", "rental", "employment"],
+        "output_dir": "out",
+        "base_seed": 7,
+        "concurrency_limit": 4,
+        "style": {"mode": "synthetic", "seed": 11},
+    }
+    (directory / "config.yaml").write_text(yaml.safe_dump(config))
+    return directory / "config.yaml"
 
 
 FIXTURE_TEXTS = [

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from parley.catalog import Assignment, evaluate_assignment, load_builtin
 from parley.features import build_tfidf, extract_features, load_default_lexicons, score_mimicry
@@ -41,7 +40,7 @@ from parley.tournament import (
     run_tournament,
 )
 
-from conftest import make_scripted_agent, scripted_agents
+from conftest import make_scripted_agent, scripted_agents, write_desk_tournament
 
 
 def report(number, description):
@@ -544,36 +543,7 @@ def test_criterion_12_end_to_end_desk_tournament(tmp_path):
     from parley.pipeline import Pipeline, load_config
 
     with timed(300.0):
-        roster = {
-            "agents": [
-                {"agent_id": "acceptor", "backend": {"kind": "scripted", "policy_name": "immediate_acceptor", "policy_params": {"svi_rating": 6}}},
-                {
-                    "agent_id": "ladder",
-                    "backend": {
-                        "kind": "scripted",
-                        "policy_name": "fixed_concession",
-                        "policy_params": {"ladder": [150, 130, 110], "label_ladder": ["B", "C"], "svi_rating": 5},
-                    },
-                },
-                {"agent_id": "wall", "backend": {"kind": "scripted", "policy_name": "stonewaller", "policy_params": {"svi_rating": 2}}},
-                {"agent_id": "echo", "backend": {"kind": "scripted", "policy_name": "mirror"}},
-                {"agent_id": "mute", "backend": {"kind": "scripted", "policy_name": "silent"}},
-            ]
-        }
-        (tmp_path / "roster.yaml").write_text(yaml.safe_dump(roster))
-        (tmp_path / "config.yaml").write_text(
-            yaml.safe_dump(
-                {
-                    "roster": "roster.yaml",
-                    "scenarios": ["chair", "rental", "employment"],
-                    "output_dir": "out",
-                    "base_seed": 7,
-                    "concurrency_limit": 4,
-                    "style": {"mode": "synthetic", "seed": 11},
-                }
-            )
-        )
-        config = load_config(tmp_path / "config.yaml")
+        config = load_config(write_desk_tournament(tmp_path))
         pipeline = Pipeline(config)
         results = pipeline.run_stages(["run", "score", "features", "style", "analyze", "report"])
 

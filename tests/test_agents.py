@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -7,18 +8,27 @@ from parley.agents import (
     BackendBinding,
     CLEAN_SLATE_PREFACE,
     ChatModelClient,
+    Reply,
     SessionView,
     assemble_system_prompt,
+    bind_seat,
     load_roster,
     next_message,
 )
+from parley.catalog import BUILTIN_SCENARIOS, Assignment, load_builtin
 from parley.errors import (
     BackendStatusError,
     ConfigurationError,
     SchemaError,
     SessionAbortError,
 )
-from parley.protocol import moderator_suffix, parse_block
+from parley.protocol import (
+    format_close,
+    format_offer,
+    moderator_suffix,
+    parse_block,
+    terms_to_assignment,
+)
 
 from conftest import make_scripted_agent
 
@@ -184,6 +194,118 @@ def test_scripted_reply_truncated_at_token_cap(chair):
     reply = next_message(agent, view, seed=1)
     assert reply.truncated
     assert reply.text == "one two three"
+
+
+# ---------------------------------------------------------------------------
+# Bound seats against the per-turn policies they replaced. The oracle is the
+# earlier form of each policy: a function of the view and its parameters,
+# called on every turn, whose text the seat cuts to max_reply_tokens then.
+
+
+def oracle_immediate_acceptor(view, params):
+    text = view.last_counterpart_text() or ""
+    for block in ("TERMS", "OFFER"):
+        terms = parse_block(text, block)
+        offer = None if terms is None else terms_to_assignment(view.scenario, terms)
+        if offer is not None:
+            return "That works for me. " + format_close(view.scenario, offer)
+    return "I'm open to your proposal. What terms do you have in mind?"
+
+
+def oracle_fixed_concession(view, params):
+    spec = view.scenario
+    ladder = params["ladder" if spec.kind == "distributive" else "label_ladder"]
+    own_turns = [role for role, _ in view.history].count(view.role_name)
+    rung = ladder[min(own_turns, len(ladder) - 1)]
+    if spec.kind == "distributive":
+        offer = Assignment(agreed_price=rung)
+    else:
+        offer = Assignment(chosen={issue.issue_name: rung for issue in spec.issues})
+    return "Here is my offer. " + format_offer(spec, offer)
+
+
+def oracle_stonewaller(view, params):
+    spec = view.scenario
+    if spec.kind == "integrative":
+        demand = Assignment(chosen={
+            issue.issue_name: max(issue.options, key=lambda opt: opt[2][view.role_name])[0]
+            for issue in spec.issues
+        })
+    elif params["demand_price"] is not None:
+        demand = Assignment(agreed_price=params["demand_price"])
+    elif view.role_name == spec.role_names[0]:
+        demand = Assignment(agreed_price=spec.price_frame.get("original_new_price", 0))
+    else:
+        demand = Assignment(agreed_price=0.0)
+    return "My position has not changed. " + format_offer(spec, demand)
+
+
+def oracle_mirror(view, params):
+    text = view.last_counterpart_text()
+    return params["opener"] if text is None else text
+
+
+ORACLE_POLICIES = {
+    "immediate_acceptor": oracle_immediate_acceptor,
+    "fixed_concession": oracle_fixed_concession,
+    "stonewaller": oracle_stonewaller,
+    "mirror": oracle_mirror,
+    "silent": lambda view, params: "",
+}
+
+
+def oracle_reply(agent, view):
+    binding = agent.backend
+    text = ORACLE_POLICIES[binding.policy_name](view, binding.policy_params)
+    if len(text) > binding.max_reply_tokens:
+        tokens = text.split()
+        if len(tokens) > binding.max_reply_tokens:
+            return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
+    return Reply(text)
+
+
+# every policy at its defaults, and those with parameters at other values;
+# each at the default reply limit and at limits that cut its offers short
+SEAT_AGENTS = [
+    replace(agent, backend=replace(agent.backend, max_reply_tokens=limit))
+    for agent in (
+        make_scripted_agent("immediate_acceptor"),
+        make_scripted_agent("fixed_concession"),
+        make_scripted_agent(
+            "fixed_concession", {"ladder": [1234.125, 999.5, 2500001], "label_ladder": ["E", "A"]}
+        ),
+        make_scripted_agent("stonewaller"),
+        make_scripted_agent("stonewaller", {"demand_price": 2500001}),
+        make_scripted_agent("mirror"),
+        make_scripted_agent("mirror", {"opener": "Shall we begin? It’s €120 — or less."}),
+        make_scripted_agent("silent"),
+    )
+    for limit in (1024, 3, 6)
+]
+TURNS = 8  # past the end of every ladder above
+
+
+@pytest.mark.parametrize("scenario_id", BUILTIN_SCENARIOS)
+def test_bound_seats_reply_as_the_per_turn_policies(scenario_id):
+    """Every seat agent against every seat agent, in both seats: each reply
+    of a seat bound at the start, and of one bound at that turn's history
+    (``next_message``), has the oracle's text and truncated flag."""
+    scenario = load_builtin(scenario_id)
+    for i, first in enumerate(SEAT_AGENTS):
+        for j, second in enumerate(SEAT_AGENTS):
+            history = []
+            seats = []
+            for agent, role_name in zip((first, second), scenario.role_names):
+                view = SessionView(scenario, role_name, "", history)
+                seats.append((agent, view, bind_seat(agent, view, seed=1)))
+            for turn in range(TURNS):
+                agent, view, speak = seats[(turn + i + j) % 2]
+                expected = oracle_reply(agent, view)
+                where = (agent.backend, view.role_name, list(history))
+                assert next_message(agent, view, seed=1) == expected, where
+                reply = speak()
+                assert reply == expected, where
+                history.append((view.role_name, reply.text))
 
 
 # ---------------------------------------------------------------------------

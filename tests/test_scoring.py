@@ -81,6 +81,39 @@ def test_consistent_restated_terms_pass(chair):
     assert terms.agreed_price == 100
 
 
+def restated_chair_transcript(offered, restated):
+    return make_transcript(
+        "chair",
+        {"seller": "s1", "buyer": "b1"},
+        [f"[OFFER price={offered}]", f"[ACCEPT] [TERMS price={restated}]"],
+        roles=["seller", "buyer"],
+        termination="accepted",
+    )
+
+
+@pytest.mark.parametrize(
+    "offered, restated",
+    [
+        # both read 1e+06 to six significant digits
+        ("1000001", "1000000"),
+        ("1234.125", "1234.12"),
+        ("$1,000,000.5", "1000000"),
+    ],
+)
+def test_restated_price_is_compared_as_a_number(chair, offered, restated):
+    with pytest.raises(ExtractionConflictError):
+        extract_agreement(restated_chair_transcript(offered, restated), chair)
+
+
+@pytest.mark.parametrize(
+    "offered, restated",
+    [("1000000", "1e6"), ("$1,234.125", "1234.125"), ("150", "150.0")],
+)
+def test_restated_price_of_the_same_value_passes(chair, offered, restated):
+    terms = extract_agreement(restated_chair_transcript(offered, restated), chair)
+    assert terms.agreed_price == float(restated)
+
+
 # ---------------------------------------------------------------------------
 # Model-assisted extraction (stubbed with recorded replies)
 

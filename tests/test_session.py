@@ -388,6 +388,53 @@ def test_offer_close_format_round_trip(rental):
     assert parsed_offer.chosen == assignment.chosen
 
 
+@pytest.mark.parametrize(
+    "price, written",
+    [
+        # prices that six significant digits already wrote exactly keep their bytes
+        (150, "150"),
+        (130.0, "130"),
+        (0.5, "0.5"),
+        (999.5, "999.5"),
+        # and every other price keeps every digit
+        (1234.125, "1234.125"),
+        (2500001, "2500001"),
+        (1e6, "1000000"),
+        (0.1 + 0.2, "0.30000000000000004"),
+    ],
+)
+def test_offers_and_closes_state_every_digit_of_the_price(chair, price, written):
+    from parley.protocol import parse_block, terms_to_assignment
+
+    assignment = Assignment(agreed_price=price)
+    assert format_offer(chair, assignment) == f"[OFFER price={written}]"
+    closed = format_close(chair, assignment)
+    assert closed == f"[ACCEPT] [TERMS price={written}]"
+    assert terms_to_assignment(chair, parse_block(closed, "TERMS")).agreed_price == price
+
+
+def test_fractional_ladder_rung_is_offered_accepted_and_extracted_exactly(chair):
+    agents = agents_for(
+        make_scripted_agent("fixed_concession", {"ladder": [1234.125, 999.5]}, agent_id="ladder"),
+        make_scripted_agent("immediate_acceptor", agent_id="acceptor"),
+    )
+    transcript = run_session(chair, {"seller": "ladder", "buyer": "acceptor"}, agents, seed=1)
+    assert [u.text for u in transcript.utterances] == [
+        "Here is my offer. [OFFER price=1234.125]",
+        "That works for me. [ACCEPT] [TERMS price=1234.125]",
+    ]
+    assert extract_agreement(transcript, chair).agreed_price == 1234.125
+
+
+def test_demand_price_of_seven_digits_is_stated_whole(chair):
+    agents = agents_for(
+        make_scripted_agent("stonewaller", {"demand_price": 2500001}, agent_id="wall"),
+        make_scripted_agent("silent", agent_id="mute"),
+    )
+    transcript = run_session(chair, {"seller": "wall", "buyer": "mute"}, agents, seed=1)
+    assert transcript.utterances[0].text == "My position has not changed. [OFFER price=2500001]"
+
+
 # ---------------------------------------------------------------------------
 # Chat-model backend through a full session (fake protocol-following model)
 

@@ -12,6 +12,7 @@ from parley.agents import AgentSpec, BackendBinding, ChatModelClient
 from parley.catalog import load_builtin
 from parley.errors import BackendStatusError, ConfigurationError, NotFoundError, SchemaError
 from parley.scoring import RANKING_METRICS, ranking_rows
+from parley.session import Transcript, Utterance
 from parley.tournament import (
     TournamentState,
     TranscriptStore,
@@ -22,7 +23,7 @@ from parley.tournament import (
     write_checkpoint,
 )
 
-from conftest import make_scripted_agent, scripted_agents
+from conftest import make_scripted_agent, scripted_agents, write_desk_tournament
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +572,75 @@ def test_truncated_utterance_keeps_its_key(tmp_path, roster, chair):
     record = json.loads(store.path.read_bytes())
     assert record["utterances"][0]["truncated"] is True
     assert "truncated" not in record["utterances"][1]
+    assert list(TranscriptStore(store.path).load()) == [transcript]
+
+
+def oracle_record_fields(part) -> dict:
+    """The fields of a transcript part as the store's earlier encoder took
+    them, as ``json.dumps``' ``default``: ``truncated`` left out when false."""
+    record = vars(part)
+    if isinstance(part, Utterance) and not part.truncated:
+        record = dict(record)
+        del record["truncated"]
+    return record
+
+
+def oracle_store_line(transcript) -> bytes:
+    dump = partial(
+        json.dumps, transcript, default=oracle_record_fields, sort_keys=True, separators=(",", ":")
+    )
+    try:
+        return dump(ensure_ascii=False).encode() + b"\n"
+    except UnicodeEncodeError:
+        return dump().encode() + b"\n"
+
+
+@pytest.fixture(scope="module")
+def desk_store_lines(tmp_path_factory):
+    """The record lines of criterion 12's store, stamp line left out."""
+    from parley.pipeline import Pipeline, load_config
+
+    pipeline = Pipeline(load_config(write_desk_tournament(tmp_path_factory.mktemp("desk"))))
+    pipeline.run_stages(["run"])
+    lines = pipeline.transcripts_path.read_bytes().splitlines(keepends=True)
+    assert lines[0].startswith(b"#") and len(lines) == 76
+    return lines[1:]
+
+
+def test_record_encoder_writes_the_stored_bytes(tmp_path, desk_store_lines):
+    transcripts = [Transcript.from_record(json.loads(line)) for line in desk_store_lines]
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    for transcript in transcripts:
+        assert store.append(transcript)
+    assert store.path.read_bytes() == b"".join(desk_store_lines)
+    assert [oracle_store_line(t) for t in transcripts] == desk_store_lines
+
+
+def cut_first(transcript):
+    transcript.utterances[0].truncated = True
+
+
+def non_ascii_first(transcript):
+    transcript.utterances[0].text = NON_ASCII
+
+
+def lone_surrogate_first(transcript):
+    transcript.utterances[0].text = "€\ud800"
+
+
+def no_questionnaires(transcript):
+    transcript.svi = dict.fromkeys(transcript.svi)
+
+
+@pytest.mark.parametrize(
+    "edit", [cut_first, non_ascii_first, lone_surrogate_first, no_questionnaires]
+)
+def test_record_encoder_matches_the_earlier_encoder(tmp_path, desk_store_lines, edit):
+    transcript = Transcript.from_record(json.loads(desk_store_lines[0]))
+    edit(transcript)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    store.append(transcript)
+    assert store.path.read_bytes() == oracle_store_line(transcript)
     assert list(TranscriptStore(store.path).load()) == [transcript]
 
 
