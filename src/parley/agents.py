@@ -24,7 +24,13 @@ from .errors import (
     SchemaError,
     SessionAbortError,
 )
-from .protocol import format_close, format_offer, parse_block, terms_to_assignment
+from .protocol import (
+    format_close,
+    format_offer,
+    moderator_suffix,
+    parse_block,
+    terms_to_assignment,
+)
 
 # Prefaced verbatim to every participant prompt; suppresses pretrained
 # negotiation habits so behavior follows the submitted instructions.
@@ -72,7 +78,6 @@ class SessionView:
 
     scenario: ScenarioSpec
     role_name: str
-    system_text: str  # assemble_system_prompt's, for this seat
     # (role_name, text) in order; a session's views share its growing list,
     # which a bound seat reads as it stands at each call
     history: Sequence[tuple[str, str]]
@@ -115,6 +120,18 @@ def assemble_system_prompt(agent: AgentSpec, role, protocol_suffix: str = "") ->
     if protocol_suffix:
         role_text = role_text.rstrip("\n") + "\n\n" + protocol_suffix
     return "\n\n".join((CLEAN_SLATE_PREFACE, role_text, agent.prompt_text))
+
+
+def questionnaire_text(items: list[dict]) -> str:
+    lines = [
+        "The negotiation has ended. Please answer this questionnaire about your",
+        "experience. Rate every item on a scale from 1 (not at all) to 7 (very",
+        "much). Reply with one line per item, in exactly the form 'N: R' where N",
+        "is the item number and R is your rating.",
+        "",
+    ]
+    lines += [f"{it['id']}. {it['text']}" for it in items]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +400,26 @@ class ChatModelClient:
             self.usage["completion_tokens"] += int(usage.get("completion_tokens", 0))
 
 
+@dataclass(frozen=True)
+class Seat:
+    """What an agent does in one session: ``speak()`` gives its next reply to
+    the view's history as it then stands; ``answer(items)`` its reply text
+    to the questionnaire once the talk has ended."""
+
+    speak: Callable[[], Reply]
+    answer: Callable[[list[dict]], str]
+
+
 def bind_seat(
     agent: AgentSpec, view: SessionView, seed: int, client: ChatModelClient | None = None
-) -> Callable[[], Reply]:
-    """The seat's speak function for one session: each call gives the
-    agent's next reply to ``view``'s history as it then stands. A scripted
-    seat does not read the seed, and cuts each distinct text to
-    ``max_reply_tokens`` once. A chat-model seat issues one completion
-    request per call: the system prompt as system content, the agent's own
-    past messages as assistant turns, the counterpart's as user turns."""
+) -> Seat:
+    """The agent bound to its seat for one session. A scripted seat does not
+    read the seed, cuts each distinct text to ``max_reply_tokens`` once, and
+    rates every questionnaire item, under the item's id, its ``svi_rating``
+    (a silent one answers nothing). A chat-model seat issues one completion
+    request per call: its system prompt (preface, role briefing with the
+    protocol, prompt) as system content, its own past messages as assistant
+    turns, the counterpart's as user turns, and the questionnaire last."""
     binding = agent.backend
     if binding.kind == "scripted":
         @cache
@@ -403,19 +431,26 @@ def bind_seat(
                     return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
             return Reply(text)
 
+        def answer(items: list[dict]) -> str:
+            if binding.policy_name == "silent":
+                return ""
+            rating = binding.policy_params["svi_rating"]
+            return "\n".join(f"{item['id']}: {rating}" for item in items)
+
         speak = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
-        return lambda: reply(speak())
+        return Seat(lambda: reply(speak()), answer)
 
     if client is None:
         raise ConfigurationError("chat_model backend requires a ChatModelClient")
-    return lambda: client.complete(binding, view.system_text, view.chat_messages(), seed=seed)
+    scenario = view.scenario
+    system_text = assemble_system_prompt(
+        agent, scenario.role(view.role_name), protocol_suffix=moderator_suffix(scenario)
+    )
 
+    def ask(*question: dict) -> Reply:
+        return client.complete(binding, system_text, [*view.chat_messages(), *question], seed=seed)
 
-def next_message(
-    agent: AgentSpec, view: SessionView, seed: int, client: ChatModelClient | None = None
-) -> Reply:
-    """The agent's next reply to ``view``'s history: the seat bound, then spoken once."""
-    return bind_seat(agent, view, seed, client)()
+    return Seat(ask, lambda items: ask({"role": "user", "content": questionnaire_text(items)}).text)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +499,7 @@ def agent_from_record(path, record: dict, backend_defaults: dict | None = None) 
     chat model's unset backend keys."""
     if "agent_id" not in record:
         raise SchemaError(f"{path}: agent record missing field 'agent_id'")
-    agent_id = str(record["agent_id"])
+    agent_id = typed(path, "agent_id", record["agent_id"], str)
     typed_mapping(path, f"agent {agent_id!r}", record, RECORD_KEYS)
     key = f"agent {agent_id!r} backend"
     backend_raw = typed_mapping(path, key, record.get("backend", {}), BACKEND_KEYS)
@@ -495,8 +530,8 @@ def agent_from_record(path, record: dict, backend_defaults: dict | None = None) 
         ))
     spec = AgentSpec(
         agent_id=agent_id,
-        nickname=str(record.get("nickname", agent_id)),
-        prompt_text=str(record.get("prompt", "")),
+        nickname=typed(path, f"agent {agent_id!r} nickname", record.get("nickname", agent_id), str),
+        prompt_text=typed(path, f"agent {agent_id!r} prompt", record.get("prompt", ""), str),
         backend=binding,
     )
     if chat and not spec.prompt_text.strip():

@@ -8,6 +8,7 @@ different number of points to each role; an agreement must cover every issue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -139,7 +140,7 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
             raise SchemaError(f"{source}: missing field {key!r}")
         return raw[key]
 
-    scenario_id = require("scenario_id")
+    scenario_id = typed(source, "scenario_id", require("scenario_id"), str)
     kind = typed(source, "kind", require("kind"), str, choices=("distributive", "integrative"))
 
     raw_roles = require("roles")
@@ -156,12 +157,13 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
     for i, raw_role in enumerate(raw_roles):
         if "role_name" not in typed_mapping(source, f"roles[{i}]", raw_role, ROLE_KEYS):
             raise SchemaError(f"{source}: role missing field 'role_name'")
+        role_name = typed(source, f"roles[{i}].role_name", raw_role["role_name"], str)
         instructions = raw_role.get("confidential_instructions", "")
         roles.append(
             RoleSpec(
-                role_name=raw_role["role_name"],
+                role_name=role_name,
                 confidential_instructions=typed(
-                    source, f"role {raw_role['role_name']!r} confidential_instructions", instructions, str
+                    source, f"role {role_name!r} confidential_instructions", instructions, str
                 ),
                 batna_price=number(raw_role, "batna_price"),
                 impasse_points=number(raw_role, "impasse_points"),
@@ -179,11 +181,12 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
             for key in OPTION_KEYS:
                 if key not in opt:
                     raise SchemaError(f"{source}: issue {name!r} option missing field {key!r}")
-            where = f"issue {name!r} option {opt['label']!r} points"
+            label = typed(source, f"issue {name!r} option label", opt["label"], str)
+            where = f"issue {name!r} option {label!r} points"
             points = typed(source, where, opt["points"], dict)
             for role_name, value in points.items():
                 typed(source, f"{where}.{role_name}", value, int)
-            options.append((opt["label"], str(opt["term"]), dict(points)))
+            options.append((label, str(opt["term"]), dict(points)))
         issues.append(IssueSchedule(name, tuple(options)))
 
     price_frame = dict(typed(source, "price_frame", raw.get("price_frame", {}), dict))
@@ -364,8 +367,8 @@ def evaluate_assignment(
         if assignment.agreed_price is None:
             raise EvaluationError("distributive assignment missing agreed_price")
         price = float(assignment.agreed_price)
-        if price < 0:
-            raise EvaluationError(f"agreed_price must be non-negative, got {price}")
+        if not 0 <= price < math.inf:
+            raise EvaluationError(f"agreed_price must be finite and non-negative, got {price}")
         seller, buyer = spec.roles
         values = {
             seller.role_name: price - float(seller.batna_price),

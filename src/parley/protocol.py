@@ -9,12 +9,13 @@ so that session termination and outcome extraction are deterministic:
     [WALKAWAY]
 
 An acceptance closes the negotiation only when its [TERMS ...] block is
-complete: a non-negative price for distributive scenarios, or a valid option
-label for every issue in integrative ones.
+complete: a finite, non-negative price for distributive scenarios, or a valid
+option label for every issue in integrative ones.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -38,12 +39,17 @@ class Terms:
 
     def price(self) -> float | None:
         raw = self.pairs.get("price")
-        if raw is None:
-            return None
-        try:
-            return float(raw.replace("$", "").replace(",", ""))
-        except ValueError:
-            return None
+        return None if raw is None else read_price(raw)
+
+
+def read_price(raw: str) -> float | None:
+    """A stated price as a number, ``$`` and ``,`` ignored; None unless it
+    reads as a finite one."""
+    try:
+        price = float(raw.replace("$", "").replace(",", ""))
+    except ValueError:
+        return None
+    return price if math.isfinite(price) else None
 
 
 def parse_block(text: str, block: str) -> Terms | None:

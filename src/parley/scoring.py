@@ -18,7 +18,7 @@ from random import Random
 from .agents import BackendBinding, ChatModelClient
 from .catalog import Assignment, ScenarioSpec, evaluate_assignment
 from .errors import EvaluationError, ExtractionConflictError, NotFoundError, ParleyError, ScoringError
-from .protocol import Terms, extraction_schema, parse_block, terms_to_assignment
+from .protocol import Terms, extraction_schema, parse_block, read_price, terms_to_assignment
 from .session import Transcript
 from .tournament import stable_seed
 
@@ -40,14 +40,8 @@ def _latest_counterpart_terms(transcript: Transcript) -> dict[str, str] | None:
 
 def _normalize(key: str, value: str) -> str | float:
     """A price as a number where it reads as one; any other value as upper-case text."""
-    value = value.strip().upper()
-    if key == "price":
-        value = value.replace("$", "").replace(",", "")
-        try:
-            return float(value)
-        except ValueError:
-            return value
-    return value
+    price = read_price(value) if key == "price" else None
+    return value.strip().upper() if price is None else price
 
 
 def extract_agreement(transcript: Transcript, scenario: ScenarioSpec) -> Assignment:
@@ -128,7 +122,8 @@ def dyad_id(agent_a: str, agent_b: str, scenario_id: str) -> str:
 def observation_keys(transcript: Transcript, role_name: str) -> dict:
     """The key and cluster columns of one seat's row."""
     agent_id = transcript.role_map[role_name]
-    counterpart_id = transcript.role_map[transcript.counterpart_role(role_name)]
+    (counterpart_role,) = transcript.role_map.keys() - {role_name}
+    counterpart_id = transcript.role_map[counterpart_role]
     keys = (
         transcript.negotiation_id,
         transcript.scenario_id,

@@ -15,22 +15,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .agents import (
-    AgentSpec,
-    ChatModelClient,
-    SessionView,
-    assemble_system_prompt,
-    bind_seat,
-)
-from .catalog import ScenarioSpec, read_yaml, typed
+from .agents import AgentSpec, ChatModelClient, SessionView, bind_seat
+from .catalog import ScenarioSpec, read_yaml, typed, typed_mapping
 from .errors import ConfigurationError, SchemaError, SessionAbortError
-from .protocol import (
-    ACCEPT_MARKER,
-    WALKAWAY_MARKER,
-    moderator_suffix,
-    parse_block,
-    terms_to_assignment,
-)
+from .protocol import ACCEPT_MARKER, WALKAWAY_MARKER, parse_block, terms_to_assignment
 
 TRANSCRIPT_SCHEMA_VERSION = 1
 
@@ -66,14 +54,6 @@ class Transcript:
     # keyed by role seat so self-play records both questionnaires
     svi: dict[str, SviResponse | None] = field(default_factory=dict)
     schema_version: int = TRANSCRIPT_SCHEMA_VERSION
-
-    def roles(self) -> tuple[str, str]:
-        first, second = self.role_map.keys()
-        return first, second
-
-    def counterpart_role(self, role_name: str) -> str:
-        first, second = self.roles()
-        return second if role_name == first else first
 
     def to_record(self) -> dict:
         """The record the store writes and ``from_record`` reads: the fields
@@ -160,10 +140,10 @@ def load_svi_items(path=None) -> list[dict]:
     a ``facet`` of ``SVI_FACETS``, every facet covered. A file that breaks
     this raises SchemaError naming it and the key."""
     source = Path(path) if path is not None else resources.files("parley.data") / "svi_items.yaml"
-    raw = typed(source, "top level", read_yaml(source), dict)
+    raw = typed_mapping(source, "top level", read_yaml(source), ("items", "schema_version"))
     items = typed(source, "items", raw.get("items"), list)
     for i, item in enumerate(items):
-        typed(source, f"items[{i}]", item, dict)
+        typed_mapping(source, f"items[{i}]", item, ("id", "text", "facet"))
         typed(source, f"items[{i}].id", item.get("id"), int, bounds=(0, None))
         typed(source, f"items[{i}].text", item.get("text"), str)
         typed(source, f"items[{i}].facet", item.get("facet"), str, choices=SVI_FACETS)
@@ -172,18 +152,6 @@ def load_svi_items(path=None) -> list[dict]:
     if len({item["id"] for item in items}) != len(items):
         raise SchemaError(f"{source}: items must have distinct ids")
     return items
-
-
-def questionnaire_text(items: list[dict]) -> str:
-    lines = [
-        "The negotiation has ended. Please answer this questionnaire about your",
-        "experience. Rate every item on a scale from 1 (not at all) to 7 (very",
-        "much). Reply with one line per item, in exactly the form 'N: R' where N",
-        "is the item number and R is your rating.",
-        "",
-    ]
-    lines += [f"{it['id']}. {it['text']}" for it in items]
-    return "\n".join(lines)
 
 
 def parse_svi_response(text: str, items: list[dict]) -> SviResponse | None:
@@ -208,34 +176,6 @@ def parse_svi_response(text: str, items: list[dict]) -> SviResponse | None:
     facets = {facet: sum(vals) / len(vals) for facet, vals in by_facet.items()}
     composite = sum(r for _, r in parsed) / len(parsed)
     return SviResponse(items=tuple(parsed), facets=facets, composite=composite)
-
-
-def administer_svi(
-    agent: AgentSpec,
-    view: SessionView,
-    seed: int,
-    items: list[dict],
-    client: ChatModelClient | None = None,
-) -> SviResponse | None:
-    """Ask one agent to fill in the questionnaire; None when unparseable. A
-    scripted agent rates every item, under the item's id, its ``svi_rating``;
-    a silent one answers nothing."""
-    binding = agent.backend
-    if binding.kind == "scripted":
-        if binding.policy_name == "silent":
-            return None
-        rating = binding.policy_params["svi_rating"]
-        reply_text = "\n".join(f"{item['id']}: {rating}" for item in items)
-    else:
-        if client is None:
-            raise ConfigurationError("chat_model backend requires a ChatModelClient")
-        messages = view.chat_messages()
-        messages.append({"role": "user", "content": questionnaire_text(items)})
-        try:
-            reply_text = client.complete(binding, view.system_text, messages, seed=seed).text
-        except SessionAbortError:
-            return None
-    return parse_svi_response(reply_text, items)
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +208,14 @@ def run_session(
     if first_mover not in role_names:
         raise ConfigurationError(f"first_mover {first_mover!r} is not a role")
 
-    suffix = moderator_suffix(scenario)
     history: list[tuple[str, str]] = []
-    # each seat's agent, its view, which reads the one history list that the
-    # session appends to, and its speak function, bound to that view
+    # each seat's agent and the seat bound to its view, which reads the one
+    # history list that the session appends to
     seats = {}
     for role_name in role_names:
         agent = agents[role_map[role_name]]
-        system_text = assemble_system_prompt(
-            agent, scenario.role(role_name), protocol_suffix=suffix
-        )
-        view = SessionView(scenario, role_name, system_text, history)
-        seats[role_name] = agent, view, bind_seat(agent, view, seed, client)
+        view = SessionView(scenario, role_name, history)
+        seats[role_name] = agent, bind_seat(agent, view, seed, client)
     counterpart = dict(zip(role_names, reversed(role_names)))
 
     neg_id = negotiation_id(scenario.scenario_id, role_map, seed)
@@ -289,8 +225,8 @@ def run_session(
     termination = "cap_reached"
 
     while len(utterances) < cap:
-        agent, _, speak = seats[current]
-        reply = speak()
+        agent, seat = seats[current]
+        reply = seat.speak()
         utterances.append(
             Utterance(len(utterances), agent.agent_id, current, reply.text, reply.truncated)
         )
@@ -311,6 +247,10 @@ def run_session(
     )
 
     items = svi_items if svi_items is not None else load_svi_items()
-    for role_name, (agent, view, _) in seats.items():
-        transcript.svi[role_name] = administer_svi(agent, view, seed, items, client=client)
+    for role_name, (_, seat) in seats.items():
+        try:
+            answer = seat.answer(items)
+        except SessionAbortError:
+            answer = ""  # parses as a missing questionnaire
+        transcript.svi[role_name] = parse_svi_response(answer, items)
     return transcript

@@ -13,7 +13,6 @@ from parley.agents import (
     assemble_system_prompt,
     bind_seat,
     load_roster,
-    next_message,
 )
 from parley.catalog import BUILTIN_SCENARIOS, Assignment, load_builtin
 from parley.errors import (
@@ -93,17 +92,13 @@ def test_assembly_produced_for_scripted_agent(chair):
 
 
 def view_for(scenario, role_name, history=()):
-    agent = make_scripted_agent("stonewaller")
-    system_text = assemble_system_prompt(agent, scenario.role(role_name))
-    return SessionView(
-        scenario=scenario, role_name=role_name, system_text=system_text, history=tuple(history)
-    )
+    return SessionView(scenario=scenario, role_name=role_name, history=tuple(history))
 
 
 def test_immediate_acceptor_accepts_offer(chair):
     agent = make_scripted_agent("immediate_acceptor")
     view = view_for(chair, "buyer", [("seller", "Deal? [OFFER price=100]")])
-    reply = next_message(agent, view, seed=1)
+    reply = bind_seat(agent, view, seed=1).speak()
     assert "[ACCEPT]" in reply.text
     terms = parse_block(reply.text, "TERMS")
     assert terms.price() == 100
@@ -113,7 +108,7 @@ def test_fixed_concession_ladder_step2(chair):
     agent = make_scripted_agent("fixed_concession", {"ladder": [150, 130, 110]})
     history = [("seller", "Here is my offer. [OFFER price=150]"), ("buyer", "No.")]
     view = view_for(chair, "seller", history)
-    reply = next_message(agent, view, seed=1)
+    reply = bind_seat(agent, view, seed=1).speak()
     assert parse_block(reply.text, "OFFER").price() == 130
 
 
@@ -126,18 +121,18 @@ def test_fixed_concession_holds_at_last_rung(chair):
         ("buyer", "Still no."),
     ]
     view = view_for(chair, "seller", history)
-    reply = next_message(agent, view, seed=1)
+    reply = bind_seat(agent, view, seed=1).speak()
     assert parse_block(reply.text, "OFFER").price() == 130
 
 
 def test_stonewaller_restates_demand(chair):
     agent = make_scripted_agent("stonewaller", {"demand_price": 199})
-    first = next_message(agent, view_for(chair, "seller"), seed=1)
-    later = next_message(
+    first = bind_seat(agent, view_for(chair, "seller"), seed=1).speak()
+    later = bind_seat(
         agent,
         view_for(chair, "seller", [("seller", first.text), ("buyer", "Come on.")]),
         seed=1,
-    )
+    ).speak()
     assert parse_block(first.text, "OFFER").price() == 199
     assert parse_block(later.text, "OFFER").price() == 199
 
@@ -145,19 +140,19 @@ def test_stonewaller_restates_demand(chair):
 def test_mirror_echoes_counterpart(chair):
     agent = make_scripted_agent("mirror")
     view = view_for(chair, "buyer", [("seller", "A very specific sentence.")])
-    assert next_message(agent, view, seed=1).text == "A very specific sentence."
+    assert bind_seat(agent, view, seed=1).speak().text == "A very specific sentence."
 
 
 def test_silent_agent_is_empty(chair):
     agent = make_scripted_agent("silent")
-    assert next_message(agent, view_for(chair, "buyer"), seed=1).text == ""
+    assert bind_seat(agent, view_for(chair, "buyer"), seed=1).speak().text == ""
 
 
 def test_scripted_referential_transparency(rental):
     agent = make_scripted_agent("fixed_concession", {"label_ladder": ["A", "B"]})
     view = view_for(rental, "landlord", [("landlord", "x"), ("tenant", "y")])
     assert (
-        next_message(agent, view, seed=5).text == next_message(agent, view, seed=5).text
+        bind_seat(agent, view, seed=5).speak().text == bind_seat(agent, view, seed=5).speak().text
     )
 
 
@@ -191,7 +186,7 @@ def test_scripted_reply_truncated_at_token_cap(chair):
         ),
     )
     view = view_for(chair, "buyer", [("seller", "one two three four five")])
-    reply = next_message(agent, view, seed=1)
+    reply = bind_seat(agent, view, seed=1).speak()
     assert reply.truncated
     assert reply.text == "one two three"
 
@@ -288,22 +283,22 @@ TURNS = 8  # past the end of every ladder above
 @pytest.mark.parametrize("scenario_id", BUILTIN_SCENARIOS)
 def test_bound_seats_reply_as_the_per_turn_policies(scenario_id):
     """Every seat agent against every seat agent, in both seats: each reply
-    of a seat bound at the start, and of one bound at that turn's history
-    (``next_message``), has the oracle's text and truncated flag."""
+    of a seat bound at the start, and of one bound at that turn's history,
+    has the oracle's text and truncated flag."""
     scenario = load_builtin(scenario_id)
     for i, first in enumerate(SEAT_AGENTS):
         for j, second in enumerate(SEAT_AGENTS):
             history = []
             seats = []
             for agent, role_name in zip((first, second), scenario.role_names):
-                view = SessionView(scenario, role_name, "", history)
+                view = SessionView(scenario, role_name, history)
                 seats.append((agent, view, bind_seat(agent, view, seed=1)))
             for turn in range(TURNS):
-                agent, view, speak = seats[(turn + i + j) % 2]
+                agent, view, seat = seats[(turn + i + j) % 2]
                 expected = oracle_reply(agent, view)
                 where = (agent.backend, view.role_name, list(history))
-                assert next_message(agent, view, seed=1) == expected, where
-                reply = speak()
+                assert bind_seat(agent, view, seed=1).speak() == expected, where
+                reply = seat.speak()
                 assert reply == expected, where
                 history.append((view.role_name, reply.text))
 
@@ -357,14 +352,12 @@ def test_chat_call_shape_and_role_mapping(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
     view = SessionView(
         scenario=chair,
         role_name="seller",
-        system_text=system_text,
         history=(("seller", "my opener"), ("buyer", "their reply")),
     )
-    next_message(agent, view, seed=9, client=client)
+    bind_seat(agent, view, seed=9, client=client).speak()
     assert len(captured) == 1  # exactly one completion request
     payload = captured[0]
     assert payload["temperature"] == pytest.approx(0.20)
@@ -372,7 +365,9 @@ def test_chat_call_shape_and_role_mapping(chair):
     assert payload["seed"] == 9
     roles = [m["role"] for m in payload["messages"]]
     assert roles == ["system", "assistant", "user"]
-    assert payload["messages"][0]["content"] == system_text
+    assert payload["messages"][0]["content"] == assemble_system_prompt(
+        agent, chair.role("seller"), moderator_suffix(chair)
+    )
 
 
 def test_counterpart_confidential_instructions_never_sent(chair):
@@ -384,9 +379,8 @@ def test_counterpart_confidential_instructions_never_sent(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
-    next_message(agent, view, seed=1, client=client)
+    view = SessionView(scenario=chair, role_name="seller", history=())
+    bind_seat(agent, view, seed=1, client=client).speak()
     buyer_secret = "you will buy a used chair from the furniture store for $120"
     assert captured
     for raw in captured:
@@ -404,9 +398,8 @@ def test_retry_then_success(chair):
 
     client = ChatModelClient(transport=flaky, max_retries=3, backoff_base=0.001)
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
-    reply = next_message(agent, view, seed=1, client=client)
+    view = SessionView(scenario=chair, role_name="seller", history=())
+    reply = bind_seat(agent, view, seed=1, client=client).speak()
     assert reply.text == "finally"
     assert calls["n"] == 3
     assert client.usage["retries"] == 2
@@ -418,10 +411,9 @@ def test_abort_after_retry_budget(chair):
 
     client = ChatModelClient(transport=dead, max_retries=2, backoff_base=0.001)
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
+    view = SessionView(scenario=chair, role_name="seller", history=())
     with pytest.raises(SessionAbortError, match="no route to host"):
-        next_message(agent, view, seed=1, client=client)
+        bind_seat(agent, view, seed=1, client=client).speak()
 
 
 def scripted_replies(*outcomes):
@@ -440,9 +432,8 @@ def scripted_replies(*outcomes):
 
 def ask(client, chair):
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
-    return next_message(agent, view, seed=1, client=client)
+    view = SessionView(scenario=chair, role_name="seller", history=())
+    return bind_seat(agent, view, seed=1, client=client).speak()
 
 
 @pytest.fixture
@@ -526,9 +517,8 @@ def test_truncation_flag_from_finish_reason(chair):
 
     client = ChatModelClient(transport=transport)
     agent = chat_agent()
-    system_text = assemble_system_prompt(agent, chair.role("seller"))
-    view = SessionView(scenario=chair, role_name="seller", system_text=system_text, history=())
-    assert next_message(agent, view, seed=1, client=client).truncated
+    view = SessionView(scenario=chair, role_name="seller", history=())
+    assert bind_seat(agent, view, seed=1, client=client).speak().truncated
 
 
 def test_cache_off_by_default(chair):

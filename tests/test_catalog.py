@@ -189,6 +189,12 @@ def test_negative_price_rejected(chair):
         evaluate_assignment(chair, Assignment(agreed_price=-5))
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf")])
+def test_non_finite_price_rejected(chair, price):
+    with pytest.raises(EvaluationError, match=f"finite and non-negative, got {price}"):
+        evaluate_assignment(chair, Assignment(agreed_price=price))
+
+
 def test_out_of_zopa_price_legal(chair):
     values, _ = evaluate_assignment(chair, Assignment(agreed_price=150))
     assert values["buyer"] == -30  # bad deals are legal, just costly
@@ -293,10 +299,17 @@ def rent_option_a(raw):
          "issue 'Rent Amount' option 'A': no points for role 'tenant'"),
         ("chair", lambda raw: raw["price_frame"].update(original_new_price=-5),
          "price_frame.original_new_price must be"),
+        # names must be strings: a later stage reads each back as text
+        ("chair", lambda raw: raw.update(scenario_id=5), "scenario_id must be a string, got 5"),
+        ("chair", lambda raw: raw["roles"][1].update(role_name=7),
+         "roles[1].role_name must be a string, got 7"),
+        ("rental", lambda raw: raw["issues"][0]["options"][0].update(label=1),
+         "issue 'Rent Amount' option label must be a string, got 1"),
     ],
     ids=[
         "max_exchanges", "batna_price", "impasse_points", "confidential_instructions",
         "points-string", "points-fraction", "points-missing", "original_new_price",
+        "scenario_id", "role_name", "option-label",
     ],
 )
 def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, message):

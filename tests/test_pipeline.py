@@ -229,6 +229,11 @@ def scripted_backend(**extra):
          "agent 'a' backend key"),
         ([{"agent_id": "a", "backend": scripted_backend(api_key="k")}], "agent 'a' backend key"),
         ([{"agent_id": "a", "promt": "p", "backend": scripted_backend()}], "agent 'a' key"),
+        # names and prompts are strings as written, not converted with str()
+        ([{"agent_id": 7, "backend": scripted_backend()}], "agent_id"),
+        ([{"agent_id": "a", "nickname": 7, "backend": scripted_backend()}], "agent 'a' nickname"),
+        ([{"agent_id": "a", "prompt": ["be", "warm"], "backend": scripted_backend()}],
+         "agent 'a' prompt"),
     ],
     ids=[
         "temperature", "backend", "agents", "agent-record", "max_reply_tokens",
@@ -237,7 +242,7 @@ def scripted_backend(**extra):
         "scripted-with-model_name", "svi_rating-range", "svi_rating-string", "ladder-empty",
         "ladder-string", "demand_price-negative", "opener-number", "policy_params-unknown-key",
         "backend-unknown-key", "backend-unknown-key-max_reply_token", "backend-api_key",
-        "record-unknown-key",
+        "record-unknown-key", "agent_id-number", "nickname-number", "prompt-list",
     ],
 )
 def test_mistyped_roster_value_exits_2_naming_file_and_key(tmp_path, agents, key):

@@ -114,6 +114,12 @@ def test_restated_price_of_the_same_value_passes(chair, offered, restated):
     assert terms.agreed_price == float(restated)
 
 
+@pytest.mark.parametrize("price", ["inf", "nan"])
+def test_non_finite_restated_price_is_an_impasse(chair, price):
+    # a transcript marked accepted elsewhere still scores no deal at a non-finite price
+    assert extract_agreement(restated_chair_transcript(price, price), chair).impasse
+
+
 # ---------------------------------------------------------------------------
 # Model-assisted extraction (stubbed with recorded replies)
 

@@ -47,6 +47,15 @@ def test_accept_all_issues_closes(rental):
     assert detect_termination(utterances, rental) == "accepted"
 
 
+@pytest.mark.parametrize("price", ["inf", "Infinity", "nan", "1e999"])
+def test_non_finite_price_closes_no_deal(chair, price):
+    utterances = [
+        utt(0, "seller", f"[OFFER price={price}]"),
+        utt(1, "buyer", f"Fine. [ACCEPT] [TERMS price={price}]"),
+    ]
+    assert detect_termination(utterances, chair) == "continue"
+
+
 def test_walkaway_marker(chair):
     utterances = [utt(0, "seller", "I am walking away. [WALKAWAY]")]
     assert detect_termination(utterances, chair) == "walkaway"
@@ -267,6 +276,19 @@ def test_questionnaire_file_is_checked_when_read(tmp_path):
     path.write_text(yaml.safe_dump({"items": shared}))
     with pytest.raises(SchemaError, match=f"^{path}: items must have distinct ids$"):
         load_svi_items(path)
+    # a key the reader does not read is refused, not ignored
+    path.write_text(yaml.safe_dump({"items": items, "scale": [1, 5]}))
+    with pytest.raises(
+        SchemaError, match=f"^{path}: top level key must be one of items, schema_version, got 'scale'$"
+    ):
+        load_svi_items(path)
+    weighted = [dict(item) for item in items]
+    weighted[2]["weight"] = 2
+    path.write_text(yaml.safe_dump({"items": weighted}))
+    with pytest.raises(
+        SchemaError, match=rf"^{path}: items\[2\] key must be one of id, text, facet, got 'weight'$"
+    ):
+        load_svi_items(path)
 
 
 def test_svi_all_sevens():
@@ -480,3 +502,78 @@ def test_chat_backed_session_end_to_end(chair):
     assert terms.agreed_price == 110
     # 2 turns + 2 questionnaires
     assert client.usage["requests"] == 4
+
+
+def recorded_chat_requests(scenario, role_map, agents, seed, first_mover=None):
+    """Every request payload a session sends, in order, through a fake model
+    that offers for two turns a seat, then closes: an acceptance of its own
+    price in a distributive scenario, a walkaway in an integrative one."""
+    from parley.agents import ChatModelClient
+
+    payloads = []
+
+    def fake_model(endpoint, payload, api_key, timeout):
+        payloads.append({"endpoint": endpoint, **payload})
+        messages = payload["messages"]
+        if messages[-1]["content"].startswith("The negotiation has ended."):
+            text = "\n".join(f"{i}: {(i + len(messages)) % 7 + 1}" for i in range(1, 17))
+        elif len(messages) < 5:
+            text = f"{payload['model']} offers. [OFFER price={100 + len(messages)}]"
+        elif scenario.kind == "distributive":
+            text = f"Agreed. [ACCEPT] [TERMS price={100 + len(messages)}]"
+        else:
+            text = "No deal today. [WALKAWAY]"
+        return {"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}
+
+    transcript = run_session(
+        scenario, role_map, agents, seed=seed, client=ChatModelClient(transport=fake_model),
+        first_mover=first_mover,
+    )
+    return transcript, payloads
+
+
+def test_chat_requests_keep_their_bytes(chair, rental):
+    """The system text, history, seed and questionnaire message of every
+    request of a chat-vs-chat and a chat-vs-scripted session, pinned by
+    digest."""
+    import hashlib
+    import json
+
+    from parley.agents import AgentSpec, BackendBinding
+
+    def chat(agent_id, model, temperature):
+        binding = BackendBinding(
+            kind="chat_model", model_name=model, temperature=temperature,
+            max_reply_tokens=300, endpoint=f"https://example.invalid/{model}",
+        )
+        return AgentSpec(agent_id, agent_id, f"Prompt of {agent_id}: be firm, be fair.", binding)
+
+    sessions = [
+        recorded_chat_requests(
+            chair, {"seller": "cs", "buyer": "cb"},
+            agents_for(chat("cs", "model-a", 0.2), chat("cb", "model-b", 0.7)), seed=11,
+        ),
+        recorded_chat_requests(
+            rental, {"landlord": "lad", "tenant": "ct"},
+            agents_for(
+                make_scripted_agent("fixed_concession", {"label_ladder": ["B", "C"]}, agent_id="lad"),
+                chat("ct", "model-c", 1.0),
+            ),
+            seed=12, first_mover="tenant",
+        ),
+    ]
+    (chat_chat, chat_chat_payloads), (chat_scripted, chat_scripted_payloads) = sessions
+    assert chat_chat.termination == "accepted"
+    assert chat_scripted.termination == "walkaway"
+    # every turn is one request, and each chat seat answers the questionnaire once
+    assert len(chat_chat_payloads) == len(chat_chat.utterances) + 2
+    assert len(chat_scripted_payloads) == 3 + 1
+    assert None not in chat_chat.svi.values() and None not in chat_scripted.svi.values()
+    digests = [
+        hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+        for _, payloads in sessions
+    ]
+    assert digests == [
+        "c6fc56e9b9cbbe1dab74d052ad2ec332d4d3752d59b52236a4f473d6d987d6af",
+        "2db972452454a77ef8ac26dd77f53a1cd8212f42011440090adddce2cb48aabb",
+    ]
