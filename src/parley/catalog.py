@@ -186,7 +186,8 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
             points = typed(source, where, opt["points"], dict)
             for role_name, value in points.items():
                 typed(source, f"{where}.{role_name}", value, int)
-            options.append((label, str(opt["term"]), dict(points)))
+            term = typed(source, f"issue {name!r} option {label!r} term", opt["term"], str)
+            options.append((label, term, dict(points)))
         issues.append(IssueSchedule(name, tuple(options)))
 
     price_frame = dict(typed(source, "price_frame", raw.get("price_frame", {}), dict))
@@ -321,11 +322,16 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
     if spec.kind == "integrative" and not spec.issues:
         report.append("integrative scenario must define at least one issue")
 
-    seen_issues = set()
+    # a close names each issue by its marker key, so two issues must not share one
+    first_named: dict[str, str] = {}
     for issue in spec.issues:
-        if issue.issue_name in seen_issues:
-            report.append(f"duplicate issue {issue.issue_name!r}")
-        seen_issues.add(issue.issue_name)
+        if issue.key in first_named:
+            report.append(
+                f"issues {first_named[issue.key]!r} and {issue.issue_name!r} "
+                f"share the marker key {issue.key!r}"
+            )
+        else:
+            first_named[issue.key] = issue.issue_name
         if len(issue.options) != 5:
             report.append(
                 f"issue {issue.issue_name!r}: options!=5 (got {len(issue.options)})"

@@ -5,14 +5,17 @@ per exercise, so each agent occupies both role seats against every opponent.
 Execution plays sessions on the calling thread at a concurrency limit of 1,
 and above it under a bounded worker pool through a window of at most
 ``WINDOW_PER_WORKER × concurrency_limit`` sessions. Either way it stores each
-finished session in schedule order, flushes a checkpoint after each, and
-skips the pairings the transcript store already holds on resume. So the store's bytes
-depend on neither the concurrency nor the timing of a run, and a resumed
-store equals an uninterrupted one.
+finished session in schedule order, flushes a checkpoint of the failures
+after each, and skips the pairings the transcript store already holds on
+resume. The checkpoint lists the completed ids only when the run starts and
+when it stops, so each write mid-run costs the same however many sessions
+are stored. The store's bytes depend on neither the concurrency nor the
+timing of a run, and a resumed store equals an uninterrupted one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -259,17 +262,19 @@ class TranscriptStore:
 
 
 def write_checkpoint(
-    path: str | Path, state: TournamentState, done: Iterable[str]
+    path: str | Path, state: TournamentState, done: Iterable[str] | None = None
 ) -> None:
     """Atomic write-then-rename so a crash never leaves a torn checkpoint.
 
-    ``completed`` lists the done ids for readers of the file; nothing reads
-    it back, because the transcript store is the record of what is done.
+    ``completed`` lists the ``done`` ids, and is written only when they are
+    given: ``run_tournament`` gives them when the run starts and when it
+    stops, and its writes in between record only the failures. Nothing
+    reads ``completed`` back, because the transcript store is the record of
+    what is done.
     """
     path = Path(path)
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "completed": sorted(done),
         "failed": [
             {
                 "exercise": p.exercise,
@@ -282,6 +287,8 @@ def write_checkpoint(
             for p, cause in state.failed
         ],
     }
+    if done is not None:
+        payload["completed"] = sorted(done)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
     os.replace(tmp, path)
@@ -349,8 +356,10 @@ def run_tournament(
     finished but not yet stored. Either way results are taken oldest first, so
     transcripts are stored and failures recorded in schedule order, and the
     next pairing is submitted as each is taken. The checkpoint is flushed
-    after each result; a rerun skips the pairings the store holds, making the
-    tournament idempotent under kill-and-resume with scripted agents. A
+    after each result with the failures so far; the write after the last
+    result, and the one when an error or an interrupt ends the run, also
+    list the stored ids. A rerun skips the pairings the store holds, making
+    the tournament idempotent under kill-and-resume with scripted agents. A
     session that raises fails only its pairing, and so does a backend abort
     (``SessionAbortError``) once the client has given up; any other
     ``ParleyError`` (a refused key among them) stops any session from
@@ -409,14 +418,21 @@ def run_tournament(
     def store_in_order(results: Iterable[tuple[Pairing, Transcript | None, str]]) -> int:
         """Store or record each result; the number of sessions played."""
         executed = 0
-        for pairing, transcript, cause in results:
-            if transcript is None:
-                state.failed.append((pairing, cause))
-            else:
-                if store.append(transcript) and on_stored is not None:
-                    on_stored(transcript)
-                executed += 1
-            write_checkpoint(checkpoint_path, state, store.ids)
+        try:
+            for taken, (pairing, transcript, cause) in enumerate(results, start=1):
+                if transcript is None:
+                    state.failed.append((pairing, cause))
+                else:
+                    if store.append(transcript) and on_stored is not None:
+                        on_stored(transcript)
+                    executed += 1
+                last = taken == len(pending)
+                write_checkpoint(checkpoint_path, state, store.ids if last else None)
+        except BaseException:
+            # the run ends early: list what it stored, but report why it ended
+            with contextlib.suppress(OSError):
+                write_checkpoint(checkpoint_path, state, store.ids)
+            raise
         return executed
 
     if concurrency_limit == 1:

@@ -305,11 +305,17 @@ def rent_option_a(raw):
          "roles[1].role_name must be a string, got 7"),
         ("rental", lambda raw: raw["issues"][0]["options"][0].update(label=1),
          "issue 'Rent Amount' option label must be a string, got 1"),
+        # a term is shown to the agents as written: a list would print as one
+        ("rental", lambda raw: raw["issues"][0]["options"][0].update(term=["be", "warm"]),
+         "issue 'Rent Amount' option 'A' term must be a string, got ['be', 'warm']"),
+        # a close names an issue by its marker key, and both names give rent_amount
+        ("rental", lambda raw: raw["issues"][1].update(issue_name="rent amount"),
+         "issues 'Rent Amount' and 'rent amount' share the marker key 'rent_amount'"),
     ],
     ids=[
         "max_exchanges", "batna_price", "impasse_points", "confidential_instructions",
         "points-string", "points-fraction", "points-missing", "original_new_price",
-        "scenario_id", "role_name", "option-label",
+        "scenario_id", "role_name", "option-label", "option-term", "issue-key",
     ],
 )
 def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, message):

@@ -422,6 +422,109 @@ def test_checkpoint_unwritable_aborts_before_running(tmp_path, roster):
     assert len(store) == 0
 
 
+def checkpoint_bytes(failed=(), completed=None):
+    """A checkpoint as ``write_checkpoint`` writes it (schema version 1)."""
+    payload = {"schema_version": 1, "failed": list(failed)}
+    if completed is not None:
+        payload["completed"] = sorted(completed)
+    return json.dumps(payload, indent=1, sort_keys=True).encode()
+
+
+def test_checkpoint_lists_the_stored_ids_when_the_run_starts_and_stops(tmp_path, roster):
+    # each write in between records only the failures, so it costs the same
+    # however many sessions the store holds
+    checkpoint = tmp_path / "ckpt.json"
+    seen = []
+    scenarios = {"chair": load_builtin("chair")}
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=build_schedule(roster, ["chair"], base_seed=7))
+    run_tournament(
+        state, scenarios, store, checkpoint, concurrency_limit=1,
+        on_stored=lambda transcript: seen.append(checkpoint.read_bytes()),
+    )
+    assert len(seen) == 25
+    # the first session is stored over the checkpoint written at the start
+    assert seen[0] == checkpoint_bytes(completed=[])
+    assert set(seen[1:]) == {checkpoint_bytes()}
+    assert checkpoint.read_bytes() == checkpoint_bytes(completed=store.ids)
+
+
+def test_a_pooled_run_ended_by_an_engine_error_lists_what_it_stored(tmp_path, roster):
+    # the backend refuses the key in the sixth pairing, the first to seat
+    # the chat agent; the five scripted pairings ahead of it are stored
+    def refuse(endpoint, payload, api_key, timeout):
+        raise BackendStatusError(401)
+
+    binding = BackendBinding(kind="chat_model", model_name="m", endpoint="fake://chat")
+    roster = [*roster, AgentSpec("model", "model", "be brief", binding)]
+    scenarios = {"chair": load_builtin("chair")}
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    with pytest.raises(ConfigurationError, match="refused the credentials"):
+        run_tournament(
+            state, scenarios, store, tmp_path / "ckpt.json", concurrency_limit=4,
+            client=ChatModelClient(transport=refuse, backoff_base=0.001),
+        )
+    assert store.ids == {p.negotiation_id(scenarios["chair"]) for p in schedule[:5]}
+    assert (tmp_path / "ckpt.json").read_bytes() == checkpoint_bytes(completed=store.ids)
+
+
+def counted_checkpoint_writes(monkeypatch, fail_listing=False):
+    """Record, for each checkpoint write, whether it lists the stored ids;
+    with ``fail_listing``, each listing write after the first raises OSError."""
+    writes = []
+    write = parley.tournament.write_checkpoint
+
+    def counted(path, state, done=None):
+        writes.append(done is not None)
+        if fail_listing and done is not None and len(writes) > 1:
+            raise OSError("disk full")
+        write(path, state, done)
+
+    monkeypatch.setattr(parley.tournament, "write_checkpoint", counted)
+    return writes
+
+
+def test_a_run_writes_the_checkpoint_once_per_pending_pairing_and_once_more(
+    tmp_path, roster, monkeypatch
+):
+    writes = counted_checkpoint_writes(monkeypatch)
+    scenarios = {"chair": load_builtin("chair")}
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    run_tournament(
+        TournamentState(roster=roster, schedule=schedule[:10]), scenarios, store,
+        tmp_path / "ckpt.json", concurrency_limit=1,
+    )
+    assert writes == [True] + [False] * 9 + [True]
+    writes.clear()
+    # resumed: 15 pairings pending
+    run_tournament(
+        TournamentState(roster=roster, schedule=schedule), scenarios, store,
+        tmp_path / "ckpt.json", concurrency_limit=4,
+    )
+    assert writes == [True] + [False] * 14 + [True]
+
+
+def test_an_unwritable_checkpoint_does_not_hide_why_the_run_ended(tmp_path, roster, monkeypatch):
+    writes = counted_checkpoint_writes(monkeypatch, fail_listing=True)
+    run_session = parley.tournament.run_session
+    started = []
+
+    def interrupted(*args, **kwargs):
+        started.append(args[3])
+        if len(started) == 3:
+            raise KeyboardInterrupt
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(parley.tournament, "run_session", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_full(tmp_path, roster, ["chair"], concurrency=1)
+    # the start, the two stored sessions, and the listing that failed
+    assert writes == [True, False, False, True]
+
+
 def test_store_refuses_duplicate_ids(tmp_path, roster, chair):
     from parley.session import run_session
 
