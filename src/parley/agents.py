@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -132,6 +133,13 @@ def questionnaire_text(items: list[dict]) -> str:
     ]
     lines += [f"{it['id']}. {it['text']}" for it in items]
     return "\n".join(lines)
+
+
+def read_ratings(text: str | None) -> dict[int, int]:
+    """The ratings a reply to ``questionnaire_text`` states by item id, one
+    per 'N: R' line (the last for an id counts)."""
+    lines = re.findall(r"^\s*(\d+)\s*[:.)\-]\s*(\d+)\s*$", text or "", re.MULTILINE)
+    return {int(num): int(rating) for num, rating in lines}
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +411,11 @@ class ChatModelClient:
 @dataclass(frozen=True)
 class Seat:
     """What an agent does in one session: ``speak()`` gives its next reply to
-    the view's history as it then stands; ``answer(items)`` its reply text
-    to the questionnaire once the talk has ended."""
+    the view's history as it then stands; ``answer(items)`` its ratings by
+    item id once the talk has ended, ``{}`` when it answers none."""
 
     speak: Callable[[], Reply]
-    answer: Callable[[list[dict]], str]
+    answer: Callable[[list[dict]], dict[int, int]]
 
 
 def bind_seat(
@@ -415,8 +423,8 @@ def bind_seat(
 ) -> Seat:
     """The agent bound to its seat for one session. A scripted seat does not
     read the seed, cuts each distinct text to ``max_reply_tokens`` once, and
-    rates every questionnaire item, under the item's id, its ``svi_rating``
-    (a silent one answers nothing). A chat-model seat issues one completion
+    rates every questionnaire item its ``svi_rating`` with no reply text (a
+    silent one answers nothing). A chat-model seat issues one completion
     request per call: its system prompt (preface, role briefing with the
     protocol, prompt) as system content, its own past messages as assistant
     turns, the counterpart's as user turns, and the questionnaire last."""
@@ -431,11 +439,10 @@ def bind_seat(
                     return Reply(" ".join(tokens[: binding.max_reply_tokens]), truncated=True)
             return Reply(text)
 
-        def answer(items: list[dict]) -> str:
+        def answer(items: list[dict]) -> dict[int, int]:
             if binding.policy_name == "silent":
-                return ""
-            rating = binding.policy_params["svi_rating"]
-            return "\n".join(f"{item['id']}: {rating}" for item in items)
+                return {}
+            return {item["id"]: binding.policy_params["svi_rating"] for item in items}
 
         speak = SCRIPTED_POLICIES[binding.policy_name](view, binding.policy_params)
         return Seat(lambda: reply(speak()), answer)
@@ -450,7 +457,10 @@ def bind_seat(
     def ask(*question: dict) -> Reply:
         return client.complete(binding, system_text, [*view.chat_messages(), *question], seed=seed)
 
-    return Seat(ask, lambda items: ask({"role": "user", "content": questionnaire_text(items)}).text)
+    def answer(items: list[dict]) -> dict[int, int]:
+        return read_ratings(ask({"role": "user", "content": questionnaire_text(items)}).text)
+
+    return Seat(ask, answer)
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +507,9 @@ def agent_from_record(path, record: dict, backend_defaults: dict | None = None) 
     """One roster record as an agent, every key and value checked; errors
     name ``path``. ``backend_defaults`` (the config's ``backend``) fill in a
     chat model's unset backend keys."""
-    if "agent_id" not in record:
-        raise SchemaError(f"{path}: agent record missing field 'agent_id'")
+    name = f"agent {record['agent_id']!r}" if "agent_id" in record else "agent record"
+    typed_mapping(path, name, record, RECORD_KEYS, required=("agent_id",))
     agent_id = typed(path, "agent_id", record["agent_id"], str)
-    typed_mapping(path, f"agent {agent_id!r}", record, RECORD_KEYS)
     key = f"agent {agent_id!r} backend"
     backend_raw = typed_mapping(path, key, record.get("backend", {}), BACKEND_KEYS)
     # config-level defaults configure chat models only, so scripted

@@ -9,6 +9,7 @@ different number of points to each role; an agreement must cover every issue.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from importlib import resources
@@ -19,6 +20,14 @@ import yaml
 from .errors import EvaluationError, NotFoundError, SchemaError
 
 BUILTIN_SCENARIOS = ("lamp", "table", "chair", "rental", "employment")
+
+
+# What a close's key=value pairs can name, stated once: protocol reads a key
+# of MARKER_KEY, and a scenario loads only when each issue's key matches it
+# and each option label matches MARKER_LABEL, which a stated value always
+# reads back as (so every complete close on it can be accepted).
+MARKER_KEY = r"[A-Za-z_][A-Za-z0-9_]*"
+MARKER_LABEL = r"[A-Z0-9_]+"
 
 
 def issue_key(issue_name: str) -> str:
@@ -133,17 +142,11 @@ OPTION_KEYS = ("label", "term", "points")
 
 
 def _parse_scenario(raw, source: str) -> ScenarioSpec:
-    typed_mapping(source, "top level", raw, SCENARIO_KEYS)
+    typed_mapping(source, "top level", raw, SCENARIO_KEYS, required=("scenario_id", "kind", "roles"))
+    scenario_id = typed(source, "scenario_id", raw["scenario_id"], str)
+    kind = typed(source, "kind", raw["kind"], str, choices=("distributive", "integrative"))
 
-    def require(key: str):
-        if key not in raw:
-            raise SchemaError(f"{source}: missing field {key!r}")
-        return raw[key]
-
-    scenario_id = typed(source, "scenario_id", require("scenario_id"), str)
-    kind = typed(source, "kind", require("kind"), str, choices=("distributive", "integrative"))
-
-    raw_roles = require("roles")
+    raw_roles = raw["roles"]
     if not isinstance(raw_roles, list) or len(raw_roles) != 2:
         raise SchemaError(f"{source}: roles must list exactly two roles")
 
@@ -155,8 +158,7 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
 
     roles = []
     for i, raw_role in enumerate(raw_roles):
-        if "role_name" not in typed_mapping(source, f"roles[{i}]", raw_role, ROLE_KEYS):
-            raise SchemaError(f"{source}: role missing field 'role_name'")
+        typed_mapping(source, f"roles[{i}]", raw_role, ROLE_KEYS, required=("role_name",))
         role_name = typed(source, f"roles[{i}].role_name", raw_role["role_name"], str)
         instructions = raw_role.get("confidential_instructions", "")
         roles.append(
@@ -172,15 +174,11 @@ def _parse_scenario(raw, source: str) -> ScenarioSpec:
 
     issues = []
     for i, raw_issue in enumerate(typed(source, "issues", raw.get("issues", []), list)):
-        if "issue_name" not in typed_mapping(source, f"issues[{i}]", raw_issue, ISSUE_KEYS):
-            raise SchemaError(f"{source}: issue missing field 'issue_name'")
+        typed_mapping(source, f"issues[{i}]", raw_issue, ISSUE_KEYS, required=("issue_name",))
         name = typed(source, f"issues[{i}].issue_name", raw_issue["issue_name"], str)
         options = []
         for opt in typed(source, f"issue {name!r} options", raw_issue.get("options", []), list):
-            typed_mapping(source, f"issue {name!r} option", opt, OPTION_KEYS)
-            for key in OPTION_KEYS:
-                if key not in opt:
-                    raise SchemaError(f"{source}: issue {name!r} option missing field {key!r}")
+            typed_mapping(source, f"issue {name!r} option", opt, OPTION_KEYS, required=OPTION_KEYS)
             label = typed(source, f"issue {name!r} option label", opt["label"], str)
             where = f"issue {name!r} option {label!r} points"
             points = typed(source, where, opt["points"], dict)
@@ -257,12 +255,16 @@ def typed(source, key: str, value, kinds, *, choices=None, bounds=None):
     raise SchemaError(f"{source}: {key} must be {must}, got {value!r}")
 
 
-def typed_mapping(source, key: str, value, names) -> dict:
-    """``value`` when it is a mapping that sets only keys of ``names``; else a
-    SchemaError naming ``source`` and ``key``, so a misspelt key is refused
-    rather than ignored."""
+def typed_mapping(source, key: str, value, names, required=()) -> dict:
+    """``value`` when it is a mapping that sets only keys of ``names`` and
+    every key of ``required``; else a SchemaError naming ``source`` and
+    ``key``, so a misspelt key is refused rather than ignored, and a missing
+    one rather than read as unset."""
     for name in typed(source, key, value, dict):
         typed(source, f"{key} key", name, str, choices=names)
+    for name in required:
+        if name not in value:
+            raise SchemaError(f"{source}: {key} missing field {name!r}")
     return value
 
 
@@ -332,6 +334,10 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
             )
         else:
             first_named[issue.key] = issue.issue_name
+        if not re.fullmatch(MARKER_KEY, issue.key):
+            report.append(
+                f"issue {issue.issue_name!r}: marker key {issue.key!r} must match {MARKER_KEY}"
+            )
         if len(issue.options) != 5:
             report.append(
                 f"issue {issue.issue_name!r}: options!=5 (got {len(issue.options)})"
@@ -340,6 +346,10 @@ def validate_scenario(spec: ScenarioSpec) -> list[str]:
         if len(set(labels)) != len(labels):
             report.append(f"issue {issue.issue_name!r}: option labels not unique")
         for label, _, points in issue.options:
+            if not re.fullmatch(MARKER_LABEL, label):
+                report.append(
+                    f"issue {issue.issue_name!r} option {label!r}: label must match {MARKER_LABEL}"
+                )
             for role_name in role_names:
                 if role_name not in points:
                     report.append(

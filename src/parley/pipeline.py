@@ -119,10 +119,9 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    raw = typed_mapping(path, "top level", read_yaml(path), CONFIG_KEYS)
-    for key in ("roster", "scenarios", "output_dir"):
-        if key not in raw:
-            raise SchemaError(f"{path}: missing config key {key!r}")
+    raw = typed_mapping(
+        path, "top level", read_yaml(path), CONFIG_KEYS, required=("roster", "scenarios", "output_dir")
+    )
 
     def resolve(key: str) -> Path | None:
         """The path at ``key``, taken from the config's folder; None when unset."""

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .catalog import Assignment, ScenarioSpec
+from .catalog import MARKER_KEY, Assignment, ScenarioSpec
 
 ACCEPT_MARKER = "[ACCEPT]"
 WALKAWAY_MARKER = "[WALKAWAY]"
@@ -28,7 +28,7 @@ _BLOCK_RE = {
     "OFFER": re.compile(r"\[OFFER\s+([^\]]*)\]", re.IGNORECASE),
     "TERMS": re.compile(r"\[TERMS\s+([^\]]*)\]", re.IGNORECASE),
 }
-_PAIR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^;=\s][^;]*?)\s*(?:;|$)")
+_PAIR_RE = re.compile(rf"({MARKER_KEY})\s*=\s*([^;=\s][^;]*?)\s*(?:;|$)")
 
 
 @dataclass(frozen=True)

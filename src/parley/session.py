@@ -2,15 +2,14 @@
 
 A session alternates turns between two agents until an explicit acceptance,
 an explicit walkaway, or the exchange cap (one exchange = one utterance by
-each side). After termination both agents fill in the subjective-value
-questionnaire; answers are parsed by pattern match and averaged into facet
+each side). After termination both seats answer the subjective-value
+questionnaire with their ratings by item id, which are averaged into facet
 and composite scores.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,8 +22,6 @@ from .protocol import ACCEPT_MARKER, WALKAWAY_MARKER, parse_block, terms_to_assi
 TRANSCRIPT_SCHEMA_VERSION = 1
 
 SVI_FACETS = ("instrumental", "self", "process", "relationship")
-
-_RATING_LINE_RE = re.compile(r"^\s*(\d+)\s*[:.)\-]\s*(\d+)\s*$", re.MULTILINE)
 
 
 @dataclass
@@ -154,28 +151,20 @@ def load_svi_items(path=None) -> list[dict]:
     return items
 
 
-def parse_svi_response(text: str, items: list[dict]) -> SviResponse | None:
-    """Pattern-match ratings out of a structured reply.
+def svi_response(items: list[dict], ratings: dict[int, int]) -> SviResponse | None:
+    """The questionnaire response that ``ratings``, by item id, make.
 
     Any missing item or out-of-scale rating invalidates the whole response
     (recorded as missing; such negotiations drop out of SV analyses).
     """
-    ratings: dict[int, int] = {}
-    for num, rating in _RATING_LINE_RE.findall(text or ""):
-        ratings[int(num)] = int(rating)
-    parsed = []
-    for item in items:
-        rating = ratings.get(item["id"])
-        if rating is None or not 1 <= rating <= 7:
-            return None
-        parsed.append((item["id"], rating))
-
+    parsed = tuple((item["id"], ratings.get(item["id"])) for item in items)
+    if not all(rating in range(1, 8) for _, rating in parsed):  # a 7-point scale
+        return None
     by_facet: dict[str, list[int]] = {facet: [] for facet in SVI_FACETS}
     for item, (_, rating) in zip(items, parsed):
         by_facet[item["facet"]].append(rating)
     facets = {facet: sum(vals) / len(vals) for facet, vals in by_facet.items()}
-    composite = sum(r for _, r in parsed) / len(parsed)
-    return SviResponse(items=tuple(parsed), facets=facets, composite=composite)
+    return SviResponse(parsed, facets, composite=sum(r for _, r in parsed) / len(parsed))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +180,9 @@ def run_session(
     first_mover: str | None = None,
     svi_items: list[dict] | None = None,
 ) -> Transcript:
-    """Run one negotiation to termination and administer the questionnaire.
+    """Run one negotiation to termination and administer the questionnaire
+    (``svi_items``, or the built-in one when None), storing each seat's
+    ratings as its ``svi_response``.
 
     A backend abort during the negotiation raises ``SessionAbortError``; one
     while a questionnaire is answered leaves that questionnaire missing. A
@@ -249,8 +240,8 @@ def run_session(
     items = svi_items if svi_items is not None else load_svi_items()
     for role_name, (_, seat) in seats.items():
         try:
-            answer = seat.answer(items)
+            ratings = seat.answer(items)
         except SessionAbortError:
-            answer = ""  # parses as a missing questionnaire
-        transcript.svi[role_name] = parse_svi_response(answer, items)
+            ratings = {}  # a missing questionnaire
+        transcript.svi[role_name] = svi_response(items, ratings)
     return transcript

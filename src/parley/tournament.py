@@ -32,7 +32,7 @@ from pathlib import Path
 from .agents import AgentSpec, ChatModelClient
 from .catalog import ScenarioSpec
 from .errors import ConfigurationError, ParleyError, SchemaError, SessionAbortError
-from .session import Transcript, negotiation_id, run_session
+from .session import Transcript, load_svi_items, negotiation_id, run_session
 from .tables import parse_provenance, provenance_line
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -367,8 +367,9 @@ def run_tournament(
     leaves the finished sessions behind it unstored, cancels the queued ones
     and ends the run.
 
-    ``on_stored``, when given, is called on this thread with each transcript
-    the store has just taken.
+    Every session is given ``svi_items``, or, when None, the built-in
+    questionnaire read once for the call. ``on_stored``, when given, is
+    called on this thread with each transcript the store has just taken.
     """
     for pairing in state.schedule:
         if pairing.exercise not in scenarios:
@@ -381,6 +382,8 @@ def run_tournament(
         raise ConfigurationError(f"checkpoint {checkpoint_path} unwritable: {exc}") from exc
 
     agents = {a.agent_id: a for a in state.roster}
+    if svi_items is None:
+        svi_items = load_svi_items()
     pending = state.pending(scenarios, store.ids)
     skipped = len(state.schedule) - len(pending)
     start = time.monotonic()

@@ -13,6 +13,8 @@ from parley.agents import (
     assemble_system_prompt,
     bind_seat,
     load_roster,
+    questionnaire_text,
+    read_ratings,
 )
 from parley.catalog import BUILTIN_SCENARIOS, Assignment, load_builtin
 from parley.errors import (
@@ -146,6 +148,42 @@ def test_mirror_echoes_counterpart(chair):
 def test_silent_agent_is_empty(chair):
     agent = make_scripted_agent("silent")
     assert bind_seat(agent, view_for(chair, "buyer"), seed=1).speak().text == ""
+
+
+def test_scripted_seat_answers_with_ratings_and_writes_no_reply(chair, monkeypatch):
+    import parley.agents
+    from parley.session import load_svi_items
+
+    def unused(*args):
+        raise AssertionError("a scripted seat writes and reads no 'N: R' reply")
+
+    # the reply form is written and read for a chat seat only
+    monkeypatch.setattr(parley.agents, "questionnaire_text", unused)
+    monkeypatch.setattr(parley.agents, "read_ratings", unused)
+    items = [{**item, "id": item["id"] + 100} for item in load_svi_items()]
+    rater = make_scripted_agent("stonewaller", {"svi_rating": 6})
+    answer = bind_seat(rater, view_for(chair, "seller"), seed=1).answer(items)
+    assert answer == {item_id: 6 for item_id in range(101, 117)}
+    silent = make_scripted_agent("silent")
+    assert bind_seat(silent, view_for(chair, "buyer"), seed=1).answer(items) == {}
+
+
+def test_chat_seat_reads_its_questionnaire_reply(chair):
+    from parley.session import load_svi_items
+
+    captured = []
+
+    def transport(endpoint, payload, api_key, timeout):
+        captured.append(payload)
+        return canned_response("Happy to.\n1: 5\n 2) 6 \n3 - 9\n1: 3\nand 4: 2 is not a line")
+
+    items = load_svi_items()
+    client = ChatModelClient(transport=transport)
+    view = SessionView(scenario=chair, role_name="seller", history=(("seller", "hi"),))
+    # the last line for an id counts; an out-of-scale rating is the session's to refuse
+    assert bind_seat(chat_agent(), view, seed=1, client=client).answer(items) == {1: 3, 2: 6, 3: 9}
+    assert captured[0]["messages"][-1] == {"role": "user", "content": questionnaire_text(items)}
+    assert read_ratings(None) == read_ratings("") == {}
 
 
 def test_scripted_referential_transparency(rental):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from parley.catalog import (
     Assignment,
@@ -311,11 +311,19 @@ def rent_option_a(raw):
         # a close names an issue by its marker key, and both names give rent_amount
         ("rental", lambda raw: raw["issues"][1].update(issue_name="rent amount"),
          "issues 'Rent Amount' and 'rent amount' share the marker key 'rent_amount'"),
+        # a close must name each issue by a key the protocol reads back whole:
+        # it would read rent-amount=C as amount=C
+        ("rental", lambda raw: raw["issues"][0].update(issue_name="Rent-Amount"),
+         "issue 'Rent-Amount': marker key 'rent-amount' must match [A-Za-z_][A-Za-z0-9_]*"),
+        # and state each label as the protocol reads it back: upper-cased
+        ("rental", lambda raw: raw["issues"][0]["options"][0].update(label="a"),
+         "issue 'Rent Amount' option 'a': label must match [A-Z0-9_]+"),
     ],
     ids=[
         "max_exchanges", "batna_price", "impasse_points", "confidential_instructions",
         "points-string", "points-fraction", "points-missing", "original_new_price",
         "scenario_id", "role_name", "option-label", "option-term", "issue-key",
+        "issue-key-grammar", "option-label-case",
     ],
 )
 def test_mistyped_scenario_value_exits_2_naming_file_and_key(tmp_path, name, damage, message):
@@ -383,3 +391,62 @@ def test_price_frame_keys_are_free_form(tmp_path):
     path = tmp_path / "chair.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert load_scenario_file(path).price_frame["colour"] == "oak"
+
+
+# ---------------------------------------------------------------------------
+# A scenario that loads can close
+
+
+# names and labels of the marker grammar, and now and then one outside it
+issue_names = st.one_of(
+    st.text(alphabet="Rr nt_9", min_size=1, max_size=6),
+    st.text(alphabet="Rr nt_-9.é", min_size=1, max_size=6),
+)
+GRAMMAR_LABELS = ("A", "B", "C", "D", "E", "7", "X_1", "Q")
+OTHER_LABELS = ("a", "b", "", " F", "G;", "H]", "=I", "J-K", "ß")
+
+
+@st.composite
+def generated_scenarios(draw):
+    def option(label):
+        points = {"first": draw(st.integers(-50, 50)), "second": draw(st.integers(-50, 50))}
+        return {"label": label, "term": f"term {label}", "points": points}
+
+    issues = []
+    for name in draw(st.lists(issue_names, min_size=1, max_size=3)):
+        labels = draw(st.permutations(GRAMMAR_LABELS))[:5]
+        if draw(st.integers(0, 3)) == 0:
+            labels[draw(st.integers(0, 4))] = draw(st.sampled_from(OTHER_LABELS))
+        issues.append({"issue_name": name, "options": [option(label) for label in labels]})
+    roles = [{"role_name": role, "impasse_points": 0} for role in ("first", "second")]
+    return {"scenario_id": "generated", "kind": "integrative", "roles": roles, "issues": issues}
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=generated_scenarios(), data=st.data())
+def test_every_complete_close_on_a_loaded_scenario_is_accepted(raw, data):
+    from parley.catalog import _parse_scenario
+    from parley.protocol import format_close, format_offer, parse_block, terms_to_assignment
+    from parley.scoring import extract_agreement
+    from parley.session import Transcript, Utterance, detect_termination
+
+    try:
+        spec = _parse_scenario(raw, "generated")
+    except SchemaError:
+        event("refused")
+        return
+    mixed = [data.draw(st.sampled_from(issue.labels())) for issue in spec.issues]
+    # each label of each issue, and one mixed assignment
+    for labels in [*zip(*(issue.labels() for issue in spec.issues)), mixed]:
+        assignment = Assignment(chosen={i.issue_name: l for i, l in zip(spec.issues, labels)})
+        offer = format_offer(spec, assignment)
+        assert terms_to_assignment(spec, parse_block(offer, "OFFER")) == assignment
+        utterances = [
+            Utterance(0, "a", "first", offer),
+            Utterance(1, "b", "second", format_close(spec, assignment)),
+        ]
+        assert detect_termination(utterances, spec) == "accepted"
+        transcript = Transcript(
+            "n", "generated", {"first": "a", "second": "b"}, utterances, "accepted", seed=1
+        )
+        assert extract_agreement(transcript, spec) == assignment

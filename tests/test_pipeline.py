@@ -76,6 +76,40 @@ def write_workspace(tmp_path, scenarios=("chair",), agents=None, extra=None):
 # Config
 
 
+@pytest.mark.parametrize(
+    "file, damage, message",
+    [
+        ("config.yaml", lambda raw: raw.pop("output_dir"), "top level missing field 'output_dir'"),
+        ("roster.yaml", lambda raw: raw["agents"][0].pop("agent_id"),
+         "agent record missing field 'agent_id'"),
+        ("chair.yaml", lambda raw: raw.pop("kind"), "top level missing field 'kind'"),
+        ("chair.yaml", lambda raw: raw["roles"][1].pop("role_name"),
+         "roles[1] missing field 'role_name'"),
+        ("rental.yaml", lambda raw: raw["issues"][2].pop("issue_name"),
+         "issues[2] missing field 'issue_name'"),
+        ("rental.yaml", lambda raw: raw["issues"][1]["options"][3].pop("term"),
+         "issue 'Deposit' option missing field 'term'"),
+    ],
+    ids=["config", "roster", "scenario", "role", "issue", "option"],
+)
+def test_every_reader_refuses_a_missing_key_in_one_form(tmp_path, file, damage, message):
+    from importlib import resources
+
+    write_workspace(tmp_path)
+    for name in ("chair", "rental"):
+        text = (resources.files("parley.data.scenarios") / f"{name}.yaml").read_text()
+        (tmp_path / f"{name}.yaml").write_text(text)
+    path = tmp_path / file
+    raw = yaml.safe_load(path.read_text())
+    damage(raw)
+    path.write_text(yaml.safe_dump(raw))
+    command = {"config.yaml": ["run", "--config"], "roster.yaml": ["roster", "validate"]}
+    result = CliRunner().invoke(cli_main, [*command.get(file, ["catalog"]), str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"{path}: {message}\n" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_config_requires_core_keys(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump({"roster": "r.yaml"}))

@@ -1,5 +1,6 @@
 import pytest
 
+from parley.agents import read_ratings
 from parley.catalog import Assignment
 from parley.errors import BackendStatusError, ConfigurationError, SchemaError, SessionAbortError
 from parley.protocol import format_close, format_offer, moderator_suffix
@@ -8,8 +9,8 @@ from parley.session import (
     Utterance,
     detect_termination,
     load_svi_items,
-    parse_svi_response,
     run_session,
+    svi_response,
 )
 from parley.tournament import TranscriptStore
 
@@ -221,6 +222,29 @@ def test_refused_key_while_answering_the_questionnaire_ends_the_session(chair):
     assert client.usage["requests"] == 1
 
 
+def test_backend_abort_while_answering_leaves_that_questionnaire_missing(chair):
+    from parley.agents import AgentSpec, BackendBinding, ChatModelClient
+
+    def hang_up_on_questionnaire(endpoint, payload, api_key, timeout):
+        if payload["messages"][-1]["content"].startswith("The negotiation has ended."):
+            raise OSError("gone")
+        return {"choices": [{"message": {"content": "[WALKAWAY]"}, "finish_reason": "stop"}]}
+
+    client = ChatModelClient(transport=hang_up_on_questionnaire, max_retries=0)
+    wall = make_scripted_agent("stonewaller", {"svi_rating": 3}, agent_id="wall")
+    model = AgentSpec(
+        "model", "model", "be brief",
+        BackendBinding(kind="chat_model", model_name="m", endpoint="https://example.invalid"),
+    )
+    transcript = run_session(
+        chair, {"seller": "model", "buyer": "wall"}, agents_for(wall, model), seed=1,
+        client=client,
+    )
+    assert transcript.termination == "walkaway"
+    assert transcript.svi["seller"] is None
+    assert transcript.svi["buyer"].composite == 3.0
+
+
 def test_termination_consistent_with_extraction(rental):
     # accepted <=> marker extraction yields a complete assignment
     ladder = make_scripted_agent(
@@ -294,7 +318,7 @@ def test_questionnaire_file_is_checked_when_read(tmp_path):
 def test_svi_all_sevens():
     items = load_svi_items()
     reply = "\n".join(f"{i}: 7" for i in range(1, 17))
-    response = parse_svi_response(reply, items)
+    response = svi_response(items, read_ratings(reply))
     assert response.composite == 7.0
     assert all(v == 7.0 for v in response.facets.values())
 
@@ -302,19 +326,19 @@ def test_svi_all_sevens():
 def test_svi_out_of_scale_rating_rejected():
     items = load_svi_items()
     reply = "\n".join(f"{i}: {9 if i == 4 else 5}" for i in range(1, 17))
-    assert parse_svi_response(reply, items) is None
+    assert svi_response(items, read_ratings(reply)) is None
 
 
 def test_svi_incomplete_rejected():
     items = load_svi_items()
     reply = "\n".join(f"{i}: 4" for i in range(1, 16))
-    assert parse_svi_response(reply, items) is None
+    assert svi_response(items, read_ratings(reply)) is None
 
 
 def test_svi_alternating_threes_and_fives():
     items = load_svi_items()
     reply = "\n".join(f"{i}: {3 if i % 2 else 5}" for i in range(1, 17))
-    response = parse_svi_response(reply, items)
+    response = svi_response(items, read_ratings(reply))
     assert response.composite == 4.0
 
 
@@ -324,7 +348,7 @@ def test_svi_facet_means():
     lines = []
     for i in range(1, 17):
         lines.append(f"{i}: {(i - 1) // 4 + 1}")
-    response = parse_svi_response("\n".join(lines), items)
+    response = svi_response(items, read_ratings("\n".join(lines)))
     assert response.facets == {
         "instrumental": 1.0,
         "self": 2.0,

@@ -411,6 +411,28 @@ def test_finished_sessions_wait_in_a_bounded_window(tmp_path, roster, monkeypatc
     assert max(unstored_at_append) <= 2 * concurrency
 
 
+def test_builtin_questionnaire_is_read_once_per_run(tmp_path, roster, monkeypatch):
+    import parley.session
+
+    load_svi_items = parley.session.load_svi_items
+    reads = []
+
+    def counted(path=None):
+        reads.append(path)
+        return load_svi_items(path)
+
+    monkeypatch.setattr(parley.session, "load_svi_items", counted)
+    monkeypatch.setattr(parley.tournament, "load_svi_items", counted)
+    schedule = build_schedule(roster, ["chair"], base_seed=7)
+    store = TranscriptStore(tmp_path / "store.jsonl")
+    state = TournamentState(roster=roster, schedule=schedule)
+    report = run_tournament(
+        state, {"chair": load_builtin("chair")}, store, tmp_path / "ckpt.json", concurrency_limit=1
+    )
+    assert report.executed == 25
+    assert reads == [None]
+
+
 def test_checkpoint_unwritable_aborts_before_running(tmp_path, roster):
     scenarios = {"chair": load_builtin("chair")}
     schedule = build_schedule(roster[:2], ["chair"], base_seed=7)
